@@ -1,20 +1,23 @@
-"""One-dimensional AR estimators: Levinson recursion and two Burg lattices.
+"""One-dimensional AR estimators: Levinson recursion and the Burg lattice.
 
 Three routes to the prediction coefficients of ``x(k) + sum_l a_l x(k-l) =
 w(k)``:
 
 * :func:`levinson` solves the Toeplitz normal equations order-recursively
   from a biased autocorrelation sequence.
-* :func:`burg_classic` is the textbook finite-sample Burg lattice: the
-  forward/backward error supports shrink by one sample per order, and each
-  reflection coefficient comes from the half-sum energy denominator (which
-  keeps its magnitude at or below one).
-* :func:`burg_modified` runs the same lattice over zero-padded error
-  signals whose supports GROW by one sample per order (``e_b(-1) = 0`` and
-  the forward error past the last nonzero value are kept as explicit
-  zeros). Under that convention the lattice reproduces the Levinson
-  coefficients on the biased autocorrelation exactly, so the two routes
-  cross-check each other to machine precision.
+* :func:`burg_classic` and :func:`burg_modified` are one Burg lattice run
+  over two supports. Each stage takes Burg's symmetric reflection
+  coefficient, with the half-sum energy denominator that keeps its
+  magnitude at or below one, over its forward window against the backward
+  window delayed by one sample. :func:`burg_classic` is the textbook
+  finite-sample lattice, whose error supports shrink by one sample per
+  order. :func:`burg_modified` runs over zero-padded error signals whose
+  supports GROW by one sample per order (``e_b(-1) = 0`` and the forward
+  error past its last nonzero value are kept as explicit zeros). Under that
+  convention the forward and backward error energies are equal, and the
+  lattice reproduces the Levinson coefficients on the biased
+  autocorrelation, so the two routes cross-check each other to machine
+  precision.
 
 All three populate a per-order history so a single run at order ``n``
 yields the models of every intermediate order.
@@ -93,9 +96,12 @@ class ArModel1D:
     early_stop: bool = False
 
 
-def _extend(coeffs: np.ndarray, reflection: complex) -> np.ndarray:
-    """Order-update ``a_l <- a_l + k conj(a_{n-l})``, appending ``a_n = k``."""
-    return np.concatenate([coeffs + reflection * coeffs[::-1].conj(), [reflection]])
+def _extend(coeffs: np.ndarray, m: int, reflection: complex) -> None:
+    """Order-update ``a_l <- a_l + k conj(a_{m-l})`` of ``coeffs[:m-1]`` in
+    place, then set ``a_m = k``."""
+    prev = coeffs[: m - 1]
+    prev += reflection * prev[::-1].conj()
+    coeffs[m - 1] = reflection
 
 
 def levinson(r, order: int) -> ArModel1D:
@@ -129,7 +135,7 @@ def levinson(r, order: int) -> ArModel1D:
     if r0 <= 0.0:
         raise DegenerateSignalError(f"r_0 must be positive, got {r0}")
 
-    coeffs = np.zeros(0, dtype=complex)
+    coeffs = np.zeros(order, dtype=complex)
     power = r0
     history: list[LatticeStage] = []
     early = False
@@ -138,15 +144,63 @@ def levinson(r, order: int) -> ArModel1D:
             raise SingularityError(
                 f"prediction-error power {power:.3e} vanished at order {m}"
             )
-        delta = r[m] + (r[m - 1 : 0 : -1] @ coeffs if m > 1 else 0.0)
+        delta = r[m] + (r[m - 1 : 0 : -1] @ coeffs[: m - 1] if m > 1 else 0.0)
         k = -delta / power
-        coeffs = _extend(coeffs, k)
+        _extend(coeffs, m, k)
         power = power * (1.0 - (k * k.conjugate()).real)
-        history.append(LatticeStage(m, coeffs.copy(), power, complex(k)))
+        history.append(LatticeStage(m, coeffs[:m].copy(), power, complex(k)))
         if abs(k) >= 1.0 - UNIT_CIRCLE_TOL and m < order:
             early = True
             break
-    return ArModel1D(history[-1].order, coeffs, power, history, early)
+    return ArModel1D(m, coeffs[:m], power, history, early)
+
+
+def _burg_lattice(x, order: int, padded: bool, keep_errors: bool) -> ArModel1D:
+    """The Burg lattice of both 1D estimators, over either support.
+
+    The errors live in one buffer per direction indexed by time plus one,
+    so slot 0 is ``e_b(-1) = 0`` and stays zero. Stage ``m`` pairs the
+    forward errors on its window, ``[m, N-1]`` when shrinking and
+    ``[0, N+m-1]`` when ``padded``, with the backward errors on the same
+    window delayed by one sample, and updates both in place on the forward
+    window, which is the support of the order-``m`` errors.
+    """
+    x = as_signal_1d(x)
+    n = x.size
+    if not 1 <= order <= n - 1:
+        raise ValueError(f"order must be in [1, {n - 1}], got {order}")
+    power = np.vdot(x, x).real
+    if power == 0.0:
+        raise DegenerateSignalError("signal has zero energy")
+
+    ef = np.zeros(n + 1 + (order if padded else 0), dtype=complex)
+    ef[1 : n + 1] = x
+    eb = ef.copy()
+    coeffs = np.zeros(order, dtype=complex)
+    history: list[LatticeStage] = []
+    early = False
+    for m in range(1, order + 1):
+        lo, hi = (1, n + m + 1) if padded else (m + 1, n + 1)
+        f = ef[lo:hi]
+        b = eb[lo - 1 : hi - 1]
+        denom = 0.5 * (np.vdot(f, f).real + np.vdot(b, b).real)
+        if denom == 0.0:
+            raise DegenerateSignalError(f"zero error energy at order {m}")
+        k = -np.vdot(b, f) / denom
+        _extend(coeffs, m, k)
+        # The backward write overlaps b: build both updates before writing.
+        new_f = f + k * b
+        eb[lo:hi] = b + k.conjugate() * f
+        f[:] = new_f
+        power = power * (1.0 - (k * k.conjugate()).real)
+        errors = None
+        if keep_errors:
+            errors = ErrorSignals1D(f.copy(), eb[lo:hi].copy(), lo - 1, hi - 2)
+        history.append(LatticeStage(m, coeffs[:m].copy(), power, complex(k), errors))
+        if abs(k) >= 1.0 - UNIT_CIRCLE_TOL and m < order:
+            early = True
+            break
+    return ArModel1D(m, coeffs[:m], power, history, early)
 
 
 def burg_classic(x, order: int, keep_errors: bool = False) -> ArModel1D:
@@ -162,104 +216,29 @@ def burg_classic(x, order: int, keep_errors: bool = False) -> ArModel1D:
     same window, losing one sample per order. ``error_power`` follows the
     ``P_m = P_{m-1} (1 - |k_m|^2)`` recursion from ``P_0 = sum |x|^2``.
     """
-    x = as_signal_1d(x)
-    n = x.size
-    if not 1 <= order <= n - 1:
-        raise ValueError(f"order must be in [1, {n - 1}], got {order}")
-
-    ef = x.copy()
-    eb = x.copy()
-    power = np.vdot(x, x).real
-    coeffs = np.zeros(0, dtype=complex)
-    history: list[LatticeStage] = []
-    early = False
-    for m in range(1, order + 1):
-        f = ef[m:]
-        b = eb[m - 1 : n - 1]
-        denom = 0.5 * (np.vdot(f, f).real + np.vdot(b, b).real)
-        if denom == 0.0:
-            raise DegenerateSignalError(f"zero error energy at order {m}")
-        k = -np.vdot(b, f) / denom
-        coeffs = _extend(coeffs, k)
-        # f and b are views; build both updates before writing back.
-        new_f = f + k * b
-        new_b = b + k.conjugate() * f
-        ef[m:] = new_f
-        eb[m:] = new_b
-        power = power * (1.0 - (k * k.conjugate()).real)
-        errors = None
-        if keep_errors:
-            errors = ErrorSignals1D(ef[m:].copy(), eb[m:].copy(), m, n - 1)
-        history.append(LatticeStage(m, coeffs.copy(), power, complex(k), errors))
-        if abs(k) >= 1.0 - UNIT_CIRCLE_TOL and m < order:
-            early = True
-            break
-    return ArModel1D(history[-1].order, coeffs, power, history, early)
+    return _burg_lattice(x, order, padded=False, keep_errors=keep_errors)
 
 
-def burg_modified(
-    x,
-    order: int,
-    denominator: str = "forward",
-    keep_errors: bool = False,
-) -> ArModel1D:
+def burg_modified(x, order: int, keep_errors: bool = False) -> ArModel1D:
     """Zero-padded Burg lattice; reproduces :func:`levinson` exactly.
 
     The error signals start as the signal itself on ``[0, N-1]`` and gain
     one sample per order instead of losing one; the recursion runs until
     the last nonzero value with ``e_b(-1) = 0`` and ``e_f`` zero past its
-    support. The stage-``m`` reflection coefficient is
+    support. The stage-``m`` reflection coefficient is Burg's symmetric one,
 
-        ``k_m = -sum_k e_f(k) conj(e_b(k-1)) / sum_k |e_f(k)|^2``
+        ``k_m = -sum_k e_f(k) conj(e_b(k-1)) /
+                (0.5 sum_k (|e_f(k)|^2 + |e_b(k-1)|^2))``
 
-    with both sums over the full extended support. Under zero padding the
-    forward and backward error energies are equal at every stage, so
-    ``denominator="backward"`` gives the same coefficients up to rounding
-    (exposed for exactly that cross-check).
+    with both sums over the full extended support ``k in [0, N+m-1]``.
+    Under zero padding the forward and backward error energies are equal at
+    every stage, so the half-sum equals either energy.
 
     The resulting coefficients equal ``levinson(estimate_autocorr_1d(x,
     order), order)`` up to rounding: the extended sums turn the lattice
     moments into biased lag sums with no boundary truncation.
     """
-    x = as_signal_1d(x)
-    n = x.size
-    if not 1 <= order <= n - 1:
-        raise ValueError(f"order must be in [1, {n - 1}], got {order}")
-    if denominator not in ("forward", "backward"):
-        raise ValueError(f"denominator must be 'forward' or 'backward', got {denominator!r}")
-
-    ef = x.copy()
-    eb = x.copy()
-    power = np.vdot(x, x).real
-    if power == 0.0:
-        raise DegenerateSignalError("signal has zero energy")
-    coeffs = np.zeros(0, dtype=complex)
-    history: list[LatticeStage] = []
-    early = False
-    zero = np.zeros(1, dtype=complex)
-    for m in range(1, order + 1):
-        num = -np.vdot(eb[:-1], ef[1:])
-        if denominator == "forward":
-            denom = np.vdot(ef, ef).real
-        else:
-            denom = np.vdot(eb, eb).real
-        if denom == 0.0:
-            raise DegenerateSignalError(f"zero error energy at order {m}")
-        k = num / denom
-        coeffs = _extend(coeffs, k)
-        ef_pad = np.concatenate([ef, zero])
-        eb_prev = np.concatenate([zero, eb])
-        ef = ef_pad + k * eb_prev
-        eb = eb_prev + k.conjugate() * ef_pad
-        power = power * (1.0 - (k * k.conjugate()).real)
-        errors = None
-        if keep_errors:
-            errors = ErrorSignals1D(ef.copy(), eb.copy(), 0, n + m - 1)
-        history.append(LatticeStage(m, coeffs.copy(), power, complex(k), errors))
-        if abs(k) >= 1.0 - UNIT_CIRCLE_TOL and m < order:
-            early = True
-            break
-    return ArModel1D(history[-1].order, coeffs, power, history, early)
+    return _burg_lattice(x, order, padded=True, keep_errors=keep_errors)
 
 
 def prediction_residual(x, coeffs) -> np.ndarray:

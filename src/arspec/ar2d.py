@@ -12,16 +12,18 @@ linear prediction into multichannel prediction with coefficient MATRICES
   power is updated by the cheap recurrence ``P <- P + J A_nn^* J Delta``
   (the exchange-conjugate of the forward increment ``A_nn Delta^H``)
   instead of re-evaluating its defining sum each stage.
-* :func:`burg2d_classic` - the lattice route with shrinking supports and
-  the symmetrized coefficient update
+* :func:`burg2d_classic` and :func:`burg2d_modified` - one block Burg
+  lattice run over two supports. Each stage takes the symmetric update
   ``A = -[Pfb + J Pfb^T J][Pb + J Pf^* J]^{-1}`` (J the exchange matrix),
-  which minimizes the summed forward+backward error trace per stage.
-* :func:`burg2d_modified` - the lattice route over zero-padded, growing
-  supports. Its coefficient matrices equal :func:`wwra` applied to the
-  zero-padded block autocorrelation, to machine precision, and its moment
-  matrices satisfy ``Pb = J Pf^* J`` and ``Pfb = J Pfb^T J`` at every
-  stage (which is why the plain update ``A = -Pfb Pb^{-1}`` and the
-  symmetrized one coincide for it).
+  which minimizes the summed forward+backward error trace, with the
+  moments taken over the stage's forward window against the backward
+  window delayed by one row index. The classic lattice's supports shrink
+  by one row per order. The modified lattice's supports grow over
+  zero-padded rows; its coefficient matrices then equal :func:`wwra`
+  applied to the zero-padded block autocorrelation, to machine precision,
+  and its moment matrices satisfy ``Pb = J Pf^* J`` and
+  ``Pfb = J Pfb^T J`` at every stage, so the symmetric update coincides
+  with the plain ``A = -Pfb Pb^{-1}``.
 
 A quarter-plane scalar prediction filter is recovered from any of the
 models by :func:`extract_quarter_plane_filter`; the extraction is pinned by
@@ -71,11 +73,18 @@ class ErrorSignals2D:
 class BlockStage:
     """Snapshot after one 2D recursion stage.
 
-    For the zero-padded estimator the three sample moments over the full
-    extended support are recorded: ``cross_power = sum e_f(k) e_b(k-1)^H``,
-    ``forward_power = sum e_f(k) e_f(k)^H`` and ``error_power =
-    sum e_b(k) e_b(k)^H``. The classic estimator records ``error_power``
-    over its shrinking window plus the minimized trace ``criterion``.
+    Every lattice stage records four moments of its order-``m`` errors over
+    their current support, rows ``[m, N1-1]`` for the classic lattice and
+    ``[0, N1+m-1]`` for the zero-padded one:
+
+    * ``error_power = sum e_b(k) e_b(k)^H``;
+    * ``forward_power = sum e_f(k) e_f(k)^H``;
+    * ``cross_power = sum e_f(k) e_b(k-1)^H`` over the rows ``k`` where both
+      errors lie in the support;
+    * ``criterion = tr forward_power + tr error_power``, the trace the
+      symmetric update minimizes.
+
+    :func:`wwra` stages record ``error_power`` only.
     """
 
     order: int
@@ -128,17 +137,18 @@ class QuarterPlaneFilter:
         return self.coeffs.shape[1] - 1
 
 
-def _extend_block(coeffs: np.ndarray, a_nn: np.ndarray) -> np.ndarray:
-    """Order-update ``A_l <- A_l + A_nn J A_{n-l}^* J``, appending ``A_nn``."""
-    if coeffs.shape[0] == 0:
-        return a_nn[None].copy()
-    reversed_conj = np.stack([exchange_conj(m) for m in coeffs[::-1]])
-    return np.concatenate([coeffs + a_nn @ reversed_conj, a_nn[None]])
+def _extend_block(coeffs: np.ndarray, m: int, a_nn: np.ndarray) -> None:
+    """Order-update ``A_l <- A_l + A_nn J A_{m-l}^* J`` of ``coeffs[:m-1]``
+    in place, then set ``A_m = A_nn``."""
+    prev = coeffs[: m - 1]
+    prev += a_nn @ prev[::-1, ::-1, ::-1].conj()
+    coeffs[m - 1] = a_nn
 
 
-def _cross_moment(lead: np.ndarray, lag: np.ndarray) -> np.ndarray:
-    """``sum_k lead[k] lag[k]^H`` for stacks of equal-width blocks."""
-    return np.einsum("kiw,kjw->ij", lead, lag.conj())
+def _gram(lead: np.ndarray, lag: np.ndarray) -> np.ndarray:
+    """``sum_k lead(k) lag(k)^H`` over the blocks of two channel-major
+    ``(p, rows * width)`` windows."""
+    return lead @ lag.conj().T
 
 
 def wwra(blocks, order: int, sample_terms: int | None = None) -> ArModel2D:
@@ -177,22 +187,90 @@ def wwra(blocks, order: int, sample_terms: int | None = None) -> ArModel2D:
         raise ValueError(f"need lag blocks R_0..R_{order}, got {blocks.shape[0]}")
 
     p = blocks.shape[1]
-    coeffs = np.zeros((0, p, p), dtype=complex)
+    coeffs = np.zeros((order, p, p), dtype=complex)
     power = blocks[0].copy()
     history: list[BlockStage] = []
     for m in range(1, order + 1):
         delta = blocks[m].copy()
         if m > 1:
-            delta += np.einsum("lij,ljk->ik", coeffs, blocks[m - 1 : 0 : -1])
+            delta += np.einsum("lij,ljk->ik", coeffs[: m - 1], blocks[m - 1 : 0 : -1])
         a_nn = -solve_hermitian_dense(power, delta, side="right")
-        coeffs = _extend_block(coeffs, a_nn)
+        _extend_block(coeffs, m, a_nn)
         # Backward-power increment. Note the exchange-conjugate: the plain
         # forward increment A Delta^H updates the FORWARD power and only
         # coincides with this for scalar blocks; using it here breaks the
         # agreement with both the defining sum for P and the lattice route.
         power = power + exchange_conj(a_nn) @ delta
-        history.append(BlockStage(m, coeffs.copy(), a_nn, power.copy()))
+        history.append(BlockStage(m, coeffs[:m].copy(), a_nn, power.copy()))
     return ArModel2D(order, p - 1, coeffs, power, history, sample_terms)
+
+
+def _burg2d_lattice(
+    x, order: int, channel_order: int, padded: bool, keep_errors: bool
+) -> ArModel2D:
+    """The block Burg lattice of both 2D estimators, over either support.
+
+    The error blocks live channel-major in one ``(p, rows * width)`` buffer
+    per direction, row ``k`` at block ``k + 1``, so block 0 is
+    ``e_b(-1) = 0`` and stays zero. Stage ``m`` pairs the forward errors on
+    its window, rows ``[m, N1-1]`` when shrinking and ``[0, N1+m-1]`` when
+    ``padded``, with the backward errors on the same window delayed by one
+    row, and updates both in place on the forward window, which is the
+    support of the order-``m`` errors. Each moment is one matmul over a
+    window.
+    """
+    x = as_grid_2d(x)
+    data = build_data_matrices(x, channel_order)
+    n1_len, p, width = data.shape
+    if not 0 <= order <= n1_len - 1:
+        raise ValueError(f"order must be in [0, {n1_len - 1}], got {order}")
+    if order >= 1 and not np.any(x):
+        raise DegenerateSignalError("grid has zero energy")
+
+    ef = np.zeros((p, (n1_len + 1 + (order if padded else 0)) * width), dtype=complex)
+    ef[:, width : (n1_len + 1) * width] = data.transpose(1, 0, 2).reshape(p, -1)
+    eb = ef.copy()
+    coeffs = np.zeros((order, p, p), dtype=complex)
+    history: list[BlockStage] = []
+    for m in range(order + 1):
+        lo, hi = (1, n1_len + m + 1) if padded else (m + 1, n1_len + 1)
+        f = ef[:, lo * width : hi * width]
+        b = eb[:, lo * width : hi * width]
+        a_nn = None
+        if m:
+            numer = pfb + exchange_transpose(pfb)
+            # A zero cross moment already minimizes the criterion at A = 0;
+            # do not insist on inverting a (possibly rank-deficient)
+            # denominator.
+            if not np.any(numer):
+                a_nn = np.zeros((p, p), dtype=complex)
+            else:
+                a_nn = -solve_hermitian_dense(pb + exchange_conj(pf), numer, side="right")
+            _extend_block(coeffs, m, a_nn)
+            # b overlaps the delayed window: build both updates before writing.
+            b_prev = eb[:, (lo - 1) * width : (hi - 1) * width]
+            new_f = f + a_nn @ b_prev
+            b[:] = b_prev + exchange_conj(a_nn) @ f
+            f[:] = new_f
+        pf, pb, pfb = _gram(f, f), _gram(b, b), _gram(f[:, width:], b[:, :-width])
+        errors = None
+        if keep_errors:
+            errors = ErrorSignals2D(
+                *(e.reshape(p, -1, width).transpose(1, 0, 2).copy() for e in (f, b)),
+                lo - 1,
+                hi - 2,
+            )
+        criterion = float((pf.trace() + pb.trace()).real)
+        history.append(
+            BlockStage(m, coeffs[:m].copy(), a_nn, pb, pf, pfb, criterion, errors)
+        )
+        if not padded:
+            # The next stage's shrinking windows drop the first forward and
+            # the last backward block; padded windows only add zero blocks.
+            pf, pb = _gram(f[:, width:], f[:, width:]), _gram(b[:, :-width], b[:, :-width])
+    return ArModel2D(
+        order, channel_order, coeffs, history[-1].error_power, history, hi - lo
+    )
 
 
 def burg2d_classic(
@@ -203,7 +281,7 @@ def burg2d_classic(
     The error blocks start as the data matrices on ``k in [0, N1-1]``; at
     stage ``m`` the sample moments are taken over the common window
     ``k in [m, N1-1]`` (forward errors against backward errors delayed by
-    one), the coefficient matrix comes from the symmetrized update
+    one), the coefficient matrix comes from the symmetric update
 
         ``A = -[Pfb + J Pfb^T J] [Pb + J Pf^* J]^{-1}``
 
@@ -212,178 +290,28 @@ def burg2d_classic(
     ``tr(Pf + J Pb^* J)`` evaluated over the new support; the sequence is
     nonincreasing in the stage.
     """
-    x = as_grid_2d(x)
-    data = build_data_matrices(x, channel_order)
-    n1_len = data.shape[0]
-    if not 0 <= order <= n1_len - 1:
-        raise ValueError(f"order must be in [0, {n1_len - 1}], got {order}")
-    if order >= 1 and not np.any(x):
-        raise DegenerateSignalError("grid has zero energy")
-
-    p = channel_order + 1
-    ef = data.copy()
-    eb = data.copy()
-    coeffs = np.zeros((0, p, p), dtype=complex)
-    criterion = float(np.sum(np.abs(ef) ** 2) + np.sum(np.abs(eb) ** 2))
-    history = [
-        BlockStage(
-            0,
-            coeffs.copy(),
-            None,
-            _cross_moment(eb, eb),
-            criterion=criterion,
-            errors=ErrorSignals2D(ef.copy(), eb.copy(), 0, n1_len - 1)
-            if keep_errors
-            else None,
-        )
-    ]
-    for m in range(1, order + 1):
-        f = ef[m:n1_len]
-        b = eb[m - 1 : n1_len - 1]
-        pfb = _cross_moment(f, b)
-        pf = _cross_moment(f, f)
-        pb = _cross_moment(b, b)
-        numer = pfb + exchange_transpose(pfb)
-        denom = pb + exchange_conj(pf)
-        # A zero cross moment already minimizes the criterion at A = 0; do
-        # not insist on inverting a (possibly rank-deficient) denominator.
-        if not np.any(numer):
-            a_nn = np.zeros((p, p), dtype=complex)
-        else:
-            a_nn = -solve_hermitian_dense(denom, numer, side="right")
-        coeffs = _extend_block(coeffs, a_nn)
-        new_f = f + a_nn @ b
-        new_b = b + exchange_conj(a_nn) @ f
-        ef[m:n1_len] = new_f
-        eb[m:n1_len] = new_b
-        criterion = float(
-            np.sum(np.abs(ef[m:n1_len]) ** 2) + np.sum(np.abs(eb[m:n1_len]) ** 2)
-        )
-        history.append(
-            BlockStage(
-                m,
-                coeffs.copy(),
-                a_nn,
-                _cross_moment(eb[m:n1_len], eb[m:n1_len]),
-                criterion=criterion,
-                errors=ErrorSignals2D(
-                    ef[m:n1_len].copy(), eb[m:n1_len].copy(), m, n1_len - 1
-                )
-                if keep_errors
-                else None,
-            )
-        )
-    final = history[-1]
-    return ArModel2D(
-        final.order,
-        channel_order,
-        coeffs,
-        final.error_power,
-        history,
-        sample_terms=n1_len - final.order,
-    )
+    return _burg2d_lattice(x, order, channel_order, padded=False, keep_errors=keep_errors)
 
 
 def burg2d_modified(
-    x,
-    order: int,
-    channel_order: int,
-    update: str = "backward",
-    keep_errors: bool = False,
+    x, order: int, channel_order: int, keep_errors: bool = False
 ) -> ArModel2D:
     """Zero-padded 2D Burg lattice; reproduces :func:`wwra` exactly.
 
     The error blocks are extended one row index per order (``e_b(-1) = 0``,
     forward error zero past its last nonzero block) and the stage
-    coefficient is
-
-        ``A = -[sum_k e_f(k) e_b(k-1)^H] [sum_k e_b(k) e_b(k)^H]^{-1}``
-
-    with both sums over the full extended support. ``update="symmetrized"``
-    uses the classic symmetrized form on the same extended moments instead;
-    the two coincide up to rounding because the extended moments satisfy
-    the exchange symmetries ``Pb = J Pf^* J`` and ``Pfb = J Pfb^T J``.
+    coefficient comes from the same symmetric update as
+    :func:`burg2d_classic`, with every moment summed over the full extended
+    support. There the moments satisfy the exchange symmetries
+    ``Pb = J Pf^* J`` and ``Pfb = J Pfb^T J``, so the update equals the
+    plain ``A = -[sum_k e_f(k) e_b(k-1)^H] [sum_k e_b(k) e_b(k)^H]^{-1}``
+    up to rounding.
 
     The output coefficient matrices match
     ``wwra(estimate_block_autocorr_2d(x, order, channel_order), order)``
     to machine precision.
     """
-    x = as_grid_2d(x)
-    if update not in ("backward", "symmetrized"):
-        raise ValueError(f"update must be 'backward' or 'symmetrized', got {update!r}")
-    data = build_data_matrices(x, channel_order)
-    n1_len = data.shape[0]
-    if not 0 <= order <= n1_len - 1:
-        raise ValueError(f"order must be in [0, {n1_len - 1}], got {order}")
-    if order >= 1 and not np.any(x):
-        raise DegenerateSignalError("grid has zero energy")
-
-    p = channel_order + 1
-    width = data.shape[2]
-    ef = data.copy()
-    eb = data.copy()
-    coeffs = np.zeros((0, p, p), dtype=complex)
-
-    def moments(efc, ebc):
-        pfb = _cross_moment(efc[1:], ebc[:-1]) if efc.shape[0] > 1 else np.zeros((p, p), complex)
-        return _cross_moment(efc, efc), _cross_moment(ebc, ebc), pfb
-
-    pf, pb, pfb = moments(ef, eb)
-    history = [
-        BlockStage(
-            0,
-            coeffs.copy(),
-            None,
-            pb,
-            pf,
-            pfb,
-            errors=ErrorSignals2D(ef.copy(), eb.copy(), 0, n1_len - 1)
-            if keep_errors
-            else None,
-        )
-    ]
-    zero_block = np.zeros((1, p, width), dtype=complex)
-    for m in range(1, order + 1):
-        if not np.any(pfb):
-            # Zero cross moment: the minimizing coefficient is zero even
-            # when the backward moment is rank deficient (impulse grids).
-            a_nn = np.zeros((p, p), dtype=complex)
-        elif update == "backward":
-            a_nn = -solve_hermitian_dense(pb, pfb, side="right")
-        else:
-            a_nn = -solve_hermitian_dense(
-                pb + exchange_conj(pf), pfb + exchange_transpose(pfb), side="right"
-            )
-        coeffs = _extend_block(coeffs, a_nn)
-        ef_pad = np.concatenate([ef, zero_block])
-        eb_prev = np.concatenate([zero_block, eb])
-        ef = ef_pad + a_nn @ eb_prev
-        eb = eb_prev + exchange_conj(a_nn) @ ef_pad
-        pf, pb, pfb = moments(ef, eb)
-        history.append(
-            BlockStage(
-                m,
-                coeffs.copy(),
-                a_nn,
-                pb,
-                pf,
-                pfb,
-                errors=ErrorSignals2D(ef.copy(), eb.copy(), 0, n1_len + m - 1)
-                if keep_errors
-                else None,
-            )
-        )
-    final = history[-1]
-    return ArModel2D(
-        final.order,
-        channel_order,
-        coeffs,
-        final.error_power,
-        history,
-        sample_terms=n1_len + final.order,
-    )
-
-
+    return _burg2d_lattice(x, order, channel_order, padded=True, keep_errors=keep_errors)
 def extract_quarter_plane_filter(model: ArModel2D) -> QuarterPlaneFilter:
     """Recover the scalar quarter-plane filter from a multichannel model.
 

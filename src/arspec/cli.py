@@ -11,11 +11,14 @@ Subcommands
 ``experiment order-sweep``   one spectrum row per order on a fixed record.
 ``experiment mse-vs-order``  residual MSE per order for several methods.
 ``experiment equivalence``   lattice-vs-recursion agreement suites -> JSON
-                             verdict (exit 1 if a suite exceeds tolerance).
+                             verdict (exit 1 if a suite exceeds tolerance,
+                             holds a non-finite value or a truncated history).
 
 Every run writes exactly one manifest JSON (default ``<out>.manifest.json``)
-recording the subcommand, the full parameter set, the effective argv, the
-seed, the library version, the output paths and the wall-clock duration.
+recording the subcommand, the parsed arguments as parameters, the
+effective argv, the seed, the library version, the output paths and the
+wall-clock duration; ``order-sweep`` and ``mse-vs-order`` also record the
+methods that stopped before ``--max-order`` as ``early_stop``.
 Re-running the recorded argv reproduces the data outputs byte-for-byte; all
 randomness flows from the explicit seed (``--seed`` beats the
 ``ARSPEC_SEED`` environment default).
@@ -60,9 +63,16 @@ from .spectrum import ar_spectrum_1d, ar_spectrum_2d, frequency_grid
 _METHODS_1D = ("levinson", "burg", "burg-mod")
 _METHODS_2D = ("wwra", "burg2d", "burg2d-mod")
 
+#: Parsed-argument attributes that are plumbing, not run parameters.
+_NOT_PARAMETERS = ("func", "command", "experiment", "manifest", "effective_argv")
+
 
 def _default_seed() -> int:
-    return int(os.environ.get("ARSPEC_SEED", "1"))
+    value = os.environ.get("ARSPEC_SEED", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"ARSPEC_SEED must be an integer, got {value!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,10 +111,22 @@ def _models_per_order(method: str, x, max_order: int) -> list[ArModel1D]:
     ]
 
 
-def _write_manifest(args, subcommand: str, params: dict, outputs: list, start: float):
-    manifest_path = getattr(args, "manifest", None) or f"{outputs[0]}.manifest.json"
+def _early_stops(last_orders: dict, max_order: int) -> dict:
+    """``{method: last order}`` for the methods that stopped before ``max_order``."""
+    return {m: last for m, last in last_orders.items() if last < max_order}
+
+
+def _write_manifest(args, outputs: list, start: float, **fields) -> None:
+    """Write the run's manifest; the parameters are the parsed arguments.
+
+    ``fields`` adds entries that only some subcommands record.
+    """
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
+    subcommand = args.command
+    if subcommand == "experiment":
+        subcommand += " " + args.experiment
     write_json(
-        manifest_path,
+        args.manifest or f"{outputs[0]}.manifest.json",
         {
             "subcommand": subcommand,
             "parameters": params,
@@ -113,6 +135,7 @@ def _write_manifest(args, subcommand: str, params: dict, outputs: list, start: f
             "version": __version__,
             "outputs": [str(p) for p in outputs],
             "duration_seconds": time.perf_counter() - start,
+            **fields,
         },
     )
 
@@ -135,25 +158,10 @@ def _write_matrix_csv(path, row_name, row_values, freqs, rows) -> None:
 
 def _cmd_gen(args) -> int:
     start = time.perf_counter()
-    snr = None if args.noiseless else args.snr_db
-    cfg = SynthConfig(args.n, args.freq, args.phase, snr, args.seed)
+    cfg = SynthConfig(args.n, args.freq, args.phase, args.snr_db, args.seed)
     x = gen_noisy_sinusoid(cfg, substream=args.substream)
     write_signal_csv(args.out, x)
-    _write_manifest(
-        args,
-        "gen",
-        {
-            "n": args.n,
-            "freq": args.freq,
-            "phase": args.phase,
-            "snr_db": snr,
-            "seed": args.seed,
-            "substream": args.substream,
-            "out": args.out,
-        },
-        [args.out],
-        start,
-    )
+    _write_manifest(args, [args.out], start)
     return 0
 
 
@@ -162,13 +170,7 @@ def _cmd_est1d(args) -> int:
     x = read_signal_csv(args.input)
     model = _estimate_1d(args.method, x, args.order)
     write_json(args.out, model1d_to_dict(model, args.method))
-    _write_manifest(
-        args,
-        "est1d",
-        {"method": args.method, "order": args.order, "in": args.input, "out": args.out},
-        [args.out],
-        start,
-    )
+    _write_manifest(args, [args.out], start)
     return 0
 
 
@@ -177,23 +179,10 @@ def _cmd_est2d(args) -> int:
     x = read_signal_2d_csv(args.input)
     model = _estimate_2d(args.method, x, args.n1, args.n2)
     filt = extract_quarter_plane_filter(model)
-    filter_out = args.filter_out or f"{args.out}.filter.json"
+    args.filter_out = args.filter_out or f"{args.out}.filter.json"
     write_json(args.out, model2d_to_dict(model, args.method))
-    write_json(filter_out, filter_to_dict(filt))
-    _write_manifest(
-        args,
-        "est2d",
-        {
-            "method": args.method,
-            "n1": args.n1,
-            "n2": args.n2,
-            "in": args.input,
-            "out": args.out,
-            "filter_out": filter_out,
-        },
-        [args.out, filter_out],
-        start,
-    )
+    write_json(args.filter_out, filter_to_dict(filt))
+    _write_manifest(args, [args.out, args.filter_out], start)
     return 0
 
 
@@ -211,26 +200,13 @@ def _cmd_spectrum(args) -> int:
     else:
         raise ValueError(f"{args.input}: unsupported kind {kind!r}")
     write_spectrum_csv(args.out, grid)
-    _write_manifest(
-        args,
-        "spectrum",
-        {
-            "in": args.input,
-            "out": args.out,
-            "nfreq": args.nfreq,
-            "nf1": args.nf1,
-            "nf2": args.nf2,
-        },
-        [args.out],
-        start,
-    )
+    _write_manifest(args, [args.out], start)
     return 0
 
 
 def _cmd_phase_sweep(args) -> int:
     start = time.perf_counter()
-    snr = None if args.noiseless else args.snr_db
-    cfg = SynthConfig(args.n, args.freq, 0.0, snr, args.seed)
+    cfg = SynthConfig(args.n, args.freq, 0.0, args.snr_db, args.seed)
     signals = phase_sweep(cfg, args.steps)
     freqs = frequency_grid(args.nfreq)
     phases = []
@@ -241,99 +217,59 @@ def _cmd_phase_sweep(args) -> int:
         phases.append(repr(2.0 * math.pi * j / args.steps))
         rows.append(_row_values(grid.power, args.log10))
     _write_matrix_csv(args.out, "phase", phases, freqs, rows)
-    _write_manifest(
-        args,
-        "experiment phase-sweep",
-        {
-            "method": args.method,
-            "order": args.order,
-            "steps": args.steps,
-            "nfreq": args.nfreq,
-            "n": args.n,
-            "freq": args.freq,
-            "snr_db": snr,
-            "seed": args.seed,
-            "log10": args.log10,
-            "out": args.out,
-        },
-        [args.out],
-        start,
-    )
+    _write_manifest(args, [args.out], start)
     return 0
 
 
 def _cmd_order_sweep(args) -> int:
     start = time.perf_counter()
-    snr = None if args.noiseless else args.snr_db
-    cfg = SynthConfig(args.n, args.freq, args.phase, snr, args.seed)
+    cfg = SynthConfig(args.n, args.freq, args.phase, args.snr_db, args.seed)
     x = gen_noisy_sinusoid(cfg)
     freqs = frequency_grid(args.nfreq)
-    orders = []
-    rows = []
-    for model in _models_per_order(args.method, x, args.max_order):
-        grid = ar_spectrum_1d(model, args.nfreq)
-        orders.append(model.order)
-        rows.append(_row_values(grid.power, args.log10))
-    _write_matrix_csv(args.out, "order", orders, freqs, rows)
-    _write_manifest(
-        args,
-        "experiment order-sweep",
-        {
-            "method": args.method,
-            "max_order": args.max_order,
-            "nfreq": args.nfreq,
-            "n": args.n,
-            "freq": args.freq,
-            "phase": args.phase,
-            "snr_db": snr,
-            "seed": args.seed,
-            "log10": args.log10,
-            "out": args.out,
-        },
-        [args.out],
-        start,
-    )
+    models = _models_per_order(args.method, x, args.max_order)
+    rows = [_row_values(ar_spectrum_1d(m, args.nfreq).power, args.log10) for m in models]
+    _write_matrix_csv(args.out, "order", [m.order for m in models], freqs, rows)
+    early_stop = _early_stops({args.method: len(models)}, args.max_order)
+    _write_manifest(args, [args.out], start, early_stop=early_stop)
     return 0
 
 
 def _cmd_mse_vs_order(args) -> int:
     start = time.perf_counter()
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
+    args.methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not args.methods:
+        raise ValueError("--methods names no method")
+    for m in args.methods:
         if m not in _METHODS_1D:
             raise ValueError(f"unknown method {m!r}, expected one of {_METHODS_1D}")
-    snr = None if args.noiseless else args.snr_db
-    cfg = SynthConfig(args.n, args.freq, args.phase, snr, args.seed)
+    cfg = SynthConfig(args.n, args.freq, args.phase, args.snr_db, args.seed)
     x = gen_noisy_sinusoid(cfg)
-    table = {}
-    for method in methods:
-        table[method] = [
+    table = {
+        method: [
             residual_mse(x, model, support=args.support)
             for model in _models_per_order(method, x, args.max_order)
         ]
+        for method in args.methods
+    }
+    # A method that stopped early leaves its cells past its last order empty.
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("order," + ",".join(f"mse_{m}" for m in methods) + "\n")
-        for i in range(args.max_order):
-            vals = ",".join(repr(table[m][i]) for m in methods)
+        fh.write("order," + ",".join(f"mse_{m}" for m in args.methods) + "\n")
+        for i in range(max(len(col) for col in table.values())):
+            vals = ",".join(repr(col[i]) if i < len(col) else "" for col in table.values())
             fh.write(f"{i + 1},{vals}\n")
-    _write_manifest(
-        args,
-        "experiment mse-vs-order",
-        {
-            "methods": methods,
-            "max_order": args.max_order,
-            "support": args.support,
-            "n": args.n,
-            "freq": args.freq,
-            "phase": args.phase,
-            "snr_db": snr,
-            "seed": args.seed,
-            "out": args.out,
-        },
-        [args.out],
-        start,
-    )
+    early_stop = _early_stops({m: len(col) for m, col in table.items()}, args.max_order)
+    _write_manifest(args, [args.out], start, early_stop=early_stop)
     return 0
+
+
+def _history_deviation(reference: list, estimate: list) -> float:
+    """Largest stage-by-stage coefficient deviation; ``inf`` when the two
+    histories differ in length, so a truncated route cannot pass."""
+    if len(reference) != len(estimate):
+        return math.inf
+    return max(
+        (max_rel_diff(a.coeffs, b.coeffs) for a, b in zip(reference, estimate)), default=0.0
+    )
 
 
 def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
@@ -346,8 +282,7 @@ def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
         max_order = n - 5
         lev = levinson(estimate_autocorr_1d(x, max_order), max_order)
         mod = burg_modified(x, max_order)
-        for st_l, st_m in zip(lev.history, mod.history):
-            dev1 = max(dev1, max_rel_diff(st_l.coeffs, st_m.coeffs))
+        dev1 = max(dev1, _history_deviation(lev.history, mod.history))
 
     grid_sizes = (5, 8)
     dev2 = 0.0
@@ -364,8 +299,7 @@ def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
             order,
             sample_terms=n1_len + order,
         )
-        for st_w, st_m in zip(ww.history, mod.history[1:]):
-            dev2 = max(dev2, max_rel_diff(st_w.coeffs, st_m.coeffs))
+        dev2 = max(dev2, _history_deviation(ww.history, mod.history[1:]))
 
     tol1, tol2 = 1e-9, 1e-8
     report = {
@@ -390,18 +324,7 @@ def _cmd_equivalence(args) -> int:
     start = time.perf_counter()
     report = equivalence_report(args.trials, args.trials_2d, args.seed)
     write_json(args.out, report)
-    _write_manifest(
-        args,
-        "experiment equivalence",
-        {
-            "trials": args.trials,
-            "trials_2d": args.trials_2d,
-            "seed": args.seed,
-            "out": args.out,
-        },
-        [args.out],
-        start,
-    )
+    _write_manifest(args, [args.out], start)
     return 0 if report["pass"] else 1
 
 
@@ -512,12 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     effective = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(effective)
+        args = build_parser().parse_args(effective)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except ValueError as exc:  # a malformed ARSPEC_SEED default
+        print(f"error: usage: {exc}", file=sys.stderr)
+        return 2
     args.effective_argv = effective
+    if getattr(args, "noiseless", False):
+        args.snr_db = None
     try:
         return args.func(args)
     except NumericalError as exc:

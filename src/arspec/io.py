@@ -179,15 +179,29 @@ def _pairs_matrix(rows) -> np.ndarray:
 
 
 def model2d_from_dict(obj: dict) -> ArModel2D:
+    """Inverse of :func:`model2d_to_dict`.
+
+    The JSON history keeps each stage's order, error power and criterion;
+    the stage coefficient matrices are not written, so restored stages hold
+    an empty ``(0, n2+1, n2+1)`` stack.
+    """
     if obj.get("kind") != "ar2d":
         raise ValueError(f"expected kind 'ar2d', got {obj.get('kind')!r}")
     n1 = int(obj["n1"])
     n2 = int(obj["n2"])
     mats = [_pairs_matrix(m) for m in obj["coefficient_matrices"]]
-    coeffs = (
-        np.stack(mats) if mats else np.zeros((0, n2 + 1, n2 + 1), dtype=complex)
-    )
-    history: list[BlockStage] = []
+    empty = np.zeros((0, n2 + 1, n2 + 1), dtype=complex)
+    coeffs = np.stack(mats) if mats else empty
+    history = [
+        BlockStage(
+            int(st["order"]),
+            empty,
+            None,
+            _pairs_matrix(st["error_power_matrix"]),
+            criterion=st["criterion"],
+        )
+        for st in obj.get("history", [])
+    ]
     return ArModel2D(
         n1,
         n2,

@@ -13,6 +13,8 @@ adds only the pieces that carry domain meaning:
   brute-force oracle against the order recursions.
 """
 
+import math
+
 import numpy as np
 
 from .errors import SingularityError
@@ -74,10 +76,18 @@ def is_toeplitz(m, tol: float = 0.0) -> bool:
 
 def max_rel_diff(a, b) -> float:
     """Largest entrywise deviation between ``a`` and ``b``, relative to the
-    larger of the two magnitudes (0.0 when both are exactly zero)."""
+    larger of the two magnitudes (0.0 when both are exactly zero).
+
+    ``inf`` when either input holds a non-finite entry, so that a running
+    ``max`` over many comparisons cannot swallow a NaN.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    # max propagates NaN, and |z| is infinite when a part of z is.
+    peaks = (np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    if not all(map(math.isfinite, peaks)):
+        return math.inf
+    scale = max(peaks)
     if scale == 0.0:
         return 0.0
     return float(np.abs(a - b).max(initial=0.0) / scale)

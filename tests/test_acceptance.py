@@ -83,6 +83,7 @@ def test_c01_equivalence_1d():
         order = x.size - 5
         lev = levinson(estimate_autocorr_1d(x, order), order)
         mod = burg_modified(x, order)
+        assert len(lev.history) == len(mod.history), "C01: truncated history"
         for st_l, st_m in zip(lev.history, mod.history):
             dev = max(dev, max_rel_diff(st_l.coeffs, st_m.coeffs))
     elapsed = time.perf_counter() - start
@@ -109,6 +110,7 @@ def test_c02_equivalence_2d():
                         x = crandn(rng, n1_len, n2_len)
                         ww = wwra(estimate_block_autocorr_2d(x, order, channel), order)
                         mod = burg2d_modified(x, order, channel)
+                        assert len(ww.history) == len(mod.history) - 1, "C02: truncated history"
                         for st_w, st_m in zip(ww.history, mod.history[1:]):
                             dev = max(dev, max_rel_diff(st_w.coeffs, st_m.coeffs))
                         count += 1

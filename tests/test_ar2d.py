@@ -151,6 +151,21 @@ class TestBurg2dClassic:
         assert all(c is not None for c in crits)
         assert all(crits[i + 1] <= crits[i] + 1e-12 for i in range(len(crits) - 1))
 
+    @pytest.mark.parametrize("estimator", [burg2d_classic, burg2d_modified])
+    def test_every_stage_records_moments_of_its_errors(self, estimator):
+        rng = np.random.default_rng(53)
+        x = crandn(rng, 7, 5)
+        model = estimator(x, 3, 2, keep_errors=True)
+        for st in model.history:
+            ef, eb = st.errors.forward, st.errors.backward
+            pf = sum(f @ f.conj().T for f in ef)
+            pb = sum(b @ b.conj().T for b in eb)
+            pfb = sum(f @ b.conj().T for f, b in zip(ef[1:], eb[:-1]))
+            assert max_rel_diff(st.forward_power, pf) <= 1e-13
+            assert max_rel_diff(st.error_power, pb) <= 1e-13
+            assert max_rel_diff(st.cross_power, pfb) <= 1e-13
+            assert abs(st.criterion - np.trace(pf + pb).real) <= 1e-13 * st.criterion
+
     def test_impulse_grid_gives_zero_coefficients(self):
         x = np.zeros((5, 4), dtype=complex)
         x[2, 1] = 1.0
@@ -205,11 +220,9 @@ class TestBurg2dModified:
         rng = np.random.default_rng(50)
         x = crandn(rng, 8, 5)
         plain = burg2d_modified(x, 3, 1)
-        sym = burg2d_modified(x, 3, 1, update="symmetrized")
-        for st_p, st_s in zip(plain.history, sym.history):
-            assert max_rel_diff(st_p.coeffs, st_s.coeffs) <= 1e-10
-        # ... and recomputing both update forms from the stored moments
-        for st in plain.history[:-1]:
+        # recomputing both update forms from the stored moments, which are
+        # the next stage's moments under zero padding
+        for st, nxt in zip(plain.history[:-1], plain.history[1:]):
             a_plain = -solve_hermitian_dense(st.error_power, st.cross_power, side="right")
             a_sym = -solve_hermitian_dense(
                 st.error_power + exchange_conj(st.forward_power),
@@ -217,6 +230,7 @@ class TestBurg2dModified:
                 side="right",
             )
             assert max_rel_diff(a_plain, a_sym) <= 1e-10
+            assert max_rel_diff(nxt.reflection, a_sym) <= 1e-12
 
     def test_error_supports_grow(self):
         rng = np.random.default_rng(51)
@@ -249,10 +263,6 @@ class TestBurg2dModified:
     def test_zero_grid_rejected(self):
         with pytest.raises(DegenerateSignalError):
             burg2d_modified(np.zeros((4, 4), dtype=complex), 1, 1)
-
-    def test_invalid_update(self):
-        with pytest.raises(ValueError):
-            burg2d_modified(np.ones((4, 4), dtype=complex), 1, 1, update="magic")
 
 
 class TestQuarterPlaneFilter:

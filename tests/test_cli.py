@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from conftest import crandn
 
+import arspec.cli
 from arspec.cli import main
 from arspec.io import (
+    model2d_from_dict,
+    model2d_to_dict,
     read_json,
     read_signal_2d_csv,
     read_signal_csv,
@@ -146,6 +149,19 @@ class TestEst2d:
         dev = np.abs(outs["wwra"] - outs["burg2d-mod"]).max()
         assert dev <= 1e-9 * np.abs(outs["wwra"]).max()
 
+    def test_model_json_round_trips_history(self, tmp_path):
+        rng = np.random.default_rng(76)
+        grid = tmp_path / "grid.csv"
+        write_signal_2d_csv(grid, crandn(rng, 6, 5))
+        out = tmp_path / "model.json"
+        rc = run("est2d", "--method", "burg2d-mod", "--n1", "2", "--n2", "1",
+                 "--in", str(grid), "--out", str(out))
+        assert rc == 0
+        obj = read_json(out)
+        assert [st["order"] for st in obj["history"]] == [0, 1, 2]
+        assert all(st["criterion"] is not None for st in obj["history"])
+        assert model2d_to_dict(model2d_from_dict(obj), "burg2d-mod") == obj
+
     def test_grid_round_trip(self, tmp_path):
         rng = np.random.default_rng(72)
         x = crandn(rng, 4, 5)
@@ -245,6 +261,51 @@ class TestExperiments:
         assert verdict["equivalence_1d"]["max_rel_deviation"] <= 1e-9
         assert verdict["equivalence_2d"]["max_rel_deviation"] <= 1e-8
 
+    @pytest.mark.parametrize("corrupt", ["nan", "truncate"])
+    def test_equivalence_fails_loudly(self, tmp_path, monkeypatch, corrupt):
+        real = arspec.cli.burg_modified
+
+        def broken(x, order):
+            model = real(x, order)
+            if corrupt == "nan":
+                model.history[0].coeffs[0] = np.nan
+            else:
+                del model.history[-1]
+            return model
+
+        monkeypatch.setattr(arspec.cli, "burg_modified", broken)
+        out = tmp_path / "eq.json"
+        rc = run("experiment", "equivalence", "--trials", "3", "--trials-2d", "1",
+                 "--seed", "1", "--out", str(out))
+        assert rc == 1
+        verdict = read_json(out)
+        assert verdict["pass"] is False
+        assert verdict["equivalence_1d"]["max_rel_deviation"] == np.inf
+
+    def test_mse_vs_order_early_stop(self, tmp_path):
+        out = tmp_path / "mse.csv"
+        rc = run("experiment", "mse-vs-order", "--noiseless", "--methods", "burg,burg-mod",
+                 "--max-order", "5", "--out", str(out))
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        # noiseless: the classic lattice hits the unit circle at order 1
+        assert len(lines) == 6
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4", "5"]
+        cells = [line.split(",") for line in lines[1:]]
+        assert cells[0][1] != ""
+        assert all(row[1] == "" and row[2] != "" for row in cells[1:])
+        manifest = read_json(f"{out}.manifest.json")
+        assert manifest["early_stop"] == {"burg": 1}
+        assert manifest["parameters"]["snr_db"] is None
+
+    def test_order_sweep_early_stop(self, tmp_path):
+        out = tmp_path / "orders.csv"
+        rc = run("experiment", "order-sweep", "--noiseless", "--method", "burg",
+                 "--nfreq", "8", "--out", str(out))
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 2
+        assert read_json(f"{out}.manifest.json")["early_stop"] == {"burg": 1}
+
     def test_paper_scale_runtime(self, tmp_path):
         start = time.perf_counter()
         rc = run("experiment", "phase-sweep", "--steps", "100", "--order", "15",
@@ -277,3 +338,44 @@ class TestManifests:
                  "--out", str(out), "--manifest", str(man))
         assert rc == 0
         assert man.exists()
+
+    def test_parameters_are_the_parsed_arguments(self, tmp_path, sig_csv):
+        model = tmp_path / "m.json"
+        assert run("est1d", "--method", "burg", "--order", "3",
+                   "--in", str(sig_csv), "--out", str(model)) == 0
+        params = read_json(f"{model}.manifest.json")["parameters"]
+        assert params == {"method": "burg", "order": 3, "input": str(sig_csv), "out": str(model)}
+
+        grid = tmp_path / "g.csv"
+        write_signal_2d_csv(grid, crandn(np.random.default_rng(77), 4, 4))
+        model2d = tmp_path / "m2.json"
+        assert run("est2d", "--method", "wwra", "--n1", "1", "--n2", "1",
+                   "--in", str(grid), "--out", str(model2d)) == 0
+        manifest = read_json(f"{model2d}.manifest.json")
+        assert manifest["parameters"]["filter_out"] == f"{model2d}.filter.json"
+
+        mse = tmp_path / "mse.csv"
+        assert run("experiment", "mse-vs-order", "--methods", "burg, levinson",
+                   "--max-order", "3", "--out", str(mse)) == 0
+        manifest = read_json(f"{mse}.manifest.json")
+        assert manifest["subcommand"] == "experiment mse-vs-order"
+        assert manifest["parameters"]["methods"] == ["burg", "levinson"]
+        assert manifest["parameters"]["snr_db"] == 30.0
+        assert manifest["early_stop"] == {}
+
+
+class TestEnvironment:
+    def test_malformed_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ARSPEC_SEED", "abc")
+        rc = run("gen", "--n", "8", "--out", str(tmp_path / "sig.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:")
+        assert "ARSPEC_SEED" in err
+        assert err.count("\n") == 1
+
+    def test_environment_seed_is_the_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ARSPEC_SEED", "9")
+        out = tmp_path / "sig.csv"
+        assert run("gen", "--n", "8", "--out", str(out)) == 0
+        assert read_json(f"{out}.manifest.json")["seed"] == 9

@@ -175,3 +175,9 @@ class TestMaxRelDiff:
     def test_scale_invariant(self):
         a = np.array([1.0, 2.0])
         assert abs(max_rel_diff(a, a * (1 + 1e-8)) - 1e-8) < 1e-12
+
+    def test_non_finite_input_is_infinite(self):
+        assert max_rel_diff([1, np.nan], [1, 2]) == np.inf
+        assert max_rel_diff([1, 2], [np.inf, 2]) == np.inf
+        # a running maximum no longer swallows the NaN
+        assert max(0.0, max_rel_diff([np.nan], [np.nan])) == np.inf
