@@ -188,7 +188,7 @@ def _burg_lattice(x, order: int, padded: bool, keep_errors: bool) -> ArModel1D:
             raise DegenerateSignalError(f"zero error energy at order {m}")
         k = -np.vdot(b, f) / denom
         _extend(coeffs, m, k)
-        # The backward write overlaps b: build both updates before writing.
+        # The backward update reads the old forward errors: write f last.
         new_f = f + k * b
         eb[lo:hi] = b + k.conjugate() * f
         f[:] = new_f

@@ -247,7 +247,7 @@ def _burg2d_lattice(
             else:
                 a_nn = -solve_hermitian_dense(pb + exchange_conj(pf), numer, side="right")
             _extend_block(coeffs, m, a_nn)
-            # b overlaps the delayed window: build both updates before writing.
+            # The backward update reads the old forward errors: write f last.
             b_prev = eb[:, (lo - 1) * width : (hi - 1) * width]
             new_f = f + a_nn @ b_prev
             b[:] = b_prev + exchange_conj(a_nn) @ f
