@@ -62,22 +62,45 @@ def write_signal_csv(path, x) -> None:
             fh.write(f"{i},{_f(z.real)},{_f(z.imag)}\n")
 
 
-def read_signal_csv(path) -> np.ndarray:
+def _read_samples(path, header: list[str]) -> dict:
+    """``{index tuple: complex sample}`` from a signal CSV with this header.
+
+    The leading columns are the indices, the last two the real and
+    imaginary parts. A row with the wrong number of fields, a negative
+    index or an index seen before is rejected.
+    """
+    n_index = len(header) - 2
+    samples = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["index", "re", "im"]:
-            raise ValueError(f"{path}: expected header 'index,re,im'")
-        rows = [(int(r[0]), float(r[1]), float(r[2])) for r in reader if r]
-    if not rows:
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise ValueError(f"{path}: expected header {','.join(header)!r}")
+        for r in reader:
+            if not r:
+                continue
+            if len(r) != len(header):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: "
+                    f"expected {len(header)} fields, got {len(r)}"
+                )
+            idx = tuple(int(v) for v in r[:n_index])
+            if min(idx) < 0 or idx in samples:
+                problem = "negative" if min(idx) < 0 else "duplicate"
+                raise ValueError(f"{path}, line {reader.line_num}: {problem} index {idx}")
+            samples[idx] = complex(float(r[n_index]), float(r[n_index + 1]))
+    if not samples:
         raise ValueError(f"{path}: no samples")
-    x = np.zeros(max(i for i, _, _ in rows) + 1, dtype=complex)
-    seen = np.zeros(x.size, dtype=bool)
-    for i, re, im in rows:
-        x[i] = complex(re, im)
-        seen[i] = True
-    if not seen.all():
+    return samples
+
+
+def read_signal_csv(path) -> np.ndarray:
+    samples = _read_samples(path, ["index", "re", "im"])
+    if len(samples) != max(i for i, in samples) + 1:
         raise ValueError(f"{path}: missing sample indices")
+    x = np.zeros(len(samples), dtype=complex)
+    for (i,), z in samples.items():
+        x[i] = z
     return x
 
 
@@ -92,24 +115,23 @@ def write_signal_2d_csv(path, x) -> None:
 
 
 def read_signal_2d_csv(path) -> np.ndarray:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["k", "t", "re", "im"]:
-            raise ValueError(f"{path}: expected header 'k,t,re,im'")
-        rows = [(int(r[0]), int(r[1]), float(r[2]), float(r[3])) for r in reader if r]
-    if not rows:
-        raise ValueError(f"{path}: no samples")
-    n1 = max(k for k, _, _, _ in rows) + 1
-    n2 = max(t for _, t, _, _ in rows) + 1
-    x = np.zeros((n1, n2), dtype=complex)
-    seen = np.zeros((n1, n2), dtype=bool)
-    for k, t, re, im in rows:
-        x[k, t] = complex(re, im)
-        seen[k, t] = True
-    if not seen.all():
+    samples = _read_samples(path, ["k", "t", "re", "im"])
+    n1 = max(k for k, _ in samples) + 1
+    n2 = max(t for _, t in samples) + 1
+    if len(samples) != n1 * n2:
         raise ValueError(f"{path}: grid is incomplete")
+    x = np.zeros((n1, n2), dtype=complex)
+    for (k, t), z in samples.items():
+        x[k, t] = z
     return x
+
+
+def _field(obj: dict, key: str):
+    """``obj[key]``; a missing key is malformed input, so a ``ValueError``."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"model JSON: missing key {key!r}") from None
 
 
 def model1d_to_dict(model: ArModel1D, method: str) -> dict:
@@ -132,23 +154,27 @@ def model1d_to_dict(model: ArModel1D, method: str) -> dict:
     }
 
 
+def _pairs_vector(pairs) -> np.ndarray:
+    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+
+
 def model1d_from_dict(obj: dict) -> ArModel1D:
     if obj.get("kind") != "ar1d":
         raise ValueError(f"expected kind 'ar1d', got {obj.get('kind')!r}")
-    coeffs = np.array([complex(re, im) for re, im in obj["coefficients"]], dtype=complex)
+    coeffs = _pairs_vector(_field(obj, "coefficients"))
     history = [
         LatticeStage(
-            st["order"],
-            np.array([complex(re, im) for re, im in st["coefficients"]], dtype=complex),
-            float(st["error_power"]),
-            complex(st["reflection"][0], st["reflection"][1]),
+            _field(st, "order"),
+            _pairs_vector(_field(st, "coefficients")),
+            float(_field(st, "error_power")),
+            complex(*_field(st, "reflection")),
         )
         for st in obj.get("history", [])
     ]
     return ArModel1D(
-        int(obj["order"]),
+        int(_field(obj, "order")),
         coeffs,
-        float(obj["error_power"]),
+        float(_field(obj, "error_power")),
         history,
         bool(obj.get("early_stop", False)),
     )
@@ -187,18 +213,18 @@ def model2d_from_dict(obj: dict) -> ArModel2D:
     """
     if obj.get("kind") != "ar2d":
         raise ValueError(f"expected kind 'ar2d', got {obj.get('kind')!r}")
-    n1 = int(obj["n1"])
-    n2 = int(obj["n2"])
-    mats = [_pairs_matrix(m) for m in obj["coefficient_matrices"]]
+    n1 = int(_field(obj, "n1"))
+    n2 = int(_field(obj, "n2"))
+    mats = [_pairs_matrix(m) for m in _field(obj, "coefficient_matrices")]
     empty = np.zeros((0, n2 + 1, n2 + 1), dtype=complex)
     coeffs = np.stack(mats) if mats else empty
     history = [
         BlockStage(
-            int(st["order"]),
+            int(_field(st, "order")),
             empty,
             None,
-            _pairs_matrix(st["error_power_matrix"]),
-            criterion=st["criterion"],
+            _pairs_matrix(_field(st, "error_power_matrix")),
+            criterion=_field(st, "criterion"),
         )
         for st in obj.get("history", [])
     ]
@@ -206,7 +232,7 @@ def model2d_from_dict(obj: dict) -> ArModel2D:
         n1,
         n2,
         coeffs,
-        _pairs_matrix(obj["error_power_matrix"]),
+        _pairs_matrix(_field(obj, "error_power_matrix")),
         history,
         obj.get("sample_terms"),
     )
@@ -225,7 +251,9 @@ def filter_to_dict(filt: QuarterPlaneFilter) -> dict:
 def filter_from_dict(obj: dict) -> QuarterPlaneFilter:
     if obj.get("kind") != "quarter_plane_filter":
         raise ValueError(f"expected kind 'quarter_plane_filter', got {obj.get('kind')!r}")
-    return QuarterPlaneFilter(_pairs_matrix(obj["coefficients"]), float(obj["noise_power"]))
+    return QuarterPlaneFilter(
+        _pairs_matrix(_field(obj, "coefficients")), float(_field(obj, "noise_power"))
+    )
 
 
 def write_json(path, obj) -> None:

@@ -2,8 +2,9 @@
 
 The sinusoid is a complex exponential ``exp(i (2 pi f k + phase))``; noise
 is drawn in the frequency domain, rescaled so the realized energy-ratio SNR
-hits the request EXACTLY (not just in expectation), added to the sinusoid's
-spectrum, and brought back by the inverse DFT.
+hits the request EXACTLY (not just in expectation), brought to the time
+domain by the inverse DFT and added to the sinusoid. By Parseval the
+sinusoid's spectral energy is ``N sum |s|^2``, so it is never transformed.
 
 Randomness comes from a 32-bit linear congruential generator with the
 widely documented Numerical Recipes constants, so the byte-exact streams
@@ -32,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectrum import dft, idft
+from .spectrum import idft
 
 __all__ = [
     "Lcg32",
@@ -113,7 +114,6 @@ def gen_noisy_sinusoid(cfg: SynthConfig, substream: int = 0) -> np.ndarray:
     if cfg.snr_db is None:
         return sinusoid
 
-    spec = dft(sinusoid)
     attempt = 0
     while True:
         noise = Lcg32(cfg.seed, substream, attempt).complex_normal(cfg.n)
@@ -121,9 +121,9 @@ def gen_noisy_sinusoid(cfg: SynthConfig, substream: int = 0) -> np.ndarray:
         if noise_energy > 0.0:
             break
         attempt += 1
-    signal_energy = np.vdot(spec, spec).real
+    signal_energy = cfg.n * np.vdot(sinusoid, sinusoid).real
     scale = math.sqrt(signal_energy / (noise_energy * 10.0 ** (cfg.snr_db / 10.0)))
-    return idft(spec + scale * noise)
+    return sinusoid + scale * idft(noise)
 
 
 def phase_sweep(cfg: SynthConfig, steps: int) -> list[np.ndarray]:

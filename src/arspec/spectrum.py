@@ -1,4 +1,4 @@
-"""AR power spectral densities and the small direct DFT pair.
+"""AR power spectral densities and the DFT pair.
 
 Frequencies are normalized (cycles/sample) on a uniform grid covering
 ``[-0.5, 0.5)``. Spectra are reported in linear power; pole bins (where the
@@ -8,8 +8,7 @@ than clipped, and carry ``inf``.
 DFT convention: the forward transform is unnormalized,
 ``X[j] = sum_k x[k] exp(-2 pi i j k / N)``, and the inverse carries the
 ``1/N``, so ``idft(dft(x)) == x`` and ``sum |x|^2 == (1/N) sum |X|^2``.
-Evaluation is the direct O(N^2) sum; the sizes in play are tiny and no FFT
-is wanted.
+Both are evaluated by ``numpy.fft`` in O(N log N).
 """
 
 from dataclasses import dataclass
@@ -85,17 +84,12 @@ def ar_spectrum_2d(
     return SpectrumGrid(f1, power, mask, frequencies2=f2)
 
 
-def _dft_matrix(n: int, sign: float) -> np.ndarray:
-    k = np.arange(n)
-    return np.exp(sign * 2j * np.pi * np.outer(k, k) / n)
-
-
 def dft(x) -> np.ndarray:
-    """Unnormalized forward DFT (direct evaluation)."""
+    """Unnormalized forward DFT."""
     x = np.asarray(x, dtype=complex)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("dft expects a nonempty 1D array")
-    return _dft_matrix(x.size, -1.0) @ x
+    return np.fft.fft(x)
 
 
 def idft(spec) -> np.ndarray:
@@ -103,4 +97,4 @@ def idft(spec) -> np.ndarray:
     spec = np.asarray(spec, dtype=complex)
     if spec.ndim != 1 or spec.size < 1:
         raise ValueError("idft expects a nonempty 1D array")
-    return (_dft_matrix(spec.size, +1.0) @ spec) / spec.size
+    return np.fft.ifft(spec)

@@ -6,13 +6,18 @@ import pytest
 from conftest import crandn
 
 import arspec.cli
+from arspec.ar1d import burg_classic
+from arspec.ar2d import burg2d_modified, extract_quarter_plane_filter
 from arspec.cli import main
 from arspec.io import (
+    filter_to_dict,
+    model1d_to_dict,
     model2d_from_dict,
     model2d_to_dict,
     read_json,
     read_signal_2d_csv,
     read_signal_csv,
+    write_json,
     write_signal_2d_csv,
     write_signal_csv,
 )
@@ -116,6 +121,35 @@ class TestEst1d:
                  "--in", str(bad), "--out", str(tmp_path / "x.json"))
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,1.0,0.0", "1,2.0,0.0", "-1,3.0,0.0", "2,4.0,0.0"], "negative index"),
+            (["0,1.0,0.0", "1,2.0,0.0", "1,3.0,0.0", "2,4.0,0.0"], "duplicate index"),
+            (["0,1.0,0.0", "1,2.0", "2,4.0,0.0"], "expected 3 fields"),
+        ],
+        ids=["negative", "duplicate", "short"],
+    )
+    def test_bad_signal_rows_are_usage_errors(self, tmp_path, capsys, rows, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(["index,re,im", *rows]) + "\n")
+        rc = run("est1d", "--method", "burg", "--order", "1",
+                 "--in", str(bad), "--out", str(tmp_path / "x.json"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:")
+        assert message in err
+        assert err.count("\n") == 1
+
+    def test_internal_key_error_is_not_a_usage_error(self, tmp_path, monkeypatch, sig_csv):
+        def buggy(x, order):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(arspec.cli, "burg_classic", buggy)
+        with pytest.raises(KeyError):
+            run("est1d", "--method", "burg", "--order", "2",
+                "--in", str(sig_csv), "--out", str(tmp_path / "m.json"))
+
 
 class TestEst2d:
     def test_writes_model_and_filter(self, tmp_path):
@@ -161,6 +195,26 @@ class TestEst2d:
         assert [st["order"] for st in obj["history"]] == [0, 1, 2]
         assert all(st["criterion"] is not None for st in obj["history"])
         assert model2d_to_dict(model2d_from_dict(obj), "burg2d-mod") == obj
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,0,1.0,0.0", "0,-1,2.0,0.0", "0,1,3.0,0.0"], "negative index"),
+            (["0,0,1.0,0.0", "0,0,2.0,0.0", "0,1,3.0,0.0"], "duplicate index"),
+            (["0,0,1.0,0.0", "0,1,2.0"], "expected 4 fields"),
+        ],
+        ids=["negative", "duplicate", "short"],
+    )
+    def test_bad_grid_rows_are_usage_errors(self, tmp_path, capsys, rows, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(["k,t,re,im", *rows]) + "\n")
+        rc = run("est2d", "--method", "wwra", "--n1", "1", "--n2", "0",
+                 "--in", str(bad), "--out", str(tmp_path / "x.json"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:")
+        assert message in err
+        assert err.count("\n") == 1
 
     def test_grid_round_trip(self, tmp_path):
         rng = np.random.default_rng(72)
@@ -209,6 +263,29 @@ class TestSpectrumCommand:
         rc = run("spectrum", "--in", str(model), "--nf1", "8", "--nf2", "8",
                  "--out", str(tmp_path / "s.csv"))
         assert rc == 0
+
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("ar1d", "error_power"), ("ar2d", "n2"), ("quarter_plane_filter", "noise_power")],
+    )
+    def test_missing_model_key_is_usage_error(self, tmp_path, capsys, kind, key):
+        x = crandn(np.random.default_rng(78), 5, 5)
+        model2d = burg2d_modified(x, 1, 1)
+        obj = {
+            "ar1d": model1d_to_dict(burg_classic(x[0], 2), "burg"),
+            "ar2d": model2d_to_dict(model2d, "burg2d-mod"),
+            "quarter_plane_filter": filter_to_dict(extract_quarter_plane_filter(model2d)),
+        }[kind]
+        del obj[key]
+        model = tmp_path / "m.json"
+        write_json(model, obj)
+        rc = run("spectrum", "--in", str(model), "--out", str(tmp_path / "s.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:")
+        assert f"missing key {key!r}" in err
+        assert err.count("\n") == 1
 
 
 class TestExperiments:
@@ -273,14 +350,18 @@ class TestExperiments:
                 del model.history[-1]
             return model
 
+        def strict(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
         monkeypatch.setattr(arspec.cli, "burg_modified", broken)
         out = tmp_path / "eq.json"
         rc = run("experiment", "equivalence", "--trials", "3", "--trials-2d", "1",
                  "--seed", "1", "--out", str(out))
         assert rc == 1
-        verdict = read_json(out)
+        verdict = json.loads(out.read_text(), parse_constant=strict)
         assert verdict["pass"] is False
-        assert verdict["equivalence_1d"]["max_rel_deviation"] == np.inf
+        assert verdict["equivalence_1d"]["pass"] is False
+        assert verdict["equivalence_1d"]["max_rel_deviation"] is None
 
     def test_mse_vs_order_early_stop(self, tmp_path):
         out = tmp_path / "mse.csv"

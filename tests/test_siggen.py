@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from arspec.linalg import max_rel_diff
 from arspec.siggen import Lcg32, SynthConfig, gen_noisy_sinusoid, phase_sweep
-from arspec.spectrum import dft
+from arspec.spectrum import dft, idft
 
 
 def realized_snr_db(cfg: SynthConfig, x: np.ndarray) -> float:
@@ -64,6 +65,22 @@ class TestGenNoisySinusoid:
             cfg = SynthConfig(16, 0.1, 1.0, snr, 2)
             x = gen_noisy_sinusoid(cfg)
             assert abs(realized_snr_db(cfg, x) - snr) <= 1e-9
+
+    @pytest.mark.parametrize("n", [97, 4096])
+    def test_exact_snr_prime_and_long_records(self, n):
+        cfg = SynthConfig(n, 0.237, 0.4, 10.0, 5)
+        x = gen_noisy_sinusoid(cfg)
+        assert abs(realized_snr_db(cfg, x) - 10.0) <= 1e-9
+
+    @pytest.mark.parametrize("n", [97, 4096])
+    def test_noise_is_the_scaled_inverse_dft_of_the_stream(self, n):
+        cfg = SynthConfig(n, 0.237, 0.4, 10.0, 5)
+        x = gen_noisy_sinusoid(cfg, substream=3)
+        clean = gen_noisy_sinusoid(SynthConfig(n, 0.237, 0.4, None, 5))
+        w = Lcg32(5, substream=3).complex_normal(n)
+        # |scale * idft(w)|^2 / |clean|^2 = 10^(-10 dB / 10) by Parseval
+        scale = math.sqrt(n * np.vdot(clean, clean).real / (np.vdot(w, w).real * 10.0))
+        assert max_rel_diff(x - clean, scale * idft(w)) <= 1e-15
 
     def test_determinism(self):
         cfg = SynthConfig(20, 0.25, 0.0, 30.0, 1)

@@ -141,6 +141,20 @@ class TestDft:
         others = np.delete(np.abs(spec), 3)
         assert others.max() <= 1e-12 * n
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 97])
+    def test_matches_direct_sum(self, n):
+        x = crandn(np.random.default_rng(63), n)
+        k = np.arange(n)
+        kernel = np.exp(-2j * np.pi * np.outer(k, k) / n)
+        assert max_rel_diff(dft(x), kernel @ x) <= 1e-12
+        assert max_rel_diff(idft(x), (kernel.conj() @ x) / n) <= 1e-12
+
+    def test_rejects_matrix(self):
+        with pytest.raises(ValueError):
+            dft(np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            idft(np.zeros((2, 2)))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             dft(np.zeros(0))
