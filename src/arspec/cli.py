@@ -15,14 +15,18 @@ Subcommands
                              holds a non-finite value or a truncated history;
                              a non-finite deviation is written as null).
 
-Every run writes exactly one manifest JSON (default ``<out>.manifest.json``)
-recording the subcommand, the parsed arguments as parameters, the
-effective argv, the seed, the library version, the output paths and the
-wall-clock duration; ``order-sweep`` and ``mse-vs-order`` also record the
-methods that stopped before ``--max-order`` as ``early_stop``.
-Re-running the recorded argv reproduces the data outputs byte-for-byte; all
-randomness flows from the explicit seed (``--seed`` beats the
-``ARSPEC_SEED`` environment default).
+This module parses arguments and runs the recipes; every file format lives
+in :mod:`arspec.io`. A recipe returns ``(exit code, outputs, manifest
+fields)``, and :func:`main` times it and writes exactly one manifest JSON
+(default ``<out>.manifest.json``) recording the subcommand, the parsed
+arguments as parameters, the effective argv, the seed, the library
+version, the output paths and the wall-clock duration; ``order-sweep`` and
+``mse-vs-order`` also record the methods that stopped before
+``--max-order`` as ``early_stop``. Re-running the recorded argv reproduces
+the data outputs byte-for-byte; all randomness flows from the explicit
+seed. A command that takes ``--seed`` and is not given it reads the
+``ARSPEC_SEED`` environment default (1 when unset); other commands never
+read it.
 
 Exit codes: 0 success, 1 failed equivalence verdict, 2 usage error,
 3 numerical error. Errors are single machine-parsable lines on stderr:
@@ -34,24 +38,23 @@ import math
 import os
 import sys
 import time
+from itertools import zip_longest
 
 import numpy as np
 
 from . import __version__
 from .ar1d import ArModel1D, burg_classic, burg_modified, levinson, residual_mse
-from .ar2d import burg2d_classic, burg2d_modified, extract_quarter_plane_filter, wwra
+from .ar2d import ArModel2D, burg2d_classic, burg2d_modified, extract_quarter_plane_filter, wwra
 from .autocorr import estimate_autocorr_1d, estimate_block_autocorr_2d
 from .errors import NumericalError
 from .io import (
-    filter_from_dict,
     filter_to_dict,
-    model1d_from_dict,
     model1d_to_dict,
-    model2d_from_dict,
     model2d_to_dict,
-    read_json,
+    read_model,
     read_signal_2d_csv,
     read_signal_csv,
+    write_csv,
     write_json,
     write_signal_csv,
     write_spectrum_csv,
@@ -60,8 +63,20 @@ from .linalg import max_rel_diff
 from .siggen import Lcg32, SynthConfig, gen_noisy_sinusoid, phase_sweep
 from .spectrum import ar_spectrum_1d, ar_spectrum_2d, frequency_grid
 
-_METHODS_1D = ("levinson", "burg", "burg-mod")
-_METHODS_2D = ("wwra", "burg2d", "burg2d-mod")
+# The estimators by method name. Each entry looks its estimator up when
+# called, so a replaced module attribute takes effect.
+_METHODS_1D = {
+    "levinson": lambda x, p: levinson(estimate_autocorr_1d(x, p), p),
+    "burg": lambda x, p: burg_classic(x, p),
+    "burg-mod": lambda x, p: burg_modified(x, p),
+}
+_METHODS_2D = {
+    "wwra": lambda x, n1, n2: wwra(
+        estimate_block_autocorr_2d(x, n1, n2), n1, sample_terms=x.shape[0] + n1
+    ),
+    "burg2d": lambda x, n1, n2: burg2d_classic(x, n1, n2),
+    "burg2d-mod": lambda x, n1, n2: burg2d_modified(x, n1, n2),
+}
 
 #: Parsed-argument attributes that are plumbing, not run parameters.
 _NOT_PARAMETERS = ("func", "command", "experiment", "manifest", "effective_argv")
@@ -81,39 +96,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _estimate_1d(method: str, x, order: int) -> ArModel1D:
-    if method == "levinson":
-        return levinson(estimate_autocorr_1d(x, order), order)
-    if method == "burg":
-        return burg_classic(x, order)
-    if method == "burg-mod":
-        return burg_modified(x, order)
-    raise ValueError(f"unknown 1D method {method!r}")
-
-
-def _estimate_2d(method: str, x, n1: int, n2: int):
-    if method == "wwra":
-        blocks = estimate_block_autocorr_2d(x, n1, n2)
-        return wwra(blocks, n1, sample_terms=x.shape[0] + n1)
-    if method == "burg2d":
-        return burg2d_classic(x, n1, n2)
-    if method == "burg2d-mod":
-        return burg2d_modified(x, n1, n2)
-    raise ValueError(f"unknown 2D method {method!r}")
-
-
 def _models_per_order(method: str, x, max_order: int) -> list[ArModel1D]:
     """One model per order 1..max_order, from a single recursion history."""
-    full = _estimate_1d(method, x, max_order)
+    full = _METHODS_1D[method](x, max_order)
     return [
         ArModel1D(st.order, st.coeffs, st.error_power, [], False)
         for st in full.history
     ]
 
 
-def _early_stops(last_orders: dict, max_order: int) -> dict:
-    """``{method: last order}`` for the methods that stopped before ``max_order``."""
-    return {m: last for m, last in last_orders.items() if last < max_order}
+def _early_stops(args, last_orders: dict) -> dict:
+    """The manifest's ``early_stop``: ``{method: last order}`` for the methods
+    that stopped before ``--max-order``."""
+    return {"early_stop": {m: n for m, n in last_orders.items() if n < args.max_order}}
 
 
 def _write_manifest(args, outputs: list, start: float, **fields) -> None:
@@ -140,108 +135,76 @@ def _write_manifest(args, outputs: list, start: float, **fields) -> None:
     )
 
 
-def _row_values(power: np.ndarray, use_log10: bool) -> np.ndarray:
-    if not use_log10:
-        return power
-    with np.errstate(divide="ignore"):
-        return np.log10(power)
+def _write_spectra(args, row_name: str, labels: list, powers: list) -> None:
+    """One row of power (or log10 power) per label, under a frequency header."""
+    header = [row_name, *frequency_grid(args.nfreq).tolist()]
+    if args.log10:
+        with np.errstate(divide="ignore"):
+            powers = map(np.log10, powers)
+    write_csv(args.out, header, ([x, *p.tolist()] for x, p in zip(labels, powers)))
 
 
-def _write_matrix_csv(path, row_name, row_values, freqs, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(row_name + "," + ",".join(repr(float(f)) for f in freqs) + "\n")
-        for label, values in zip(row_values, rows):
-            fh.write(
-                str(label) + "," + ",".join(repr(float(v)) for v in values) + "\n"
-            )
-
-
-def _cmd_gen(args) -> int:
-    start = time.perf_counter()
+def _cmd_gen(args):
     cfg = SynthConfig(args.n, args.freq, args.phase, args.snr_db, args.seed)
-    x = gen_noisy_sinusoid(cfg, substream=args.substream)
-    write_signal_csv(args.out, x)
-    _write_manifest(args, [args.out], start)
-    return 0
+    write_signal_csv(args.out, gen_noisy_sinusoid(cfg, substream=args.substream))
+    return 0, [args.out], {}
 
 
-def _cmd_est1d(args) -> int:
-    start = time.perf_counter()
-    x = read_signal_csv(args.input)
-    model = _estimate_1d(args.method, x, args.order)
+def _cmd_est1d(args):
+    model = _METHODS_1D[args.method](read_signal_csv(args.input), args.order)
     write_json(args.out, model1d_to_dict(model, args.method))
-    _write_manifest(args, [args.out], start)
-    return 0
+    return 0, [args.out], {}
 
 
-def _cmd_est2d(args) -> int:
-    start = time.perf_counter()
+def _cmd_est2d(args):
     x = read_signal_2d_csv(args.input)
-    model = _estimate_2d(args.method, x, args.n1, args.n2)
+    model = _METHODS_2D[args.method](x, args.n1, args.n2)
     filt = extract_quarter_plane_filter(model)
     args.filter_out = args.filter_out or f"{args.out}.filter.json"
     write_json(args.out, model2d_to_dict(model, args.method))
     write_json(args.filter_out, filter_to_dict(filt))
-    _write_manifest(args, [args.out, args.filter_out], start)
-    return 0
+    return 0, [args.out, args.filter_out], {}
 
 
-def _cmd_spectrum(args) -> int:
-    start = time.perf_counter()
-    obj = read_json(args.input)
-    kind = obj.get("kind")
-    if kind == "ar1d":
-        grid = ar_spectrum_1d(model1d_from_dict(obj), args.nfreq)
-    elif kind == "quarter_plane_filter":
-        grid = ar_spectrum_2d(filter_from_dict(obj), args.nf1, args.nf2)
-    elif kind == "ar2d":
-        filt = extract_quarter_plane_filter(model2d_from_dict(obj))
-        grid = ar_spectrum_2d(filt, args.nf1, args.nf2)
+def _cmd_spectrum(args):
+    model = read_model(args.input)
+    if isinstance(model, ArModel1D):
+        grid = ar_spectrum_1d(model, args.nfreq)
     else:
-        raise ValueError(f"{args.input}: unsupported kind {kind!r}")
+        if isinstance(model, ArModel2D):
+            model = extract_quarter_plane_filter(model)
+        grid = ar_spectrum_2d(model, args.nf1, args.nf2)
     write_spectrum_csv(args.out, grid)
-    _write_manifest(args, [args.out], start)
-    return 0
+    return 0, [args.out], {}
 
 
-def _cmd_phase_sweep(args) -> int:
-    start = time.perf_counter()
+def _cmd_phase_sweep(args):
     cfg = SynthConfig(args.n, args.freq, 0.0, args.snr_db, args.seed)
     signals = phase_sweep(cfg, args.steps)
-    freqs = frequency_grid(args.nfreq)
-    phases = []
-    rows = []
-    for j, x in enumerate(signals):
-        model = _estimate_1d(args.method, x, args.order)
-        grid = ar_spectrum_1d(model, args.nfreq)
-        phases.append(repr(2.0 * math.pi * j / args.steps))
-        rows.append(_row_values(grid.power, args.log10))
-    _write_matrix_csv(args.out, "phase", phases, freqs, rows)
-    _write_manifest(args, [args.out], start)
-    return 0
+    powers = [
+        ar_spectrum_1d(_METHODS_1D[args.method](x, args.order), args.nfreq).power
+        for x in signals
+    ]
+    phases = [2.0 * math.pi * j / args.steps for j in range(args.steps)]
+    _write_spectra(args, "phase", phases, powers)
+    return 0, [args.out], {}
 
 
-def _cmd_order_sweep(args) -> int:
-    start = time.perf_counter()
+def _cmd_order_sweep(args):
     cfg = SynthConfig(args.n, args.freq, args.phase, args.snr_db, args.seed)
-    x = gen_noisy_sinusoid(cfg)
-    freqs = frequency_grid(args.nfreq)
-    models = _models_per_order(args.method, x, args.max_order)
-    rows = [_row_values(ar_spectrum_1d(m, args.nfreq).power, args.log10) for m in models]
-    _write_matrix_csv(args.out, "order", [m.order for m in models], freqs, rows)
-    early_stop = _early_stops({args.method: len(models)}, args.max_order)
-    _write_manifest(args, [args.out], start, early_stop=early_stop)
-    return 0
+    models = _models_per_order(args.method, gen_noisy_sinusoid(cfg), args.max_order)
+    powers = [ar_spectrum_1d(m, args.nfreq).power for m in models]
+    _write_spectra(args, "order", [m.order for m in models], powers)
+    return 0, [args.out], _early_stops(args, {args.method: len(models)})
 
 
-def _cmd_mse_vs_order(args) -> int:
-    start = time.perf_counter()
+def _cmd_mse_vs_order(args):
     args.methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not args.methods:
         raise ValueError("--methods names no method")
     for m in args.methods:
         if m not in _METHODS_1D:
-            raise ValueError(f"unknown method {m!r}, expected one of {_METHODS_1D}")
+            raise ValueError(f"unknown method {m!r}, expected one of {tuple(_METHODS_1D)}")
     cfg = SynthConfig(args.n, args.freq, args.phase, args.snr_db, args.seed)
     x = gen_noisy_sinusoid(cfg)
     table = {
@@ -252,14 +215,9 @@ def _cmd_mse_vs_order(args) -> int:
         for method in args.methods
     }
     # A method that stopped early leaves its cells past its last order empty.
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("order," + ",".join(f"mse_{m}" for m in args.methods) + "\n")
-        for i in range(max(len(col) for col in table.values())):
-            vals = ",".join(repr(col[i]) if i < len(col) else "" for col in table.values())
-            fh.write(f"{i + 1},{vals}\n")
-    early_stop = _early_stops({m: len(col) for m, col in table.items()}, args.max_order)
-    _write_manifest(args, [args.out], start, early_stop=early_stop)
-    return 0
+    rows = ([i, *row] for i, row in enumerate(zip_longest(*table.values()), 1))
+    write_csv(args.out, ["order", *(f"mse_{m}" for m in table)], rows)
+    return 0, [args.out], _early_stops(args, {m: len(col) for m, col in table.items()})
 
 
 def _history_deviation(reference: list, estimate: list) -> float:
@@ -321,12 +279,10 @@ def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
     return report
 
 
-def _cmd_equivalence(args) -> int:
-    start = time.perf_counter()
+def _cmd_equivalence(args):
     report = equivalence_report(args.trials, args.trials_2d, args.seed)
     write_json(args.out, report)
-    _write_manifest(args, [args.out], start)
-    return 0 if report["pass"] else 1
+    return (0 if report["pass"] else 1), [args.out], {}
 
 
 def _add_manifest_arg(p) -> None:
@@ -342,7 +298,7 @@ def _add_synth_args(p, with_phase: bool) -> None:
         p.add_argument("--phase", type=float, default=0.0, help="phase in radians")
     p.add_argument("--snr-db", type=float, default=30.0, help="exact SNR in dB")
     p.add_argument("--noiseless", action="store_true", help="disable noise entirely")
-    p.add_argument("--seed", type=int, default=_default_seed(), help="noise seed")
+    p.add_argument("--seed", type=int, default=None, help="noise seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = esub.add_parser("equivalence", help="lattice-vs-recursion oracle suites")
     p.add_argument("--trials", type=int, default=200, help="1D suite size")
     p.add_argument("--trials-2d", type=int, default=50, help="2D suite size")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="verdict JSON path")
     _add_manifest_arg(p)
     p.set_defaults(func=_cmd_equivalence)
@@ -440,14 +396,17 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(effective)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ValueError as exc:  # a malformed ARSPEC_SEED default
-        print(f"error: usage: {exc}", file=sys.stderr)
-        return 2
     args.effective_argv = effective
     if getattr(args, "noiseless", False):
         args.snr_db = None
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        # ``--seed`` beats ARSPEC_SEED, which only commands with a seed read.
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
+        code, outputs, fields = args.func(args)
+        _write_manifest(args, outputs, start, **fields)
+        return code
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3

@@ -1,18 +1,21 @@
-"""CSV and JSON codecs for the CLI artifacts.
+"""CSV and JSON codecs for every CLI artifact.
 
 Formats (UTF-8, '.' decimal, no locale dependence):
 
-* 1D signal CSV: header ``index,re,im``, one row per sample.
-* 2D signal CSV: header ``k,t,re,im``, one row per grid point (full grid
-  required on read).
+* Signal CSV: header ``index,re,im`` (1D) or ``k,t,re,im`` (2D), one row
+  per sample; the full grid is required on read.
 * Model / filter JSON: complex numbers as explicit ``[re, im]`` pairs,
   never a string encoding; models carry the method name, order(s) and the
-  per-stage error powers.
+  per-stage error powers. :func:`read_model` decodes any of the three
+  kinds; a malformed file is a ``ValueError`` naming it.
 * Spectrum CSV: ``frequency,power,log10_power`` (1D) or
   ``f1,f2,power,log10_power`` (2D).
+* Table CSV (the experiments): a header row, then one row per phase or
+  order; an empty cell marks an order a stopped method did not reach.
 
-Floats are written with ``repr``, i.e. the shortest round-tripping decimal,
-which keeps reruns byte-identical.
+Every CSV goes through :func:`write_csv`, which writes each number with
+``repr``, i.e. the shortest round-tripping decimal, so reruns are
+byte-identical.
 """
 
 import csv
@@ -30,10 +33,13 @@ __all__ = [
     "filter_to_dict",
     "model1d_from_dict",
     "model1d_to_dict",
+    "model2d_from_dict",
     "model2d_to_dict",
     "read_json",
+    "read_model",
     "read_signal_csv",
     "read_signal_2d_csv",
+    "write_csv",
     "write_json",
     "write_signal_csv",
     "write_signal_2d_csv",
@@ -41,25 +47,20 @@ __all__ = [
 ]
 
 
-def _f(value) -> str:
-    return repr(float(value))
-
-
-def _pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _matrix_pairs(m) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(m)]
-
-
-def write_signal_csv(path, x) -> None:
-    x = np.asarray(x, dtype=complex)
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then each row of Python numbers as their ``repr``;
+    ``None`` is an empty cell."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,re,im\n")
-        for i, z in enumerate(x):
-            fh.write(f"{i},{_f(z.real)},{_f(z.imag)}\n")
+        fh.write(",".join(map(str, header)) + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")
+
+
+def _write_signal(path, header: list[str], x) -> None:
+    x = np.asarray(x, dtype=complex)
+    index = np.indices(x.shape).reshape(x.ndim, -1).T.tolist()
+    samples = x.reshape(-1).tolist()
+    write_csv(path, header, ([*i, z.real, z.imag] for i, z in zip(index, samples)))
 
 
 def _read_samples(path, header: list[str]) -> dict:
@@ -94,44 +95,46 @@ def _read_samples(path, header: list[str]) -> dict:
     return samples
 
 
-def read_signal_csv(path) -> np.ndarray:
-    samples = _read_samples(path, ["index", "re", "im"])
-    if len(samples) != max(i for i, in samples) + 1:
-        raise ValueError(f"{path}: missing sample indices")
-    x = np.zeros(len(samples), dtype=complex)
-    for (i,), z in samples.items():
-        x[i] = z
+def _read_signal(path, header: list[str]) -> np.ndarray:
+    samples = _read_samples(path, header)
+    shape = tuple(max(axis) + 1 for axis in zip(*samples))
+    if len(samples) != math.prod(shape):
+        raise ValueError(f"{path}: missing samples, {len(samples)} do not fill {shape}")
+    x = np.zeros(shape, dtype=complex)
+    for idx, z in samples.items():
+        x[idx] = z
     return x
+
+
+def write_signal_csv(path, x) -> None:
+    _write_signal(path, ["index", "re", "im"], x)
+
+
+def read_signal_csv(path) -> np.ndarray:
+    return _read_signal(path, ["index", "re", "im"])
 
 
 def write_signal_2d_csv(path, x) -> None:
-    x = np.asarray(x, dtype=complex)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("k,t,re,im\n")
-        for k in range(x.shape[0]):
-            for t in range(x.shape[1]):
-                z = x[k, t]
-                fh.write(f"{k},{t},{_f(z.real)},{_f(z.imag)}\n")
+    _write_signal(path, ["k", "t", "re", "im"], x)
 
 
 def read_signal_2d_csv(path) -> np.ndarray:
-    samples = _read_samples(path, ["k", "t", "re", "im"])
-    n1 = max(k for k, _ in samples) + 1
-    n2 = max(t for _, t in samples) + 1
-    if len(samples) != n1 * n2:
-        raise ValueError(f"{path}: grid is incomplete")
-    x = np.zeros((n1, n2), dtype=complex)
-    for (k, t), z in samples.items():
-        x[k, t] = z
-    return x
+    return _read_signal(path, ["k", "t", "re", "im"])
 
 
-def _field(obj: dict, key: str):
-    """``obj[key]``; a missing key is malformed input, so a ``ValueError``."""
-    try:
-        return obj[key]
-    except KeyError:
-        raise ValueError(f"model JSON: missing key {key!r}") from None
+def _pairs(a) -> list:
+    """``[re, im]`` pairs nested like the complex array ``a``, of any rank."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _complex(value, shape: tuple) -> np.ndarray:
+    """Inverse of :func:`_pairs`; ``value`` must hold numbers of this shape."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf" or a.shape != (*shape, 2):
+        raise ValueError(f"expected [re, im] pairs {(*shape, 2)}, got {a.dtype} {a.shape}")
+    # A view keeps -0.0 and infinite parts exactly, unlike re + 1j * im.
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
 def model1d_to_dict(model: ArModel1D, method: str) -> dict:
@@ -139,45 +142,35 @@ def model1d_to_dict(model: ArModel1D, method: str) -> dict:
         "kind": "ar1d",
         "method": method,
         "order": model.order,
-        "coefficients": [_pair(a) for a in model.coeffs],
+        "coefficients": _pairs(model.coeffs),
         "error_power": float(model.error_power),
         "early_stop": bool(model.early_stop),
         "history": [
             {
                 "order": st.order,
-                "reflection": _pair(st.reflection),
+                "reflection": _pairs(st.reflection),
                 "error_power": float(st.error_power),
-                "coefficients": [_pair(a) for a in st.coeffs],
+                "coefficients": _pairs(st.coeffs),
             }
             for st in model.history
         ],
     }
 
 
-def _pairs_vector(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
-
-
 def model1d_from_dict(obj: dict) -> ArModel1D:
-    if obj.get("kind") != "ar1d":
-        raise ValueError(f"expected kind 'ar1d', got {obj.get('kind')!r}")
-    coeffs = _pairs_vector(_field(obj, "coefficients"))
+    order = int(obj["order"])
+    coeffs = _complex(obj["coefficients"], (order,))
     history = [
         LatticeStage(
-            _field(st, "order"),
-            _pairs_vector(_field(st, "coefficients")),
-            float(_field(st, "error_power")),
-            complex(*_field(st, "reflection")),
+            int(st["order"]),
+            _complex(st["coefficients"], (int(st["order"]),)),
+            float(st["error_power"]),
+            complex(_complex(st["reflection"], ())),
         )
         for st in obj.get("history", [])
     ]
-    return ArModel1D(
-        int(_field(obj, "order")),
-        coeffs,
-        float(_field(obj, "error_power")),
-        history,
-        bool(obj.get("early_stop", False)),
-    )
+    early_stop = bool(obj.get("early_stop", False))
+    return ArModel1D(order, coeffs, float(obj["error_power"]), history, early_stop)
 
 
 def model2d_to_dict(model: ArModel2D, method: str) -> dict:
@@ -186,22 +179,18 @@ def model2d_to_dict(model: ArModel2D, method: str) -> dict:
         "method": method,
         "n1": model.order,
         "n2": model.channel_order,
-        "coefficient_matrices": [_matrix_pairs(a) for a in model.coeffs],
-        "error_power_matrix": _matrix_pairs(model.error_power),
+        "coefficient_matrices": _pairs(model.coeffs),
+        "error_power_matrix": _pairs(model.error_power),
         "sample_terms": model.sample_terms,
         "history": [
             {
                 "order": st.order,
-                "error_power_matrix": _matrix_pairs(st.error_power),
+                "error_power_matrix": _pairs(st.error_power),
                 "criterion": st.criterion,
             }
             for st in model.history
         ],
     }
-
-
-def _pairs_matrix(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
 
 
 def model2d_from_dict(obj: dict) -> ArModel2D:
@@ -211,31 +200,23 @@ def model2d_from_dict(obj: dict) -> ArModel2D:
     the stage coefficient matrices are not written, so restored stages hold
     an empty ``(0, n2+1, n2+1)`` stack.
     """
-    if obj.get("kind") != "ar2d":
-        raise ValueError(f"expected kind 'ar2d', got {obj.get('kind')!r}")
-    n1 = int(_field(obj, "n1"))
-    n2 = int(_field(obj, "n2"))
-    mats = [_pairs_matrix(m) for m in _field(obj, "coefficient_matrices")]
-    empty = np.zeros((0, n2 + 1, n2 + 1), dtype=complex)
-    coeffs = np.stack(mats) if mats else empty
+    n1, n2 = int(obj["n1"]), int(obj["n2"])
+    p = (n2 + 1, n2 + 1)
+    # An order-0 model writes [], which carries no matrix shape.
+    empty = np.zeros((0, *p), dtype=complex)
+    coeffs = _complex(obj["coefficient_matrices"], (n1, *p)) if n1 else empty
     history = [
         BlockStage(
-            int(_field(st, "order")),
+            int(st["order"]),
             empty,
             None,
-            _pairs_matrix(_field(st, "error_power_matrix")),
-            criterion=_field(st, "criterion"),
+            _complex(st["error_power_matrix"], p),
+            criterion=st["criterion"],
         )
         for st in obj.get("history", [])
     ]
-    return ArModel2D(
-        n1,
-        n2,
-        coeffs,
-        _pairs_matrix(_field(obj, "error_power_matrix")),
-        history,
-        obj.get("sample_terms"),
-    )
+    power = _complex(obj["error_power_matrix"], p)
+    return ArModel2D(n1, n2, coeffs, power, history, obj.get("sample_terms"))
 
 
 def filter_to_dict(filt: QuarterPlaneFilter) -> dict:
@@ -243,17 +224,41 @@ def filter_to_dict(filt: QuarterPlaneFilter) -> dict:
         "kind": "quarter_plane_filter",
         "n1": filt.order1,
         "n2": filt.order2,
-        "coefficients": _matrix_pairs(filt.coeffs),
+        "coefficients": _pairs(filt.coeffs),
         "noise_power": float(filt.noise_power),
     }
 
 
 def filter_from_dict(obj: dict) -> QuarterPlaneFilter:
-    if obj.get("kind") != "quarter_plane_filter":
-        raise ValueError(f"expected kind 'quarter_plane_filter', got {obj.get('kind')!r}")
-    return QuarterPlaneFilter(
-        _pairs_matrix(_field(obj, "coefficients")), float(_field(obj, "noise_power"))
-    )
+    coeffs = _complex(obj["coefficients"], (int(obj["n1"]) + 1, int(obj["n2"]) + 1))
+    return QuarterPlaneFilter(coeffs, float(obj["noise_power"]))
+
+
+_DECODERS = {
+    "ar1d": model1d_from_dict,
+    "ar2d": model2d_from_dict,
+    "quarter_plane_filter": filter_from_dict,
+}
+
+
+def read_model(path) -> ArModel1D | ArModel2D | QuarterPlaneFilter:
+    """The model or filter a JSON file holds, decoded by its ``kind``.
+
+    Any malformed content (not an object, an unknown kind, a missing key, a
+    value of the wrong type or shape) is a ``ValueError`` naming the file.
+    """
+    obj = read_json(path)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    decode = _DECODERS.get(str(obj.get("kind")))
+    if decode is None:
+        raise ValueError(f"{path}: unsupported kind {obj.get('kind')!r}")
+    try:
+        return decode(obj)
+    except KeyError as exc:
+        raise ValueError(f"{path}: model JSON: missing key {exc}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{path}: model JSON: {exc}") from None
 
 
 def write_json(path, obj) -> None:
@@ -264,7 +269,10 @@ def write_json(path, obj) -> None:
 
 def read_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _log10(p: float) -> float:
@@ -276,14 +284,16 @@ def _log10(p: float) -> float:
 
 
 def write_spectrum_csv(path, grid: SpectrumGrid) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if grid.frequencies2 is None:
-            fh.write("frequency,power,log10_power\n")
-            for f, p in zip(grid.frequencies, grid.power):
-                fh.write(f"{_f(f)},{_f(p)},{_f(_log10(p))}\n")
-        else:
-            fh.write("f1,f2,power,log10_power\n")
-            for i, f1 in enumerate(grid.frequencies):
-                for j, f2 in enumerate(grid.frequencies2):
-                    p = grid.power[i, j]
-                    fh.write(f"{_f(f1)},{_f(f2)},{_f(p)},{_f(_log10(p))}\n")
+    freqs = grid.frequencies.tolist()
+    if grid.frequencies2 is None:
+        header = ["frequency", "power", "log10_power"]
+        rows = ([f, p, _log10(p)] for f, p in zip(freqs, grid.power.tolist()))
+    else:
+        header = ["f1", "f2", "power", "log10_power"]
+        freqs2 = grid.frequencies2.tolist()
+        rows = (
+            [f1, f2, p, _log10(p)]
+            for f1, row in zip(freqs, grid.power)
+            for f2, p in zip(freqs2, row.tolist())
+        )
+    write_csv(path, header, rows)

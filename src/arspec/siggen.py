@@ -99,6 +99,8 @@ class SynthConfig:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not -0.5 <= self.freq < 0.5:
             raise ValueError(f"freq must be in [-0.5, 0.5), got {self.freq}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite or None (noiseless)")
 

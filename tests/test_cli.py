@@ -11,6 +11,7 @@ from arspec.ar2d import burg2d_modified, extract_quarter_plane_filter
 from arspec.cli import main
 from arspec.io import (
     filter_to_dict,
+    model1d_from_dict,
     model1d_to_dict,
     model2d_from_dict,
     model2d_to_dict,
@@ -23,8 +24,22 @@ from arspec.io import (
 )
 
 
+#: Values whose decimal text is easy to get wrong: a signed zero, the
+#: extremes of the normal range and the smallest subnormal.
+EDGE_VALUES = [-0.0, 1e-300, 1e300, 5e-324, -1e300]
+
+
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def assert_bitwise_equal(a, b):
+    """Equal values and equal zero signs, part by part."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    for part in (np.real, np.imag):
+        assert np.array_equal(part(a), part(b))
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
 
 
 @pytest.fixture()
@@ -67,6 +82,20 @@ class TestGen:
         run("gen", "--n", "16", "--freq", "0.1", "--noiseless", "--out", str(out))
         x = read_signal_csv(out)
         assert np.array_equal(x, np.exp(2j * np.pi * 0.1 * np.arange(16)))
+        edges = np.array(EDGE_VALUES) + 1j * np.array(EDGE_VALUES[::-1])
+        write_signal_csv(out, edges)
+        assert_bitwise_equal(read_signal_csv(out), edges)
+
+    @pytest.mark.parametrize("command", ["gen", "order-sweep"])
+    @pytest.mark.parametrize("phase", ["nan", "inf", "-inf"])
+    def test_non_finite_phase_is_usage_error(self, tmp_path, capsys, command, phase):
+        argv = ["gen"] if command == "gen" else ["experiment", command]
+        rc = run(*argv, "--n", "8", f"--phase={phase}", "--out", str(tmp_path / "o.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: phase must be finite")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
 
 class TestEst1d:
@@ -195,6 +224,25 @@ class TestEst2d:
         assert [st["order"] for st in obj["history"]] == [0, 1, 2]
         assert all(st["criterion"] is not None for st in obj["history"])
         assert model2d_to_dict(model2d_from_dict(obj), "burg2d-mod") == obj
+        obj["coefficient_matrices"][0][0] = [[v, -v] for v in EDGE_VALUES[:2]]
+        obj["error_power_matrix"][1] = [[v, v] for v in EDGE_VALUES[2:4]]
+        write_json(out, obj)
+        model = model2d_from_dict(read_json(out))
+        assert_bitwise_equal(model.coeffs[0, 0], [complex(v, -v) for v in EDGE_VALUES[:2]])
+        assert_bitwise_equal(model.error_power[1], [complex(v, v) for v in EDGE_VALUES[2:4]])
+        again = model2d_to_dict(model, "burg2d-mod")
+        assert json.dumps(again, sort_keys=True) == json.dumps(obj, sort_keys=True)
+
+    def test_1d_model_json_round_trips_edge_values(self, tmp_path):
+        model = burg_classic(crandn(np.random.default_rng(79), 12), 5)
+        model.coeffs[:] = np.array(EDGE_VALUES) + 1j * np.array(EDGE_VALUES[::-1])
+        model.history[0].reflection = complex(-0.0, 5e-324)
+        out = tmp_path / "m.json"
+        write_json(out, model1d_to_dict(model, "burg"))
+        back = model1d_from_dict(read_json(out))
+        assert_bitwise_equal(back.coeffs, model.coeffs)
+        assert_bitwise_equal(back.history[0].reflection, model.history[0].reflection)
+        assert model1d_to_dict(back, "burg") == read_json(out)
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -219,9 +267,10 @@ class TestEst2d:
     def test_grid_round_trip(self, tmp_path):
         rng = np.random.default_rng(72)
         x = crandn(rng, 4, 5)
+        x[1] = np.array(EDGE_VALUES) - 1j * np.array(EDGE_VALUES[::-1])
         path = tmp_path / "g.csv"
         write_signal_2d_csv(path, x)
-        assert np.array_equal(read_signal_2d_csv(path), x)
+        assert_bitwise_equal(read_signal_2d_csv(path), x)
 
 
 class TestSpectrumCommand:
@@ -266,10 +315,24 @@ class TestSpectrumCommand:
 
 
     @pytest.mark.parametrize(
-        "kind, key",
-        [("ar1d", "error_power"), ("ar2d", "n2"), ("quarter_plane_filter", "noise_power")],
+        "kind, corrupt, message",
+        [
+            pytest.param("ar1d", lambda o: o.pop("error_power"), "missing key 'error_power'",
+                         id="ar1d-error_power"),
+            pytest.param("ar2d", lambda o: o.pop("n2"), "missing key 'n2'", id="ar2d-n2"),
+            pytest.param("quarter_plane_filter", lambda o: o.pop("noise_power"),
+                         "missing key 'noise_power'", id="quarter_plane_filter-noise_power"),
+            pytest.param("ar1d", None, "expected a JSON object", id="top-level-list"),
+            pytest.param("ar1d", lambda o: o.update(coefficients=5), "expected [re, im]",
+                         id="coefficients-number"),
+            pytest.param("ar2d", lambda o: o.update(n2="x"), "invalid literal", id="n2-string"),
+            pytest.param("ar1d", lambda o: o.update(history=[5]), "not subscriptable",
+                         id="history-entry-number"),
+            pytest.param("ar2d", lambda o: o.update(coefficient_matrices=o["error_power_matrix"]),
+                         "expected [re, im]", id="matrix-rank"),
+        ],
     )
-    def test_missing_model_key_is_usage_error(self, tmp_path, capsys, kind, key):
+    def test_missing_model_key_is_usage_error(self, tmp_path, capsys, kind, corrupt, message):
         x = crandn(np.random.default_rng(78), 5, 5)
         model2d = burg2d_modified(x, 1, 1)
         obj = {
@@ -277,15 +340,27 @@ class TestSpectrumCommand:
             "ar2d": model2d_to_dict(model2d, "burg2d-mod"),
             "quarter_plane_filter": filter_to_dict(extract_quarter_plane_filter(model2d)),
         }[kind]
-        del obj[key]
+        if corrupt is None:
+            obj = [obj]
+        else:
+            corrupt(obj)
         model = tmp_path / "m.json"
         write_json(model, obj)
         rc = run("spectrum", "--in", str(model), "--out", str(tmp_path / "s.csv"))
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: usage:")
-        assert f"missing key {key!r}" in err
+        assert err.startswith(f"error: usage: {model}: ")
+        assert message in err
         assert err.count("\n") == 1
+
+
+    def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text("[" * 100_000 + "]" * 100_000)
+        rc = run("spectrum", "--in", str(model), "--out", str(tmp_path / "s.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: usage: {model}: JSON nested too deeply\n"
 
 
 class TestExperiments:
@@ -399,6 +474,34 @@ class TestExperiments:
         assert time.perf_counter() - start < 10.0
 
 
+    def test_csv_cells_are_plain_numbers(self, tmp_path):
+        o = lambda name: str(tmp_path / name)  # noqa: E731
+        write_signal_2d_csv(o("g.csv"), crandn(np.random.default_rng(80), 5, 5))
+        for argv in (
+            ["gen", "--n", "20", "--out", o("sig.csv")],
+            ["est1d", "--method", "burg", "--order", "4", "--in", o("sig.csv"),
+             "--out", o("m.json")],
+            ["spectrum", "--in", o("m.json"), "--nfreq", "16", "--out", o("s1.csv")],
+            ["est2d", "--method", "wwra", "--n1", "1", "--n2", "1", "--in", o("g.csv"),
+             "--out", o("m2.json")],
+            ["spectrum", "--in", o("m2.json"), "--nf1", "4", "--nf2", "4", "--out", o("s2.csv")],
+            ["experiment", "phase-sweep", "--steps", "3", "--nfreq", "8", "--out", o("ps.csv")],
+            ["experiment", "order-sweep", "--max-order", "4", "--nfreq", "8", "--log10",
+             "--out", o("os.csv")],
+            ["experiment", "mse-vs-order", "--noiseless", "--max-order", "3",
+             "--out", o("mse.csv")],
+        ):
+            assert run(*argv) == 0
+        csvs = [p for p in tmp_path.glob("*.csv") if p.name != "g.csv"]
+        assert len(csvs) == 6
+        for path in csvs:
+            text = path.read_text()
+            assert "np." not in text
+            # Every cell below the header is empty or a plain float literal.
+            for line in text.splitlines()[1:]:
+                [float(cell) for cell in line.split(",") if cell]
+
+
 class TestManifests:
     def test_every_output_has_one_manifest(self, tmp_path):
         grid = tmp_path / "g.csv"
@@ -460,3 +563,16 @@ class TestEnvironment:
         out = tmp_path / "sig.csv"
         assert run("gen", "--n", "8", "--out", str(out)) == 0
         assert read_json(f"{out}.manifest.json")["seed"] == 9
+
+    def test_explicit_seed_beats_a_malformed_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ARSPEC_SEED", "abc")
+        out = tmp_path / "sig.csv"
+        assert run("gen", "--n", "8", "--seed", "5", "--out", str(out)) == 0
+        assert read_json(f"{out}.manifest.json")["seed"] == 5
+
+    def test_seedless_command_ignores_the_environment(self, tmp_path, monkeypatch, sig_csv):
+        monkeypatch.setenv("ARSPEC_SEED", "abc")
+        model = tmp_path / "m.json"
+        assert run("est1d", "--method", "burg", "--order", "2",
+                   "--in", str(sig_csv), "--out", str(model)) == 0
+        assert read_json(f"{model}.manifest.json")["seed"] is None

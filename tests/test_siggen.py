@@ -110,6 +110,9 @@ class TestGenNoisySinusoid:
             gen_noisy_sinusoid(SynthConfig(8, 0.5))
         with pytest.raises(ValueError):
             gen_noisy_sinusoid(SynthConfig(8, 0.25, snr_db=math.inf))
+        for phase in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="phase"):
+                gen_noisy_sinusoid(SynthConfig(8, 0.25, phase=phase))
 
 
 class TestPhaseSweep:
