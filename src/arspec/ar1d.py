@@ -23,12 +23,13 @@ All three populate a per-order history so a single run at order ``n``
 yields the models of every intermediate order.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autocorr import as_signal_1d
-from .errors import DegenerateSignalError, SingularityError
+from .errors import DegenerateSignalError, NumericalError, SingularityError
 
 __all__ = [
     "ArModel1D",
@@ -125,6 +126,8 @@ def levinson(r, order: int) -> ArModel1D:
     SingularityError
         If the error power falls below ``1e-14 r_0`` (perfectly predictable
         input) before a unit-circle reflection is seen.
+    NumericalError
+        If the final error power is not finite (a non-finite k makes it so).
     """
     r = np.asarray(r, dtype=complex)
     if order < 1:
@@ -152,6 +155,8 @@ def levinson(r, order: int) -> ArModel1D:
         if abs(k) >= 1.0 - UNIT_CIRCLE_TOL and m < order:
             early = True
             break
+    if not math.isfinite(power):
+        raise NumericalError(f"non-finite prediction-error power {power} at order {m}")
     return ArModel1D(m, coeffs[:m], power, history, early)
 
 
@@ -200,6 +205,8 @@ def _burg_lattice(x, order: int, padded: bool, keep_errors: bool) -> ArModel1D:
         if abs(k) >= 1.0 - UNIT_CIRCLE_TOL and m < order:
             early = True
             break
+    if not math.isfinite(power):
+        raise NumericalError(f"non-finite prediction-error power {power} at order {m}")
     return ArModel1D(m, coeffs[:m], power, history, early)
 
 
@@ -257,7 +264,7 @@ def backward_prediction_residual(x, coeffs) -> np.ndarray:
     return np.convolve(filt[::-1].conj(), x)
 
 
-def residual_mse(x, model: ArModel1D, support: str = "window") -> float:
+def residual_mse(x, model: ArModel1D | LatticeStage, support: str = "window") -> float:
     """Mean squared forward-prediction error, normalized by ``N``.
 
     ``support="window"`` sums ``|x(k) + sum_l a_l x(k-l)|^2`` over the data
@@ -267,7 +274,8 @@ def residual_mse(x, model: ArModel1D, support: str = "window") -> float:
     both sides); for coefficients from the zero-padded lattice this equals
     the recursion's error power over ``N`` and is exactly nonincreasing in
     the order, whereas the windowed sum can fluctuate slightly through the
-    dropped tail. Any model order is accepted.
+    dropped tail. Any model order is accepted, and ``model`` may be a
+    :class:`LatticeStage` of a history; only its ``coeffs`` are read.
     """
     x = as_signal_1d(x)
     res = prediction_residual(x, model.coeffs)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autocorr import as_grid_2d, build_data_matrices
-from .errors import DegenerateSignalError
+from .errors import DegenerateSignalError, NumericalError
 from .linalg import exchange_conj, exchange_transpose, solve_hermitian_dense
 
 __all__ = [
@@ -176,7 +176,8 @@ def wwra(blocks, order: int, sample_terms: int | None = None) -> ArModel2D:
     ``R_0 + sum_l J A_l^* J R_l`` exactly.
 
     Raises :class:`arspec.errors.SingularityError` if ``P`` is singular
-    within the pivot tolerance at any stage.
+    within the pivot tolerance at any stage, and
+    :class:`arspec.errors.NumericalError` if the result is not finite.
     """
     blocks = np.asarray(blocks, dtype=complex)
     if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
@@ -202,6 +203,8 @@ def wwra(blocks, order: int, sample_terms: int | None = None) -> ArModel2D:
         # agreement with both the defining sum for P and the lattice route.
         power = power + exchange_conj(a_nn) @ delta
         history.append(BlockStage(m, coeffs[:m].copy(), a_nn, power.copy()))
+    if not (np.isfinite(coeffs).all() and np.isfinite(power).all()):
+        raise NumericalError(f"non-finite coefficients or error power at order {order}")
     return ArModel2D(order, p - 1, coeffs, power, history, sample_terms)
 
 
@@ -268,9 +271,10 @@ def _burg2d_lattice(
             # The next stage's shrinking windows drop the first forward and
             # the last backward block; padded windows only add zero blocks.
             pf, pb = _gram(f[:, width:], f[:, width:]), _gram(b[:, :-width], b[:, :-width])
-    return ArModel2D(
-        order, channel_order, coeffs, history[-1].error_power, history, hi - lo
-    )
+    power = history[-1].error_power
+    if not (np.isfinite(coeffs).all() and np.isfinite(power).all()):
+        raise NumericalError(f"non-finite coefficients or error power at order {order}")
+    return ArModel2D(order, channel_order, coeffs, power, history, hi - lo)
 
 
 def burg2d_classic(

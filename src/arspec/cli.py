@@ -61,7 +61,7 @@ from .io import (
 )
 from .linalg import max_rel_diff
 from .siggen import Lcg32, SynthConfig, gen_noisy_sinusoid, phase_sweep
-from .spectrum import ar_spectrum_1d, ar_spectrum_2d, frequency_grid
+from .spectrum import ar_spectrum_1d, ar_spectrum_2d, frequency_grid, log10_power
 
 # The estimators by method name. Each entry looks its estimator up when
 # called, so a replaced module attribute takes effect.
@@ -94,15 +94,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error: usage: {message}", file=sys.stderr)
         raise SystemExit(2)
-
-
-def _models_per_order(method: str, x, max_order: int) -> list[ArModel1D]:
-    """One model per order 1..max_order, from a single recursion history."""
-    full = _METHODS_1D[method](x, max_order)
-    return [
-        ArModel1D(st.order, st.coeffs, st.error_power, [], False)
-        for st in full.history
-    ]
 
 
 def _early_stops(args, last_orders: dict) -> dict:
@@ -139,8 +130,7 @@ def _write_spectra(args, row_name: str, labels: list, powers: list) -> None:
     """One row of power (or log10 power) per label, under a frequency header."""
     header = [row_name, *frequency_grid(args.nfreq).tolist()]
     if args.log10:
-        with np.errstate(divide="ignore"):
-            powers = map(np.log10, powers)
+        powers = map(log10_power, powers)
     write_csv(args.out, header, ([x, *p.tolist()] for x, p in zip(labels, powers)))
 
 
@@ -192,10 +182,10 @@ def _cmd_phase_sweep(args):
 
 def _cmd_order_sweep(args):
     cfg = SynthConfig(args.n, args.freq, args.phase, args.snr_db, args.seed)
-    models = _models_per_order(args.method, gen_noisy_sinusoid(cfg), args.max_order)
-    powers = [ar_spectrum_1d(m, args.nfreq).power for m in models]
-    _write_spectra(args, "order", [m.order for m in models], powers)
-    return 0, [args.out], _early_stops(args, {args.method: len(models)})
+    history = _METHODS_1D[args.method](gen_noisy_sinusoid(cfg), args.max_order).history
+    powers = [ar_spectrum_1d(st, args.nfreq).power for st in history]
+    _write_spectra(args, "order", [st.order for st in history], powers)
+    return 0, [args.out], _early_stops(args, {args.method: len(history)})
 
 
 def _cmd_mse_vs_order(args):
@@ -209,8 +199,8 @@ def _cmd_mse_vs_order(args):
     x = gen_noisy_sinusoid(cfg)
     table = {
         method: [
-            residual_mse(x, model, support=args.support)
-            for model in _models_per_order(method, x, args.max_order)
+            residual_mse(x, st, support=args.support)
+            for st in _METHODS_1D[method](x, args.max_order).history
         ]
         for method in args.methods
     }
@@ -232,6 +222,8 @@ def _history_deviation(reference: list, estimate: list) -> float:
 
 def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
     """Lattice-vs-recursion deviation suites over seeded random inputs."""
+    if trials_1d < 1 or trials_2d < 1:
+        raise ValueError(f"--trials and --trials-2d must be >= 1, got {trials_1d} and {trials_2d}")
     sizes = (8, 20, 64)
     dev1 = 0.0
     for i in range(trials_1d):
@@ -404,7 +396,9 @@ def main(argv=None) -> int:
         # ``--seed`` beats ARSPEC_SEED, which only commands with a seed read.
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
-        code, outputs, fields = args.func(args)
+        # No float warnings on stderr: a non-finite estimate raises instead.
+        with np.errstate(all="ignore"):
+            code, outputs, fields = args.func(args)
         _write_manifest(args, outputs, start, **fields)
         return code
     except NumericalError as exc:

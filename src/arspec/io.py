@@ -26,7 +26,7 @@ import numpy as np
 
 from .ar1d import ArModel1D, LatticeStage
 from .ar2d import ArModel2D, BlockStage, QuarterPlaneFilter
-from .spectrum import SpectrumGrid
+from .spectrum import SpectrumGrid, log10_power
 
 __all__ = [
     "filter_from_dict",
@@ -275,25 +275,11 @@ def read_json(path) -> dict:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _log10(p: float) -> float:
-    if p <= 0.0:
-        return -math.inf
-    if math.isinf(p):
-        return math.inf
-    return math.log10(p)
-
-
 def write_spectrum_csv(path, grid: SpectrumGrid) -> None:
-    freqs = grid.frequencies.tolist()
-    if grid.frequencies2 is None:
-        header = ["frequency", "power", "log10_power"]
-        rows = ([f, p, _log10(p)] for f, p in zip(freqs, grid.power.tolist()))
-    else:
-        header = ["f1", "f2", "power", "log10_power"]
-        freqs2 = grid.frequencies2.tolist()
-        rows = (
-            [f1, f2, p, _log10(p)]
-            for f1, row in zip(freqs, grid.power)
-            for f2, p in zip(freqs2, row.tolist())
-        )
-    write_csv(path, header, rows)
+    axes = [f for f in (grid.frequencies, grid.frequencies2) if f is not None]
+    names = ["frequency"] if len(axes) == 1 else ["f1", "f2"]
+    columns = [*np.meshgrid(*axes, indexing="ij"), grid.power, log10_power(grid.power)]
+    # Python floats for one line of the last axis at a time, not the grid.
+    lines = zip(*(c.reshape(-1, grid.power.shape[-1]) for c in columns))
+    rows = (row for line in lines for row in zip(*(c.tolist() for c in line)))
+    write_csv(path, [*names, "power", "log10_power"], rows)

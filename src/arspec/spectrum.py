@@ -1,9 +1,10 @@
 """AR power spectral densities and the DFT pair.
 
 Frequencies are normalized (cycles/sample) on a uniform grid covering
-``[-0.5, 0.5)``. Spectra are reported in linear power; pole bins (where the
+``[-0.5, 0.5)``, where one FFT of the prediction filter evaluates 1D and 2D
+spectra alike. Spectra are reported in linear power; pole bins (where the
 prediction polynomial vanishes to machine precision) are flagged rather
-than clipped, and carry ``inf``.
+than clipped, and carry ``inf``; :func:`log10_power` maps them to ``inf``.
 
 DFT convention: the forward transform is unnormalized,
 ``X[j] = sum_k x[k] exp(-2 pi i j k / N)``, and the inverse carries the
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar1d import ArModel1D
+from .ar1d import ArModel1D, LatticeStage
 from .ar2d import QuarterPlaneFilter
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "dft",
     "idft",
     "frequency_grid",
+    "log10_power",
 ]
 
 #: |denominator| below this is flagged as a pole bin.
@@ -53,17 +55,24 @@ def frequency_grid(nfreq: int) -> np.ndarray:
     return (np.arange(nfreq) - nfreq // 2) / nfreq
 
 
-def ar_spectrum_1d(model: ArModel1D, nfreq: int = 1024) -> SpectrumGrid:
-    """AR power spectral density ``P / |1 + sum_l a_l e^{-2 pi i f l}|^2``."""
-    f = frequency_grid(nfreq)
-    a = np.asarray(model.coeffs, dtype=complex)
-    lags = np.arange(1, a.size + 1)
-    den = 1.0 + np.exp(-2j * np.pi * np.outer(f, lags)) @ a
-    mag = np.abs(den)
-    mask = mag < POLE_EPS
+def _ar_power(taps, noise_power: float, shape: tuple) -> SpectrumGrid:
+    """``noise_power / |C(f)|^2`` over the grid of each axis of ``shape``,
+    ``C`` the DTFT of the filter ``taps`` of any rank. Tap ``l`` is folded
+    onto bin ``l mod n`` of its axis, as sampling the DTFT at ``n`` points
+    aliases it, so taps past the grid size are exact too."""
+    freqs = [frequency_grid(n) for n in shape]
+    folded = np.zeros(shape, dtype=complex)
+    np.add.at(folded, np.ix_(*(np.arange(m) % n for m, n in zip(np.shape(taps), shape))), taps)
+    mag = np.abs(np.fft.fftshift(np.fft.fftn(folded)))
     with np.errstate(divide="ignore"):
-        power = model.error_power / mag**2
-    return SpectrumGrid(f, power, mask)
+        return SpectrumGrid(freqs[0], noise_power / mag**2, mag < POLE_EPS, *freqs[1:])
+
+
+def ar_spectrum_1d(model: ArModel1D | LatticeStage, nfreq: int = 1024) -> SpectrumGrid:
+    """AR power spectral density ``P / |1 + sum_l a_l e^{-2 pi i f l}|^2``
+    of a model or of a stage of its history (``coeffs``, ``error_power``)."""
+    taps = np.concatenate([[1.0], np.asarray(model.coeffs, dtype=complex)])
+    return _ar_power(taps, model.error_power, (nfreq,))
 
 
 def ar_spectrum_2d(
@@ -71,17 +80,15 @@ def ar_spectrum_2d(
 ) -> SpectrumGrid:
     """2D quarter-plane AR spectral density
     ``sigma^2 / |sum c(l1,l2) e^{-2 pi i (f1 l1 + f2 l2)}|^2``."""
-    f1 = frequency_grid(nf1)
-    f2 = frequency_grid(nf2)
-    c = filt.coeffs
-    e1 = np.exp(-2j * np.pi * np.outer(f1, np.arange(c.shape[0])))
-    e2 = np.exp(-2j * np.pi * np.outer(f2, np.arange(c.shape[1])))
-    den = e1 @ c @ e2.T
-    mag = np.abs(den)
-    mask = mag < POLE_EPS
-    with np.errstate(divide="ignore"):
-        power = filt.noise_power / mag**2
-    return SpectrumGrid(f1, power, mask, frequencies2=f2)
+    return _ar_power(filt.coeffs, filt.noise_power, (nf1, nf2))
+
+
+def log10_power(power) -> np.ndarray:
+    """``log10`` of spectrum power: ``-inf`` where the power is zero (or
+    negative), ``inf`` at pole bins."""
+    power = np.asarray(power, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(power <= 0.0, -np.inf, np.log10(power))
 
 
 def dft(x) -> np.ndarray:

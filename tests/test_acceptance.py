@@ -313,16 +313,19 @@ def test_c09_scalar_reduction_suite():
 
         lev = levinson(estimate_autocorr_1d(col, order), order)
         ww = wwra(estimate_block_autocorr_2d(grid, order, 0), order)
+        assert len(ww.history) == len(lev.history), "C09: truncated history"
         for st_w, st_l in zip(ww.history, lev.history):
             dev = max(dev, max_rel_diff(st_w.coeffs[:, 0, 0], st_l.coeffs))
 
         mod1 = burg_modified(col, order)
         mod2 = burg2d_modified(grid, order, 0)
+        assert len(mod2.history) - 1 == len(mod1.history), "C09: truncated history"
         for st_2, st_1 in zip(mod2.history[1:], mod1.history):
             dev = max(dev, max_rel_diff(st_2.coeffs[:, 0, 0], st_1.coeffs))
 
         cls1 = burg_classic(col, order)
         cls2 = burg2d_classic(grid, order, 0)
+        assert len(cls2.history) - 1 == len(cls1.history), "C09: truncated history"
         for st_2, st_1 in zip(cls2.history[1:], cls1.history):
             dev = max(dev, max_rel_diff(st_2.coeffs[:, 0, 0], st_1.coeffs))
 

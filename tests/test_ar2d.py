@@ -18,7 +18,7 @@ from arspec.autocorr import (
     estimate_autocorr_1d,
     estimate_block_autocorr_2d,
 )
-from arspec.errors import DegenerateSignalError, SingularityError
+from arspec.errors import DegenerateSignalError, NumericalError, SingularityError
 from arspec.linalg import exchange_conj, exchange_transpose, max_rel_diff, solve_hermitian_dense
 from arspec.siggen import Lcg32
 
@@ -373,3 +373,25 @@ class TestScalarReductions:
         cls2 = burg2d_classic(grid, order, 0)
         cls1 = burg_classic(col, order)
         assert max_rel_diff(cls2.coeffs[:, 0, 0], cls1.coeffs) <= 1e-12
+
+
+#: The six estimators, each on its own seeded record (1D) or grid (2D).
+_RECORD = Lcg32(3).complex_normal(20)
+_GRID = Lcg32(4).complex_normal(36).reshape(6, 6)
+SCALED_ESTIMATORS = {
+    "levinson": lambda s: levinson(estimate_autocorr_1d(s * _RECORD, 5), 5),
+    "burg_classic": lambda s: burg_classic(s * _RECORD, 5),
+    "burg_modified": lambda s: burg_modified(s * _RECORD, 5),
+    "wwra": lambda s: wwra(estimate_block_autocorr_2d(s * _GRID, 2, 1), 2),
+    "burg2d_classic": lambda s: burg2d_classic(s * _GRID, 2, 1),
+    "burg2d_modified": lambda s: burg2d_modified(s * _GRID, 2, 1),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e155])
+@pytest.mark.parametrize("method", SCALED_ESTIMATORS)
+def test_non_finite_estimate_raises(method, scale):
+    # Lags beyond the double range (underflow or overflow) make the result
+    # non-finite; the estimator raises instead of returning it.
+    with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
+        SCALED_ESTIMATORS[method](scale)

@@ -138,6 +138,18 @@ class TestEst1d:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: numerical:")
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e155])
+    def test_out_of_range_scale_is_numerical_error(self, tmp_path, capsys, scale):
+        sig = tmp_path / "sig.csv"
+        write_signal_csv(sig, scale * crandn(np.random.default_rng(70), 20))
+        out = tmp_path / "x.json"
+        rc = run("est1d", "--method", "levinson", "--order", "5", "--in", str(sig), "--out", str(out))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_method_rejected(self, tmp_path, sig_csv, capsys):
         rc = run("est1d", "--method", "yule", "--order", "3",
                  "--in", str(sig_csv), "--out", str(tmp_path / "x.json"))
@@ -412,6 +424,17 @@ class TestExperiments:
         assert verdict["pass"] is True
         assert verdict["equivalence_1d"]["max_rel_deviation"] <= 1e-9
         assert verdict["equivalence_2d"]["max_rel_deviation"] <= 1e-8
+
+    @pytest.mark.parametrize("trials", [["--trials", "-3"], ["--trials-2d", "0"]])
+    def test_equivalence_needs_trials(self, tmp_path, capsys, trials):
+        out = tmp_path / "eq.json"
+        rc = run("experiment", "equivalence", "--trials", "2", "--trials-2d", "1",
+                 *trials, "--seed", "1", "--out", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("corrupt", ["nan", "truncate"])
     def test_equivalence_fails_loudly(self, tmp_path, monkeypatch, corrupt):

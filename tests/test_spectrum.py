@@ -6,7 +6,29 @@ from arspec.ar1d import ArModel1D, levinson
 from arspec.ar2d import QuarterPlaneFilter, burg2d_modified, extract_quarter_plane_filter
 from arspec.linalg import max_rel_diff
 from arspec.siggen import Lcg32
-from arspec.spectrum import ar_spectrum_1d, ar_spectrum_2d, dft, frequency_grid, idft
+from arspec.spectrum import (
+    ar_spectrum_1d,
+    ar_spectrum_2d,
+    dft,
+    frequency_grid,
+    idft,
+    log10_power,
+)
+
+
+def direct_power(taps, noise_power, shape):
+    """``noise_power / |C|^2`` by a direct DTFT sum over the library grid.
+
+    Each phase is first reduced to the integer ``((j - n//2) l) mod n`` of
+    its axis, so the reference is exact for taps past the grid size.
+    """
+    taps = np.asarray(taps, dtype=complex)
+    den = np.zeros(shape, dtype=complex)
+    for j in np.ndindex(*shape):
+        for l in np.ndindex(*taps.shape):
+            turns = sum((jj - n // 2) * ll % n / n for jj, ll, n in zip(j, l, shape))
+            den[j] += taps[l] * np.exp(-2j * np.pi * turns)
+    return noise_power / np.abs(den) ** 2
 
 
 class TestFrequencyGrid:
@@ -53,11 +75,20 @@ class TestArSpectrum1D:
         assert np.argmax(g1.power) == np.argmax(g2.power)
 
     def test_pole_flagged_not_clipped(self):
-        model = ArModel1D(1, np.array([-1.0 + 0.0j]), 1.0, [])
-        grid = ar_spectrum_1d(model, 1024)
-        assert grid.pole_mask[512]
-        assert np.isinf(grid.power[512])
-        assert np.isfinite(grid.power[~grid.pole_mask]).all()
+        # zeros of 1 - z^-1 at f = 0 (bin 512) and of 1 + z^-1 at f = -0.5
+        # (bin 0); the FFT evaluates both exactly
+        for a, pole in ((-1.0, 512), (1.0, 0)):
+            model = ArModel1D(1, np.array([a + 0.0j]), 1.0, [])
+            grid = ar_spectrum_1d(model, 1024)
+            assert np.flatnonzero(grid.pole_mask).tolist() == [pole]
+            assert np.isinf(grid.power[pole])
+            assert np.isfinite(grid.power[~grid.pole_mask]).all()
+
+    def test_order_past_grid_matches_direct_sum(self):
+        coeffs = 0.2 * crandn(np.random.default_rng(64), 15)
+        grid = ar_spectrum_1d(ArModel1D(15, coeffs, 1.5, []), 8)
+        reference = direct_power(np.concatenate([[1.0], coeffs]), 1.5, (8,))
+        assert max_rel_diff(grid.power, reference) <= 1e-12
 
     def test_riemann_sum_approximates_total_power(self):
         # exact AR(1) lags with r_0 = 1: the spectrum integrates back to r_0
@@ -72,6 +103,13 @@ class TestArSpectrum2D:
         grid = ar_spectrum_2d(filt, 16, 8)
         assert grid.power.shape == (16, 8)
         assert np.allclose(grid.power, 1.0, rtol=0, atol=0)
+
+    def test_filter_larger_than_grid_matches_direct_sum(self):
+        coeffs = 0.2 * crandn(np.random.default_rng(65), 5, 4)
+        coeffs[0] = [1.0, 0.0, 0.0, 0.0]
+        grid = ar_spectrum_2d(QuarterPlaneFilter(coeffs, 0.7), 4, 3)
+        assert grid.power.shape == (4, 3)
+        assert max_rel_diff(grid.power, direct_power(coeffs, 0.7, (4, 3))) <= 1e-12
 
     def test_separable_filter_outer_product(self):
         a = np.array([1.0, -0.4 + 0.2j])
@@ -112,6 +150,13 @@ class TestArSpectrum2D:
         ei, ej = np.unravel_index(np.argmax(grid.power), grid.power.shape)
         assert abs(ei - ti) <= 1
         assert abs(ej - tj) <= 1
+
+
+def test_log10_power_policy():
+    power = np.array([0.0, -1.0, np.inf, 1e-300, 2.5, 100.0])
+    logs = log10_power(power)
+    assert logs[:3].tolist() == [-np.inf, -np.inf, np.inf]
+    assert max_rel_diff(logs[3:], [-300.0, np.log10(2.5), 2.0]) <= 1e-15
 
 
 class TestDft:
