@@ -21,9 +21,17 @@ w(k)``:
 
 All three populate a per-order history so a single run at order ``n``
 yields the models of every intermediate order.
+
+The recursions run batch-first: their kernels take a ``(B, N)`` stack of
+equal-length records (``(B, L)`` lag sequences for Levinson), reduce along
+the last axis with ``np.vecdot`` and return a :class:`LatticeBatch` of
+stacked stages. Each record stops on its own at the unit circle; from then
+on its reflection is 0, its denominators are masked and it gets no more
+stages, and the degenerate, singular and non-finite checks look at the
+records still running. The public functions run a batch of one and wrap
+its stages as :class:`LatticeStage` views.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +59,12 @@ UNIT_CIRCLE_TOL = 1e-14
 #: Levinson denominator floor, relative to r_0.
 POWER_FLOOR_SCALE = 1e-14
 
+#: The kernels make the unit-circle and floor tests only after a stage where
+#: a record's power fell to this fraction of its ``P_0`` or below: a
+#: reflection on the unit circle leaves at most about ``2e-14`` of the power,
+#: the floor is ``1e-14`` of it, and a negative power counts too.
+SUSPECT_SCALE = 4e-14
+
 
 @dataclass
 class ErrorSignals1D:
@@ -70,7 +84,8 @@ class ErrorSignals1D:
 
 @dataclass
 class LatticeStage:
-    """Snapshot after completing one recursion order."""
+    """One completed recursion order; ``coeffs`` and ``errors`` are views
+    into the :class:`LatticeBatch` that computed them."""
 
     order: int
     coeffs: np.ndarray
@@ -97,12 +112,149 @@ class ArModel1D:
     early_stop: bool = False
 
 
-def _extend(coeffs: np.ndarray, m: int, reflection: complex) -> None:
-    """Order-update ``a_l <- a_l + k conj(a_{m-l})`` of ``coeffs[:m-1]`` in
-    place, then set ``a_m = k``."""
-    prev = coeffs[: m - 1]
-    prev += reflection * prev[::-1].conj()
-    coeffs[m - 1] = reflection
+@dataclass
+class LatticeBatch:
+    """The stages of one 1D recursion run over a batch of ``B`` records.
+
+    Row ``b`` of ``coeffs`` packs the coefficients of every stage of record
+    ``b``, stage after stage: stage ``m`` holds its ``m`` coefficients from
+    offset ``m (m - 1) / 2`` on (``starts``), and its reflection coefficient
+    is the last of them. ``powers[b, m]`` is the error power after stage
+    ``m`` (``powers[b, 0]`` is ``P_0``). ``stages[b]`` counts the stages
+    record ``b`` completed; entries past it belong to no stage. A lattice
+    run with ``keep_errors`` appends one :class:`ErrorSignals1D` per stage
+    to ``errors``, its arrays stacked over the batch (``forward[b, i]``).
+    """
+
+    coeffs: np.ndarray
+    powers: np.ndarray
+    stages: np.ndarray
+    errors: list[ErrorSignals1D] | None = None
+
+    @classmethod
+    def start(cls, power: np.ndarray, order: int, keep_errors: bool = False) -> "LatticeBatch":
+        """An empty batch whose records start from the powers ``P_0``."""
+        powers = np.zeros((power.size, order + 1))
+        powers[:, 0] = power
+        return cls(
+            np.zeros((power.size, order * (order + 1) // 2), dtype=complex),
+            powers,
+            np.full(power.size, order),
+            [] if keep_errors else None,
+        )
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Offset of each stage's coefficients in a row of ``coeffs``."""
+        m = np.arange(self.powers.shape[1] - 1)
+        return m * (m + 1) // 2
+
+    @property
+    def reflections(self) -> np.ndarray:
+        """``(B, order)``: the reflection coefficient of every stage."""
+        return self.coeffs[:, self.starts + np.arange(self.powers.shape[1] - 1)]
+
+    def model(self, b: int) -> ArModel1D:
+        """Record ``b`` as a model whose stages are views into the batch."""
+        m = int(self.stages[b])
+        row = self.coeffs[b]
+        coeffs = [row[j * (j + 1) // 2 : (j + 1) * (j + 2) // 2] for j in range(m)]
+        reflections = row[[j * (j + 3) // 2 for j in range(m)]].tolist()
+        powers = self.powers[b, 1 : m + 1].tolist()
+        errors = [None] * m
+        if self.errors is not None:
+            errors = [
+                ErrorSignals1D(e.forward[b], e.backward[b], e.k_min, e.k_max)
+                for e in self.errors[:m]
+            ]
+        history = list(map(LatticeStage, range(1, m + 1), coeffs, powers, reflections, errors))
+        return ArModel1D(m, coeffs[-1], powers[-1], history, m < self.powers.shape[1] - 1)
+
+
+def _record(x, order: int) -> np.ndarray:
+    """One validated record as a batch of one, with ``order`` in ``[1, N-1]``."""
+    x = as_signal_1d(x)
+    if not 1 <= order <= x.size - 1:
+        raise ValueError(f"order must be in [1, {x.size - 1}], got {order}")
+    return x[None]
+
+
+def _stage(batch: LatticeBatch, m: int, num, den, conj: np.ndarray, live) -> tuple:
+    """Record stage ``m`` of every record, whose reflection is ``num / den``.
+
+    ``conj`` holds the conjugated stage ``m - 1`` coefficients. ``live``
+    masks the records still running, or is ``None`` while all are, so a
+    batch of one never builds it. A stopped record gets ``k = 0``, which
+    leaves its coefficients and power unchanged. Returns the reflections
+    as a ``(B, 1)`` column and the conjugated stage ``m`` coefficients.
+    """
+    lo = m * (m - 1) // 2
+    row = batch.coeffs[:, lo : lo + m]
+    kcol = row[:, m - 1 :]
+    np.divide(num, den, out=kcol[:, 0])
+    if live is not None:
+        kcol[~live] = 0.0
+    np.add(batch.coeffs[:, lo - m + 1 : lo], kcol * conj[:, ::-1], out=row[:, :-1])
+    # |k|^2 by vecdot, which rounds as the product of complex scalars
+    # k * conj(k) does; numpy's SIMD product of complex arrays may not.
+    powers = batch.powers.T
+    np.multiply(powers[m - 1], 1.0 - np.vecdot(kcol, kcol).real, out=powers[m])
+    return kcol, row.conj()
+
+
+def _stops(batch: LatticeBatch, m: int, k: np.ndarray, live):
+    """Stop every record whose stage-``m`` reflection reached the unit
+    circle; returns the live mask, ``None`` while every record runs."""
+    # np.hypot rounds as abs() of a complex scalar does; np.abs need not.
+    hit = np.hypot(k.real, k.imag) >= 1.0 - UNIT_CIRCLE_TOL
+    if np.count_nonzero(hit):
+        batch.stages[hit] = m
+        live = ~hit if live is None else live & ~hit
+    return live
+
+
+def _finish(batch: LatticeBatch) -> LatticeBatch:
+    """Raise :class:`NumericalError` for a record whose final error power
+    is not finite (a non-finite k makes it so)."""
+    final = batch.powers[np.arange(len(batch.stages)), batch.stages]
+    bad = ~np.isfinite(final)
+    if np.count_nonzero(bad):
+        b = int(np.argmax(bad))
+        raise NumericalError(
+            f"non-finite prediction-error power {final[b]} at order {batch.stages[b]}"
+        )
+    return batch
+
+
+def _levinson(r: np.ndarray, order: int) -> LatticeBatch:
+    """The Levinson recursion over a ``(B, L)`` stack of lag sequences,
+    ``L > order``; see :func:`levinson`."""
+    r0 = r[:, 0].real
+    if np.count_nonzero(r0 <= 0.0):
+        raise DegenerateSignalError(f"r_0 must be positive, got {r0[np.argmax(r0 <= 0.0)]}")
+    batch = LatticeBatch.start(r0, order)
+    powers = batch.powers.T
+    suspect = SUSPECT_SCALE * r0
+    lags = r.T
+    conj = batch.coeffs[:, :0]
+    live = None
+    for m in range(1, order + 1):
+        power = powers[m - 1] if live is None else np.where(live, powers[m - 1], 1.0)
+        delta = lags[m] + np.vecdot(conj, r[:, m - 1 : 0 : -1])
+        kcol, conj = _stage(batch, m, -delta, power, conj, live)
+        if m < order and np.count_nonzero(powers[m] <= suspect):
+            live = _stops(batch, m, kcol[:, 0], live)
+            vanished = powers[m] <= POWER_FLOOR_SCALE * r0
+            if live is not None:
+                vanished &= live
+            if np.count_nonzero(vanished):
+                raise SingularityError(
+                    f"prediction-error power {powers[m, np.argmax(vanished)]:.3e} "
+                    f"vanished at order {m + 1}"
+                )
+            if live is not None and not np.count_nonzero(live):
+                break
+    return _finish(batch)
 
 
 def levinson(r, order: int) -> ArModel1D:
@@ -134,80 +286,68 @@ def levinson(r, order: int) -> ArModel1D:
         raise ValueError(f"order must be >= 1, got {order}")
     if r.ndim != 1 or r.size < order + 1:
         raise ValueError(f"need lags r_0..r_{order}, got {r.size} lags")
-    r0 = r[0].real
-    if r0 <= 0.0:
-        raise DegenerateSignalError(f"r_0 must be positive, got {r0}")
-
-    coeffs = np.zeros(order, dtype=complex)
-    power = r0
-    history: list[LatticeStage] = []
-    early = False
-    for m in range(1, order + 1):
-        if power <= POWER_FLOOR_SCALE * r0:
-            raise SingularityError(
-                f"prediction-error power {power:.3e} vanished at order {m}"
-            )
-        delta = r[m] + (r[m - 1 : 0 : -1] @ coeffs[: m - 1] if m > 1 else 0.0)
-        k = -delta / power
-        _extend(coeffs, m, k)
-        power = power * (1.0 - (k * k.conjugate()).real)
-        history.append(LatticeStage(m, coeffs[:m].copy(), power, complex(k)))
-        if abs(k) >= 1.0 - UNIT_CIRCLE_TOL and m < order:
-            early = True
-            break
-    if not math.isfinite(power):
-        raise NumericalError(f"non-finite prediction-error power {power} at order {m}")
-    return ArModel1D(m, coeffs[:m], power, history, early)
+    return _levinson(r[None, : order + 1], order).model(0)
 
 
-def _burg_lattice(x, order: int, padded: bool, keep_errors: bool) -> ArModel1D:
-    """The Burg lattice of both 1D estimators, over either support.
+def _burg_lattice(
+    x: np.ndarray, order: int, padded: bool, keep_errors: bool = False
+) -> LatticeBatch:
+    """The Burg lattice of both 1D estimators over a ``(B, N)`` stack of
+    records, over either support.
 
     The errors live in one buffer per direction indexed by time plus one,
     so slot 0 is ``e_b(-1) = 0`` and stays zero. Stage ``m`` pairs the
     forward errors on its window, ``[m, N-1]`` when shrinking and
     ``[0, N+m-1]`` when ``padded``, with the backward errors on the same
     window delayed by one sample, and updates both in place on the forward
-    window, which is the support of the order-``m`` errors.
+    window, which is the support of the order-``m`` errors. The update
+    products go through two work buffers allocated once per call.
     """
-    x = as_signal_1d(x)
-    n = x.size
-    if not 1 <= order <= n - 1:
-        raise ValueError(f"order must be in [1, {n - 1}], got {order}")
-    power = np.vdot(x, x).real
-    if power == 0.0:
+    n_rec, n = x.shape
+    power = np.vecdot(x, x).real
+    if np.count_nonzero(power) < n_rec:
         raise DegenerateSignalError("signal has zero energy")
+    # Each stage's half-sum denominator is at most 2 P_0, so this one check
+    # keeps every denominator finite (an infinite one would give k = 0).
+    overflow = ~(power <= 0.5 * np.finfo(float).max)
+    if np.count_nonzero(overflow):
+        raise NumericalError(
+            f"signal energy {power[np.argmax(overflow)]:.3e} overflows the lattice sums"
+        )
 
-    ef = np.zeros(n + 1 + (order if padded else 0), dtype=complex)
-    ef[1 : n + 1] = x
+    span = n + order if padded else n
+    ef = np.zeros((n_rec, span + 1), dtype=complex)
+    ef[:, 1 : n + 1] = x
     eb = ef.copy()
-    coeffs = np.zeros(order, dtype=complex)
-    history: list[LatticeStage] = []
-    early = False
+    work_f = np.empty((n_rec, span), dtype=complex)
+    work_b = np.empty_like(work_f)
+    batch = LatticeBatch.start(power, order, keep_errors)
+    powers = batch.powers.T
+    suspect = SUSPECT_SCALE * power
+    conj = batch.coeffs[:, :0]
+    live = None
     for m in range(1, order + 1):
         lo, hi = (1, n + m + 1) if padded else (m + 1, n + 1)
-        f = ef[lo:hi]
-        b = eb[lo - 1 : hi - 1]
-        denom = 0.5 * (np.vdot(f, f).real + np.vdot(b, b).real)
-        if denom == 0.0:
+        f = ef[:, lo:hi]
+        b = eb[:, lo - 1 : hi - 1]
+        denom = 0.5 * (np.vecdot(f, f).real + np.vecdot(b, b).real)
+        if live is not None:
+            denom[~live] = 1.0
+        if np.count_nonzero(denom) < n_rec:
             raise DegenerateSignalError(f"zero error energy at order {m}")
-        k = -np.vdot(b, f) / denom
-        _extend(coeffs, m, k)
-        # The backward update reads the old forward errors: write f last.
-        new_f = f + k * b
-        eb[lo:hi] = b + k.conjugate() * f
-        f[:] = new_f
-        power = power * (1.0 - (k * k.conjugate()).real)
-        errors = None
+        kcol, conj = _stage(batch, m, -np.vecdot(b, f), denom, conj, live)
+        # The backward update reads the old forward errors: update f last.
+        new_b = np.multiply(kcol.conj(), f, out=work_b[:, : hi - lo])
+        new_b += b
+        f += np.multiply(kcol, b, out=work_f[:, : hi - lo])
+        eb[:, lo:hi] = new_b
         if keep_errors:
-            errors = ErrorSignals1D(f.copy(), eb[lo:hi].copy(), lo - 1, hi - 2)
-        history.append(LatticeStage(m, coeffs[:m].copy(), power, complex(k), errors))
-        if abs(k) >= 1.0 - UNIT_CIRCLE_TOL and m < order:
-            early = True
-            break
-    if not math.isfinite(power):
-        raise NumericalError(f"non-finite prediction-error power {power} at order {m}")
-    return ArModel1D(m, coeffs[:m], power, history, early)
+            batch.errors.append(ErrorSignals1D(f.copy(), new_b.copy(), lo - 1, hi - 2))
+        if m < order and np.count_nonzero(powers[m] <= suspect):
+            live = _stops(batch, m, kcol[:, 0], live)
+            if live is not None and not np.count_nonzero(live):
+                break
+    return _finish(batch)
 
 
 def burg_classic(x, order: int, keep_errors: bool = False) -> ArModel1D:
@@ -223,7 +363,7 @@ def burg_classic(x, order: int, keep_errors: bool = False) -> ArModel1D:
     same window, losing one sample per order. ``error_power`` follows the
     ``P_m = P_{m-1} (1 - |k_m|^2)`` recursion from ``P_0 = sum |x|^2``.
     """
-    return _burg_lattice(x, order, padded=False, keep_errors=keep_errors)
+    return _burg_lattice(_record(x, order), order, False, keep_errors).model(0)
 
 
 def burg_modified(x, order: int, keep_errors: bool = False) -> ArModel1D:
@@ -245,7 +385,7 @@ def burg_modified(x, order: int, keep_errors: bool = False) -> ArModel1D:
     order), order)`` up to rounding: the extended sums turn the lattice
     moments into biased lag sums with no boundary truncation.
     """
-    return _burg_lattice(x, order, padded=True, keep_errors=keep_errors)
+    return _burg_lattice(_record(x, order), order, True, keep_errors).model(0)
 
 
 def prediction_residual(x, coeffs) -> np.ndarray:

@@ -51,13 +51,19 @@ def estimate_autocorr_1d(x, max_lag: int) -> np.ndarray:
     by ``r_{-t} = conj(r_t)``. ``r_0`` is real and nonnegative.
     """
     x = as_signal_1d(x)
-    n = x.size
-    if not 0 <= max_lag <= n - 1:
-        raise ValueError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
-    r = np.empty(max_lag + 1, dtype=complex)
+    if not 0 <= max_lag <= x.size - 1:
+        raise ValueError(f"max_lag must be in [0, {x.size - 1}], got {max_lag}")
+    return _biased_lags(x[None], max_lag)[0]
+
+
+def _biased_lags(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Lags ``r_0 .. r_max_lag`` of each row of a ``(B, N)`` stack of
+    records, shape ``(B, max_lag+1)``."""
+    n = x.shape[1]
+    r = np.empty((len(x), max_lag + 1), dtype=complex)
     for t in range(max_lag + 1):
-        r[t] = np.vdot(x[: n - t], x[t:])
-    r[0] = r[0].real
+        np.vecdot(x[:, : n - t], x[:, t:], out=r[:, t])
+    r[:, 0] = r[:, 0].real
     return r
 
 

@@ -43,9 +43,17 @@ from itertools import zip_longest
 import numpy as np
 
 from . import __version__
-from .ar1d import ArModel1D, burg_classic, burg_modified, levinson, residual_mse
+from .ar1d import (
+    ArModel1D,
+    _burg_lattice,
+    _levinson,
+    burg_classic,
+    burg_modified,
+    levinson,
+    residual_mse,
+)
 from .ar2d import ArModel2D, burg2d_classic, burg2d_modified, extract_quarter_plane_filter, wwra
-from .autocorr import estimate_autocorr_1d, estimate_block_autocorr_2d
+from .autocorr import _biased_lags, estimate_autocorr_1d, estimate_block_autocorr_2d
 from .errors import NumericalError
 from .io import (
     filter_to_dict,
@@ -59,7 +67,6 @@ from .io import (
     write_signal_csv,
     write_spectrum_csv,
 )
-from .linalg import max_rel_diff
 from .siggen import Lcg32, SynthConfig, gen_noisy_sinusoid, phase_sweep
 from .spectrum import ar_spectrum_1d, ar_spectrum_2d, frequency_grid, log10_power
 
@@ -77,6 +84,11 @@ _METHODS_2D = {
     "burg2d": lambda x, n1, n2: burg2d_classic(x, n1, n2),
     "burg2d-mod": lambda x, n1, n2: burg2d_modified(x, n1, n2),
 }
+
+#: The 1D equivalence suite estimates the records of one length in batches
+#: of at most this many stage coefficients (512 KiB), so its memory stays
+#: flat in ``--trials``.
+_BATCH_COEFFS = 2**15
 
 #: Parsed-argument attributes that are plumbing, not run parameters.
 _NOT_PARAMETERS = ("func", "command", "experiment", "manifest", "effective_argv")
@@ -210,29 +222,61 @@ def _cmd_mse_vs_order(args):
     return 0, [args.out], _early_stops(args, {m: len(col) for m, col in table.items()})
 
 
-def _history_deviation(reference: list, estimate: list) -> float:
-    """Largest stage-by-stage coefficient deviation; ``inf`` when the two
-    histories differ in length, so a truncated route cannot pass."""
-    if len(reference) != len(estimate):
+def _stage_deviation(ref, ref_stages, est, est_stages, starts) -> float:
+    """Largest stage-by-stage coefficient deviation between two batches of
+    stages: ``(B, T)`` arrays whose row ``b`` packs the coefficients of the
+    ``*_stages[b]`` stages of record ``b``, stage ``j`` from offset
+    ``starts[j]`` on.
+
+    A stage's deviation is relative to the larger magnitude peak of its two
+    sides (0.0 when both are zero) and ``inf`` when an entry is not finite;
+    the result is ``inf`` when a record's two stage counts differ, so a
+    truncated route cannot pass.
+    """
+    if not np.array_equal(ref_stages, est_stages):
         return math.inf
-    return max(
-        (max_rel_diff(a.coeffs, b.coeffs) for a, b in zip(reference, estimate)), default=0.0
-    )
+    with np.errstate(all="ignore"):
+        # maximum propagates NaN, and |z| is infinite when a part of z is.
+        peak = np.maximum.reduceat(np.maximum(np.abs(ref), np.abs(est)), starts, axis=1)
+        gap = np.maximum.reduceat(np.abs(ref - est), starts, axis=1)
+    dev = np.where(np.isfinite(peak), gap / np.where(peak > 0.0, peak, 1.0), math.inf)
+    done = np.arange(len(starts)) < np.asarray(ref_stages)[:, None]
+    return float(dev[done].max(initial=0.0))
+
+
+def _packed(history: list) -> tuple:
+    """One model's history as a batch of one for :func:`_stage_deviation`:
+    the packed coefficients, the stage count and the stage offsets."""
+    starts = np.cumsum([0, *(st.coeffs.size for st in history)])
+    coeffs = np.zeros((1, starts[-1]), dtype=complex)
+    for st, lo in zip(history, starts):
+        coeffs[0, lo : lo + st.coeffs.size] = st.coeffs.ravel()
+    return coeffs, [len(history)], starts[:-1]
 
 
 def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
-    """Lattice-vs-recursion deviation suites over seeded random inputs."""
+    """Lattice-vs-recursion deviation suites over seeded random inputs.
+
+    The 1D suite estimates the records of each length (8, 20, 64) in
+    batches; trial ``i`` draws its record from substream ``1000 + i``.
+    """
     if trials_1d < 1 or trials_2d < 1:
         raise ValueError(f"--trials and --trials-2d must be >= 1, got {trials_1d} and {trials_2d}")
     sizes = (8, 20, 64)
     dev1 = 0.0
-    for i in range(trials_1d):
-        n = sizes[i % len(sizes)]
-        x = Lcg32(seed, substream=1000 + i).complex_normal(n)
+    for first, n in enumerate(sizes[:trials_1d]):
         max_order = n - 5
-        lev = levinson(estimate_autocorr_1d(x, max_order), max_order)
-        mod = burg_modified(x, max_order)
-        dev1 = max(dev1, _history_deviation(lev.history, mod.history))
+        trials = range(first, trials_1d, len(sizes))
+        per_batch = max(1, _BATCH_COEFFS // (max_order * (max_order + 1) // 2))
+        for lo in range(0, len(trials), per_batch):
+            x = np.stack(
+                [Lcg32(seed, substream=1000 + i).complex_normal(n) for i in trials[lo : lo + per_batch]]
+            )
+            lev = _levinson(_biased_lags(x, max_order), max_order)
+            mod = _burg_lattice(x, max_order, padded=True)
+            dev1 = max(
+                dev1, _stage_deviation(lev.coeffs, lev.stages, mod.coeffs, mod.stages, lev.starts)
+            )
 
     grid_sizes = (5, 8)
     dev2 = 0.0
@@ -249,7 +293,9 @@ def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
             order,
             sample_terms=n1_len + order,
         )
-        dev2 = max(dev2, _history_deviation(ww.history, mod.history[1:]))
+        ref, ref_stages, starts = _packed(ww.history)
+        est, est_stages, _ = _packed(mod.history[1:])
+        dev2 = max(dev2, _stage_deviation(ref, ref_stages, est, est_stages, starts))
 
     tol1, tol2 = 1e-9, 1e-8
     # A non-finite deviation is written as null: strict JSON has no Infinity.

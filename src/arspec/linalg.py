@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import NumericalError, SingularityError
 
 __all__ = [
     "exchange_conj",
@@ -100,7 +100,8 @@ def solve_hermitian_dense(a, b, side: str = "left") -> np.ndarray:
     itself is a general partially pivoted LU, which keeps near-singular
     sample correlation matrices from silently producing garbage). A pivot
     smaller than ``PIVOT_FLOOR_SCALE`` times the largest |diagonal| entry
-    of ``a`` raises :class:`SingularityError`.
+    of ``a`` raises :class:`SingularityError`; a non-finite entry of ``a``
+    raises :class:`NumericalError`.
     """
     a = _square(a, "coefficient matrix")
     b = np.asarray(b, dtype=complex)
@@ -110,6 +111,8 @@ def solve_hermitian_dense(a, b, side: str = "left") -> np.ndarray:
         return solve_hermitian_dense(a.T, b.T, side="left").T
     if side != "left":
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if not np.isfinite(a).all():
+        raise NumericalError(f"coefficient matrix {a.shape} holds a non-finite entry")
 
     vector_rhs = b.ndim == 1
     if vector_rhs:

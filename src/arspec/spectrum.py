@@ -29,8 +29,12 @@ __all__ = [
     "log10_power",
 ]
 
-#: |denominator| below this is flagged as a pole bin.
-POLE_EPS = 1e-300
+#: A bin is a pole when ``|C|`` is at most ``POLE_RTOL * log2(bins) *
+#: sum |taps|``: the FFT reaches every bin through ``log2(bins)`` passes of
+#: butterflies, each adding a rounding error of a few ``eps`` of a partial
+#: sum no larger than ``sum |taps|``, so a smaller ``|C|`` cannot be told
+#: from a zero of the filter.
+POLE_RTOL = 4 * np.finfo(float).eps
 
 
 @dataclass
@@ -64,8 +68,11 @@ def _ar_power(taps, noise_power: float, shape: tuple) -> SpectrumGrid:
     folded = np.zeros(shape, dtype=complex)
     np.add.at(folded, np.ix_(*(np.arange(m) % n for m, n in zip(np.shape(taps), shape))), taps)
     mag = np.abs(np.fft.fftshift(np.fft.fftn(folded)))
-    with np.errstate(divide="ignore"):
-        return SpectrumGrid(freqs[0], noise_power / mag**2, mag < POLE_EPS, *freqs[1:])
+    poles = mag <= POLE_RTOL * np.log2(folded.size) * np.abs(taps).sum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = noise_power / mag**2
+    power[poles] = np.inf
+    return SpectrumGrid(freqs[0], power, poles, *freqs[1:])
 
 
 def ar_spectrum_1d(model: ArModel1D | LatticeStage, nfreq: int = 1024) -> SpectrumGrid:

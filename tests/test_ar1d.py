@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import crandn
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arspec.ar1d import (
     ArModel1D,
+    _burg_lattice,
+    _levinson,
     backward_prediction_residual,
     burg_classic,
     burg_modified,
@@ -11,9 +17,10 @@ from arspec.ar1d import (
     prediction_residual,
     residual_mse,
 )
-from arspec.autocorr import estimate_autocorr_1d, toeplitz_matrix
+from arspec.autocorr import _biased_lags, estimate_autocorr_1d, toeplitz_matrix
 from arspec.errors import DegenerateSignalError, SingularityError
 from arspec.linalg import max_rel_diff, solve_hermitian_dense
+from arspec.siggen import SynthConfig, gen_noisy_sinusoid
 
 
 def forward_error_def(x, coeffs, k):
@@ -301,3 +308,83 @@ class TestResidualMse:
     def test_invalid_support(self):
         with pytest.raises(ValueError):
             residual_mse(np.ones(3), ArModel1D(0, np.zeros(0, complex), 1.0, []), "both")
+
+
+def assert_same_model(batched: ArModel1D, single: ArModel1D):
+    """Equal stage counts; coefficients, powers and reflections within
+    1e-15 relative, stage by stage."""
+    assert batched.order == single.order
+    assert batched.early_stop == single.early_stop
+    assert len(batched.history) == len(single.history)
+    for b, s in zip(batched.history, single.history):
+        assert b.order == s.order
+        assert max_rel_diff(b.coeffs, s.coeffs) <= 1e-15
+        assert abs(b.error_power - s.error_power) <= 1e-15 * abs(s.error_power)
+        assert abs(b.reflection - s.reflection) <= 1e-15 * abs(s.reflection)
+
+
+class TestBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_rec=st.integers(1, 5),
+        n=st.integers(2, 40),
+        order=st.integers(1, 39),
+        padded=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        sine=st.integers(-1, 4),
+    )
+    # A noiseless N=20 sinusoid among random records: the classic lattice
+    # stops it at order 1, at the unit circle, and runs on with the others.
+    @example(n_rec=4, n=20, order=15, padded=False, seed=5, sine=1)
+    def test_each_record_matches_its_single_call(self, n_rec, n, order, padded, seed, sine):
+        order = min(order, n - 1)
+        x = crandn(np.random.default_rng(seed), n_rec, n)
+        if sine >= 0:
+            x[sine % n_rec] = gen_noisy_sinusoid(SynthConfig(n, 0.25, 0.0, None, 1))
+        single = burg_modified if padded else burg_classic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = _burg_lattice(x, order, padded)
+            for b in range(n_rec):
+                assert_same_model(batch.model(b), single(x[b], order))
+            lags = _biased_lags(x, order)
+            for b in range(n_rec):
+                assert np.array_equal(lags[b], estimate_autocorr_1d(x[b], order))
+            try:
+                singles = [levinson(lags[b], order) for b in range(n_rec)]
+            except SingularityError:
+                with pytest.raises(SingularityError):
+                    _levinson(lags, order)
+                return
+            recursion = _levinson(lags, order)
+            for b in range(n_rec):
+                assert_same_model(recursion.model(b), singles[b])
+
+    def test_sinusoid_stops_alone(self):
+        x = crandn(np.random.default_rng(90), 3, 20)
+        x[1] = gen_noisy_sinusoid(SynthConfig(20, 0.25, 0.0, None, 1))
+        batch = _burg_lattice(x, 6, padded=False)
+        assert batch.stages.tolist() == [6, 1, 6]
+        assert abs(batch.reflections[1, 0]) >= 1.0 - 1e-14
+        assert not batch.reflections[1, 1:].any()
+
+    def test_levinson_stop_is_per_record(self):
+        # all-ones lags (a constant signal) stop at order 1 with a vanishing
+        # power, which must not count against the record beside them
+        lags = np.ones((2, 7), dtype=complex)
+        lags[1] = estimate_autocorr_1d(crandn(np.random.default_rng(92), 12), 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = _levinson(lags, 6)
+        assert batch.stages.tolist() == [1, 6]
+        assert_same_model(batch.model(0), levinson(lags[0], 6))
+        assert_same_model(batch.model(1), levinson(lags[1], 6))
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_zero_record_in_a_batch_is_degenerate(self, padded):
+        x = crandn(np.random.default_rng(91), 3, 12)
+        x[2] = 0.0
+        with pytest.raises(DegenerateSignalError):
+            _burg_lattice(x, 4, padded)
+        with pytest.raises(DegenerateSignalError):
+            _levinson(_biased_lags(x, 4), 4)

@@ -6,8 +6,9 @@ import pytest
 from conftest import crandn
 
 import arspec.cli
-from arspec.ar1d import burg_classic
+from arspec.ar1d import burg_classic, burg_modified, levinson
 from arspec.ar2d import burg2d_modified, extract_quarter_plane_filter
+from arspec.autocorr import estimate_autocorr_1d
 from arspec.cli import main
 from arspec.io import (
     filter_to_dict,
@@ -22,6 +23,8 @@ from arspec.io import (
     write_signal_2d_csv,
     write_signal_csv,
 )
+from arspec.linalg import max_rel_diff
+from arspec.siggen import Lcg32
 
 
 #: Values whose decimal text is easy to get wrong: a signed zero, the
@@ -150,6 +153,35 @@ class TestEst1d:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["burg", "burg-mod"])
+    def test_lattice_sums_past_the_double_range_are_numerical_errors(
+        self, tmp_path, capsys, method
+    ):
+        # P_0 = 1.5e308 is finite, but a half-sum denominator can reach
+        # 2 P_0, which is not: the lattice must raise, not return k = 0.
+        sig = tmp_path / "sig.csv"
+        write_signal_csv(sig, 1.4e153 * Lcg32(1, substream=7).complex_normal(64))
+        out = tmp_path / "x.json"
+        rc = run("est1d", "--method", method, "--order", "20", "--in", str(sig), "--out", str(out))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_levinson_stays_exact_near_the_double_range(self, tmp_path):
+        x = Lcg32(1, substream=7).complex_normal(64)
+        coeffs = []
+        for scale in (1.0, 1.4e153):
+            sig = tmp_path / f"sig{scale}.csv"
+            write_signal_csv(sig, scale * x)
+            out = tmp_path / f"m{scale}.json"
+            rc = run("est1d", "--method", "levinson", "--order", "20",
+                     "--in", str(sig), "--out", str(out))
+            assert rc == 0
+            coeffs.append(model1d_from_dict(read_json(out)).coeffs)
+        assert max_rel_diff(coeffs[1], coeffs[0]) <= 1e-14
+
     def test_unknown_method_rejected(self, tmp_path, sig_csv, capsys):
         rc = run("est1d", "--method", "yule", "--order", "3",
                  "--in", str(sig_csv), "--out", str(tmp_path / "x.json"))
@@ -209,6 +241,19 @@ class TestEst2d:
         assert filt["kind"] == "quarter_plane_filter"
         assert filt["coefficients"][0][0] == [1.0, 0.0]
         assert filt["noise_power"] > 0
+
+    def test_non_finite_moments_name_the_matrix(self, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        write_signal_2d_csv(grid, 1e155 * Lcg32(4).complex_normal(36).reshape(6, 6))
+        out = tmp_path / "model.json"
+        rc = run("est2d", "--method", "burg2d-mod", "--n1", "2", "--n2", "1",
+                 "--in", str(grid), "--out", str(out))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical: coefficient matrix")
+        assert "non-finite entry" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_wwra_and_modified_agree_end_to_end(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -425,6 +470,21 @@ class TestExperiments:
         assert verdict["equivalence_1d"]["max_rel_deviation"] <= 1e-9
         assert verdict["equivalence_2d"]["max_rel_deviation"] <= 1e-8
 
+    def test_batched_verdict_matches_a_serial_loop(self):
+        # 200 trials: the 64-sample records run in several batches.
+        report = arspec.cli.equivalence_report(200, 1, seed=3)
+        dev = 0.0
+        for i in range(200):
+            n = (8, 20, 64)[i % 3]
+            x = Lcg32(3, substream=1000 + i).complex_normal(n)
+            lev = levinson(estimate_autocorr_1d(x, n - 5), n - 5)
+            mod = burg_modified(x, n - 5)
+            assert len(lev.history) == len(mod.history)
+            for a, b in zip(lev.history, mod.history):
+                dev = max(dev, max_rel_diff(a.coeffs, b.coeffs))
+        assert report["equivalence_1d"]["pass"] is True
+        assert abs(report["equivalence_1d"]["max_rel_deviation"] - dev) <= 1e-14
+
     @pytest.mark.parametrize("trials", [["--trials", "-3"], ["--trials-2d", "0"]])
     def test_equivalence_needs_trials(self, tmp_path, capsys, trials):
         out = tmp_path / "eq.json"
@@ -438,20 +498,20 @@ class TestExperiments:
 
     @pytest.mark.parametrize("corrupt", ["nan", "truncate"])
     def test_equivalence_fails_loudly(self, tmp_path, monkeypatch, corrupt):
-        real = arspec.cli.burg_modified
+        real = arspec.cli._burg_lattice
 
-        def broken(x, order):
-            model = real(x, order)
+        def broken(x, order, padded, keep_errors=False):
+            batch = real(x, order, padded, keep_errors)
             if corrupt == "nan":
-                model.history[0].coeffs[0] = np.nan
+                batch.coeffs[0, 0] = np.nan
             else:
-                del model.history[-1]
-            return model
+                batch.stages[0] -= 1
+            return batch
 
         def strict(token):
             raise AssertionError(f"non-standard JSON constant {token}")
 
-        monkeypatch.setattr(arspec.cli, "burg_modified", broken)
+        monkeypatch.setattr(arspec.cli, "_burg_lattice", broken)
         out = tmp_path / "eq.json"
         rc = run("experiment", "equivalence", "--trials", "3", "--trials-2d", "1",
                  "--seed", "1", "--out", str(out))

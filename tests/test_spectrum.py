@@ -75,14 +75,16 @@ class TestArSpectrum1D:
         assert np.argmax(g1.power) == np.argmax(g2.power)
 
     def test_pole_flagged_not_clipped(self):
-        # zeros of 1 - z^-1 at f = 0 (bin 512) and of 1 + z^-1 at f = -0.5
-        # (bin 0); the FFT evaluates both exactly
-        for a, pole in ((-1.0, 512), (1.0, 0)):
-            model = ArModel1D(1, np.array([a + 0.0j]), 1.0, [])
-            grid = ar_spectrum_1d(model, 1024)
-            assert np.flatnonzero(grid.pole_mask).tolist() == [pole]
-            assert np.isinf(grid.power[pole])
-            assert np.isfinite(grid.power[~grid.pole_mask]).all()
+        # zeros of 1 - z^-1 at f = 0 (bin nfreq/2) and of 1 + z^-1 at
+        # f = -0.5 (bin 0); on 1024 bins the FFT evaluates both exactly, on
+        # 1000 bins |C| at f = -0.5 is a rounding error near 1e-16
+        for nfreq in (1024, 1000):
+            for a, pole in ((-1.0, nfreq // 2), (1.0, 0)):
+                model = ArModel1D(1, np.array([a + 0.0j]), 1.0, [])
+                grid = ar_spectrum_1d(model, nfreq)
+                assert np.flatnonzero(grid.pole_mask).tolist() == [pole]
+                assert np.isinf(grid.power[pole])
+                assert np.isfinite(grid.power[~grid.pole_mask]).all()
 
     def test_order_past_grid_matches_direct_sum(self):
         coeffs = 0.2 * crandn(np.random.default_rng(64), 15)
