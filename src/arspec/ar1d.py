@@ -59,12 +59,6 @@ UNIT_CIRCLE_TOL = 1e-14
 #: Levinson denominator floor, relative to r_0.
 POWER_FLOOR_SCALE = 1e-14
 
-#: The kernels make the unit-circle and floor tests only after a stage where
-#: a record's power fell to this fraction of its ``P_0`` or below: a
-#: reflection on the unit circle leaves at most about ``2e-14`` of the power,
-#: the floor is ``1e-14`` of it, and a negative power counts too.
-SUSPECT_SCALE = 4e-14
-
 
 @dataclass
 class ErrorSignals1D:
@@ -171,29 +165,30 @@ class LatticeBatch:
         return ArModel1D(m, coeffs[-1], powers[-1], history, m < self.powers.shape[1] - 1)
 
 
-def _record(x, order: int) -> np.ndarray:
-    """One validated record as a batch of one, with ``order`` in ``[1, N-1]``."""
-    x = as_signal_1d(x)
-    if not 1 <= order <= x.size - 1:
-        raise ValueError(f"order must be in [1, {x.size - 1}], got {order}")
-    return x[None]
+def _stack(x: np.ndarray, order: int) -> np.ndarray:
+    """``x``, a ``(B, N)`` complex stack of records, checked for an
+    order-``order`` run: every sample finite and ``order`` in ``[1, N-1]``."""
+    if x.ndim != 2 or x.size < 1:
+        raise ValueError(f"records must form a nonempty (B, N) stack, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("signal contains NaN or Inf samples")
+    if not 1 <= order <= x.shape[1] - 1:
+        raise ValueError(f"order must be in [1, {x.shape[1] - 1}], got {order}")
+    return x
 
 
-def _stage(batch: LatticeBatch, m: int, num, den, conj: np.ndarray, live) -> tuple:
+def _stage(batch: LatticeBatch, m: int, num, den, conj: np.ndarray, live: np.ndarray) -> tuple:
     """Record stage ``m`` of every record, whose reflection is ``num / den``.
 
-    ``conj`` holds the conjugated stage ``m - 1`` coefficients. ``live``
-    masks the records still running, or is ``None`` while all are, so a
-    batch of one never builds it. A stopped record gets ``k = 0``, which
-    leaves its coefficients and power unchanged. Returns the reflections
-    as a ``(B, 1)`` column and the conjugated stage ``m`` coefficients.
+    ``conj`` holds the conjugated stage ``m - 1`` coefficients. A record
+    that ``live`` marks stopped keeps ``k = 0``, its slot's start value, so
+    its coefficients and power stay unchanged. Returns the reflections as a
+    ``(B, 1)`` column and the conjugated stage ``m`` coefficients.
     """
     lo = m * (m - 1) // 2
     row = batch.coeffs[:, lo : lo + m]
     kcol = row[:, m - 1 :]
-    np.divide(num, den, out=kcol[:, 0])
-    if live is not None:
-        kcol[~live] = 0.0
+    np.divide(num, den, out=kcol[:, 0], where=live)
     np.add(batch.coeffs[:, lo - m + 1 : lo], kcol * conj[:, ::-1], out=row[:, :-1])
     # |k|^2 by vecdot, which rounds as the product of complex scalars
     # k * conj(k) does; numpy's SIMD product of complex arrays may not.
@@ -202,14 +197,14 @@ def _stage(batch: LatticeBatch, m: int, num, den, conj: np.ndarray, live) -> tup
     return kcol, row.conj()
 
 
-def _stops(batch: LatticeBatch, m: int, k: np.ndarray, live):
+def _stops(batch: LatticeBatch, m: int, k: np.ndarray, live: np.ndarray) -> np.ndarray:
     """Stop every record whose stage-``m`` reflection reached the unit
-    circle; returns the live mask, ``None`` while every record runs."""
+    circle; returns the new live mask."""
     # np.hypot rounds as abs() of a complex scalar does; np.abs need not.
     hit = np.hypot(k.real, k.imag) >= 1.0 - UNIT_CIRCLE_TOL
     if np.count_nonzero(hit):
         batch.stages[hit] = m
-        live = ~hit if live is None else live & ~hit
+        live = live & ~hit
     return live
 
 
@@ -234,26 +229,22 @@ def _levinson(r: np.ndarray, order: int) -> LatticeBatch:
         raise DegenerateSignalError(f"r_0 must be positive, got {r0[np.argmax(r0 <= 0.0)]}")
     batch = LatticeBatch.start(r0, order)
     powers = batch.powers.T
-    suspect = SUSPECT_SCALE * r0
+    floor = POWER_FLOOR_SCALE * r0
     lags = r.T
     conj = batch.coeffs[:, :0]
-    live = None
+    live = np.ones(len(r0), dtype=bool)
     for m in range(1, order + 1):
-        power = powers[m - 1] if live is None else np.where(live, powers[m - 1], 1.0)
         delta = lags[m] + np.vecdot(conj, r[:, m - 1 : 0 : -1])
-        kcol, conj = _stage(batch, m, -delta, power, conj, live)
-        if m < order and np.count_nonzero(powers[m] <= suspect):
-            live = _stops(batch, m, kcol[:, 0], live)
-            vanished = powers[m] <= POWER_FLOOR_SCALE * r0
-            if live is not None:
-                vanished &= live
-            if np.count_nonzero(vanished):
-                raise SingularityError(
-                    f"prediction-error power {powers[m, np.argmax(vanished)]:.3e} "
-                    f"vanished at order {m + 1}"
-                )
-            if live is not None and not np.count_nonzero(live):
-                break
+        kcol, conj = _stage(batch, m, -delta, powers[m - 1], conj, live)
+        live = _stops(batch, m, kcol[:, 0], live)
+        if m == order or not np.count_nonzero(live):
+            break
+        vanished = live & (powers[m] <= floor)
+        if np.count_nonzero(vanished):
+            raise SingularityError(
+                f"prediction-error power {powers[m, np.argmax(vanished)]:.3e} "
+                f"vanished at order {m + 1}"
+            )
     return _finish(batch)
 
 
@@ -322,17 +313,15 @@ def _burg_lattice(
     work_f = np.empty((n_rec, span), dtype=complex)
     work_b = np.empty_like(work_f)
     batch = LatticeBatch.start(power, order, keep_errors)
-    powers = batch.powers.T
-    suspect = SUSPECT_SCALE * power
     conj = batch.coeffs[:, :0]
-    live = None
+    live = np.ones(n_rec, dtype=bool)
     for m in range(1, order + 1):
         lo, hi = (1, n + m + 1) if padded else (m + 1, n + 1)
         f = ef[:, lo:hi]
         b = eb[:, lo - 1 : hi - 1]
         denom = 0.5 * (np.vecdot(f, f).real + np.vecdot(b, b).real)
-        if live is not None:
-            denom[~live] = 1.0
+        # A stopped record may have no error energy left.
+        denom[~live] = 1.0
         if np.count_nonzero(denom) < n_rec:
             raise DegenerateSignalError(f"zero error energy at order {m}")
         kcol, conj = _stage(batch, m, -np.vecdot(b, f), denom, conj, live)
@@ -343,10 +332,9 @@ def _burg_lattice(
         eb[:, lo:hi] = new_b
         if keep_errors:
             batch.errors.append(ErrorSignals1D(f.copy(), new_b.copy(), lo - 1, hi - 2))
-        if m < order and np.count_nonzero(powers[m] <= suspect):
-            live = _stops(batch, m, kcol[:, 0], live)
-            if live is not None and not np.count_nonzero(live):
-                break
+        live = _stops(batch, m, kcol[:, 0], live)
+        if not np.count_nonzero(live):
+            break
     return _finish(batch)
 
 
@@ -363,7 +351,8 @@ def burg_classic(x, order: int, keep_errors: bool = False) -> ArModel1D:
     same window, losing one sample per order. ``error_power`` follows the
     ``P_m = P_{m-1} (1 - |k_m|^2)`` recursion from ``P_0 = sum |x|^2``.
     """
-    return _burg_lattice(_record(x, order), order, False, keep_errors).model(0)
+    x = np.asarray(x, dtype=complex)[None]
+    return _burg_lattice(_stack(x, order), order, False, keep_errors).model(0)
 
 
 def burg_modified(x, order: int, keep_errors: bool = False) -> ArModel1D:
@@ -385,7 +374,8 @@ def burg_modified(x, order: int, keep_errors: bool = False) -> ArModel1D:
     order), order)`` up to rounding: the extended sums turn the lattice
     moments into biased lag sums with no boundary truncation.
     """
-    return _burg_lattice(_record(x, order), order, True, keep_errors).model(0)
+    x = np.asarray(x, dtype=complex)[None]
+    return _burg_lattice(_stack(x, order), order, True, keep_errors).model(0)
 
 
 def prediction_residual(x, coeffs) -> np.ndarray:

@@ -16,17 +16,19 @@ Subcommands
                              a non-finite deviation is written as null).
 
 This module parses arguments and runs the recipes; every file format lives
-in :mod:`arspec.io`. A recipe returns ``(exit code, outputs, manifest
-fields)``, and :func:`main` times it and writes exactly one manifest JSON
-(default ``<out>.manifest.json``) recording the subcommand, the parsed
-arguments as parameters, the effective argv, the seed, the library
-version, the output paths and the wall-clock duration; ``order-sweep`` and
-``mse-vs-order`` also record the methods that stopped before
-``--max-order`` as ``early_stop``. Re-running the recorded argv reproduces
-the data outputs byte-for-byte; all randomness flows from the explicit
-seed. A command that takes ``--seed`` and is not given it reads the
-``ARSPEC_SEED`` environment default (1 when unset); other commands never
-read it.
+in :mod:`arspec.io`. Every 1D recipe estimates its records with the batch
+kernels of :mod:`arspec.ar1d`, in batches of at most 2^15 stage
+coefficients, so the stages held at once stay bounded. A recipe returns
+``(exit code, outputs, manifest fields)``, and :func:`main` times it and
+writes exactly one manifest JSON (default ``<out>.manifest.json``)
+recording the subcommand, the parsed arguments as parameters, the effective
+argv, the seed, the library version, the output paths and the wall-clock
+duration; ``order-sweep`` and ``mse-vs-order`` also record the methods that
+stopped before ``--max-order`` as ``early_stop``. Re-running the recorded
+argv reproduces the data outputs byte-for-byte; all randomness flows from
+the explicit seed. A command that takes ``--seed`` and is not given it
+reads the ``ARSPEC_SEED`` environment default (1 when unset); other
+commands never read it.
 
 Exit codes: 0 success, 1 failed equivalence verdict, 2 usage error,
 3 numerical error. Errors are single machine-parsable lines on stderr:
@@ -43,17 +45,9 @@ from itertools import zip_longest
 import numpy as np
 
 from . import __version__
-from .ar1d import (
-    ArModel1D,
-    _burg_lattice,
-    _levinson,
-    burg_classic,
-    burg_modified,
-    levinson,
-    residual_mse,
-)
+from .ar1d import ArModel1D, _burg_lattice, _levinson, _stack, residual_mse
 from .ar2d import ArModel2D, burg2d_classic, burg2d_modified, extract_quarter_plane_filter, wwra
-from .autocorr import _biased_lags, estimate_autocorr_1d, estimate_block_autocorr_2d
+from .autocorr import _biased_lags, estimate_block_autocorr_2d
 from .errors import NumericalError
 from .io import (
     filter_to_dict,
@@ -73,9 +67,9 @@ from .spectrum import ar_spectrum_1d, ar_spectrum_2d, frequency_grid, log10_powe
 # The estimators by method name. Each entry looks its estimator up when
 # called, so a replaced module attribute takes effect.
 _METHODS_1D = {
-    "levinson": lambda x, p: levinson(estimate_autocorr_1d(x, p), p),
-    "burg": lambda x, p: burg_classic(x, p),
-    "burg-mod": lambda x, p: burg_modified(x, p),
+    "levinson": lambda x, p: _levinson(_biased_lags(x, p), p),
+    "burg": lambda x, p: _burg_lattice(x, p, padded=False),
+    "burg-mod": lambda x, p: _burg_lattice(x, p, padded=True),
 }
 _METHODS_2D = {
     "wwra": lambda x, n1, n2: wwra(
@@ -85,9 +79,7 @@ _METHODS_2D = {
     "burg2d-mod": lambda x, n1, n2: burg2d_modified(x, n1, n2),
 }
 
-#: The 1D equivalence suite estimates the records of one length in batches
-#: of at most this many stage coefficients (512 KiB), so its memory stays
-#: flat in ``--trials``.
+#: Stage coefficients per 1D batch (512 KiB).
 _BATCH_COEFFS = 2**15
 
 #: Parsed-argument attributes that are plumbing, not run parameters.
@@ -146,6 +138,15 @@ def _write_spectra(args, row_name: str, labels: list, powers: list) -> None:
     write_csv(args.out, header, ([x, *p.tolist()] for x, p in zip(labels, powers)))
 
 
+def _estimates(method: str, x: np.ndarray, order: int):
+    """Run a 1D method over a ``(B, N)`` stack of records, yielding one
+    :class:`LatticeBatch` per batch of at most ``_BATCH_COEFFS`` stage coefficients."""
+    x = _stack(x, order)
+    per_batch = max(1, _BATCH_COEFFS // (order * (order + 1) // 2))
+    for lo in range(0, len(x), per_batch):
+        yield _METHODS_1D[method](x[lo : lo + per_batch], order)
+
+
 def _cmd_gen(args):
     cfg = SynthConfig(args.n, args.freq, args.phase, args.snr_db, args.seed)
     write_signal_csv(args.out, gen_noisy_sinusoid(cfg, substream=args.substream))
@@ -153,7 +154,7 @@ def _cmd_gen(args):
 
 
 def _cmd_est1d(args):
-    model = _METHODS_1D[args.method](read_signal_csv(args.input), args.order)
+    model = next(_estimates(args.method, read_signal_csv(args.input)[None], args.order)).model(0)
     write_json(args.out, model1d_to_dict(model, args.method))
     return 0, [args.out], {}
 
@@ -182,10 +183,11 @@ def _cmd_spectrum(args):
 
 def _cmd_phase_sweep(args):
     cfg = SynthConfig(args.n, args.freq, 0.0, args.snr_db, args.seed)
-    signals = phase_sweep(cfg, args.steps)
+    signals = np.stack(phase_sweep(cfg, args.steps))
     powers = [
-        ar_spectrum_1d(_METHODS_1D[args.method](x, args.order), args.nfreq).power
-        for x in signals
+        ar_spectrum_1d(batch.model(b), args.nfreq).power
+        for batch in _estimates(args.method, signals, args.order)
+        for b in range(len(batch.stages))
     ]
     phases = [2.0 * math.pi * j / args.steps for j in range(args.steps)]
     _write_spectra(args, "phase", phases, powers)
@@ -194,7 +196,8 @@ def _cmd_phase_sweep(args):
 
 def _cmd_order_sweep(args):
     cfg = SynthConfig(args.n, args.freq, args.phase, args.snr_db, args.seed)
-    history = _METHODS_1D[args.method](gen_noisy_sinusoid(cfg), args.max_order).history
+    x = gen_noisy_sinusoid(cfg)[None]
+    history = next(_estimates(args.method, x, args.max_order)).model(0).history
     powers = [ar_spectrum_1d(st, args.nfreq).power for st in history]
     _write_spectra(args, "order", [st.order for st in history], powers)
     return 0, [args.out], _early_stops(args, {args.method: len(history)})
@@ -204,15 +207,17 @@ def _cmd_mse_vs_order(args):
     args.methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not args.methods:
         raise ValueError("--methods names no method")
-    for m in args.methods:
+    for i, m in enumerate(args.methods):
         if m not in _METHODS_1D:
             raise ValueError(f"unknown method {m!r}, expected one of {tuple(_METHODS_1D)}")
+        if m in args.methods[:i]:
+            raise ValueError(f"--methods names {m!r} twice")
     cfg = SynthConfig(args.n, args.freq, args.phase, args.snr_db, args.seed)
     x = gen_noisy_sinusoid(cfg)
     table = {
         method: [
             residual_mse(x, st, support=args.support)
-            for st in _METHODS_1D[method](x, args.max_order).history
+            for st in next(_estimates(method, x[None], args.max_order)).model(0).history
         ]
         for method in args.methods
     }
@@ -267,13 +272,9 @@ def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
     for first, n in enumerate(sizes[:trials_1d]):
         max_order = n - 5
         trials = range(first, trials_1d, len(sizes))
-        per_batch = max(1, _BATCH_COEFFS // (max_order * (max_order + 1) // 2))
-        for lo in range(0, len(trials), per_batch):
-            x = np.stack(
-                [Lcg32(seed, substream=1000 + i).complex_normal(n) for i in trials[lo : lo + per_batch]]
-            )
-            lev = _levinson(_biased_lags(x, max_order), max_order)
-            mod = _burg_lattice(x, max_order, padded=True)
+        x = np.stack([Lcg32(seed, substream=1000 + i).complex_normal(n) for i in trials])
+        batches = zip(_estimates("levinson", x, max_order), _estimates("burg-mod", x, max_order))
+        for lev, mod in batches:
             dev1 = max(
                 dev1, _stage_deviation(lev.coeffs, lev.stages, mod.coeffs, mod.stages, lev.starts)
             )
@@ -287,12 +288,8 @@ def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
         channel = (i // 3) % 3
         raw = Lcg32(seed, substream=2000 + i).complex_normal(n1_len * n2_len)
         x = raw.reshape(n1_len, n2_len)
-        mod = burg2d_modified(x, order, channel)
-        ww = wwra(
-            estimate_block_autocorr_2d(x, order, channel),
-            order,
-            sample_terms=n1_len + order,
-        )
+        mod = _METHODS_2D["burg2d-mod"](x, order, channel)
+        ww = _METHODS_2D["wwra"](x, order, channel)
         ref, ref_stages, starts = _packed(ww.history)
         est, est_stages, _ = _packed(mod.history[1:])
         dev2 = max(dev2, _stage_deviation(ref, ref_stages, est, est_stages, starts))

@@ -7,7 +7,8 @@ Formats (UTF-8, '.' decimal, no locale dependence):
 * Model / filter JSON: complex numbers as explicit ``[re, im]`` pairs,
   never a string encoding; models carry the method name, order(s) and the
   per-stage error powers. :func:`read_model` decodes any of the three
-  kinds; a malformed file is a ``ValueError`` naming it.
+  kinds; a malformed file, a non-finite coefficient or power, or a negative
+  1D or filter power is a ``ValueError`` naming it.
 * Spectrum CSV: ``frequency,power,log10_power`` (1D) or
   ``f1,f2,power,log10_power`` (2D).
 * Table CSV (the experiments): a header row, then one row per phase or
@@ -133,8 +134,18 @@ def _complex(value, shape: tuple) -> np.ndarray:
     a = np.asarray(value)
     if a.dtype.kind not in "iuf" or a.shape != (*shape, 2):
         raise ValueError(f"expected [re, im] pairs {(*shape, 2)}, got {a.dtype} {a.shape}")
-    # A view keeps -0.0 and infinite parts exactly, unlike re + 1j * im.
+    if not np.isfinite(a).all():
+        raise ValueError("expected finite [re, im] pairs, got a NaN or infinite number")
+    # A view keeps -0.0 exactly, unlike re + 1j * im.
     return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+
+
+def _power(value, name: str) -> float:
+    """A power read from JSON: finite (json reads 1e999 as inf) and >= 0."""
+    power = float(value)
+    if not 0.0 <= power < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {power}")
+    return power
 
 
 def model1d_to_dict(model: ArModel1D, method: str) -> dict:
@@ -164,13 +175,13 @@ def model1d_from_dict(obj: dict) -> ArModel1D:
         LatticeStage(
             int(st["order"]),
             _complex(st["coefficients"], (int(st["order"]),)),
-            float(st["error_power"]),
+            _power(st["error_power"], "history error_power"),
             complex(_complex(st["reflection"], ())),
         )
         for st in obj.get("history", [])
     ]
-    early_stop = bool(obj.get("early_stop", False))
-    return ArModel1D(order, coeffs, float(obj["error_power"]), history, early_stop)
+    power = _power(obj["error_power"], "error_power")
+    return ArModel1D(order, coeffs, power, history, bool(obj.get("early_stop", False)))
 
 
 def model2d_to_dict(model: ArModel2D, method: str) -> dict:
@@ -231,7 +242,7 @@ def filter_to_dict(filt: QuarterPlaneFilter) -> dict:
 
 def filter_from_dict(obj: dict) -> QuarterPlaneFilter:
     coeffs = _complex(obj["coefficients"], (int(obj["n1"]) + 1, int(obj["n2"]) + 1))
-    return QuarterPlaneFilter(coeffs, float(obj["noise_power"]))
+    return QuarterPlaneFilter(coeffs, _power(obj["noise_power"], "noise_power"))
 
 
 _DECODERS = {

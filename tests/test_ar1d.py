@@ -146,6 +146,11 @@ class TestLevinson:
         r = lags_from_reflections([-k] * 4 + [-0.5])
         with pytest.raises(SingularityError):
             levinson(r, 5)
+        # The floor guards the next stage's denominator, so a last stage
+        # may end below it.
+        model = levinson(r, 4)
+        assert model.order == 4 and not model.early_stop
+        assert 0.0 < model.error_power <= 1e-14 * r[0].real
 
     def test_usage_errors(self):
         with pytest.raises(ValueError):
@@ -367,6 +372,19 @@ class TestBatch:
         assert batch.stages.tolist() == [6, 1, 6]
         assert abs(batch.reflections[1, 0]) >= 1.0 - 1e-14
         assert not batch.reflections[1, 1:].any()
+
+    def test_stopped_record_with_zero_error_energy(self):
+        # The alternating record reaches k = 1 at order 1, which leaves its
+        # classic-support errors exactly zero; beside a running record that
+        # zero energy is not degenerate.
+        x = crandn(np.random.default_rng(93), 2, 8)
+        x[0] = [1.0, -1.0] * 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = _burg_lattice(x, 4, padded=False)
+        assert batch.stages.tolist() == [1, 4]
+        assert_same_model(batch.model(0), burg_classic(x[0], 4))
+        assert_same_model(batch.model(1), burg_classic(x[1], 4))
 
     def test_levinson_stop_is_per_record(self):
         # all-ones lags (a constant signal) stop at order 1 with a vanishing

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -24,7 +25,8 @@ from arspec.io import (
     write_signal_csv,
 )
 from arspec.linalg import max_rel_diff
-from arspec.siggen import Lcg32
+from arspec.siggen import Lcg32, SynthConfig, phase_sweep
+from arspec.spectrum import ar_spectrum_1d
 
 
 #: Values whose decimal text is easy to get wrong: a signed zero, the
@@ -126,12 +128,34 @@ class TestEst1d:
         assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
 
     def test_order_too_large_is_usage_error(self, tmp_path, sig_csv, capsys):
-        rc = run("est1d", "--method", "levinson", "--order", "50",
-                 "--in", str(sig_csv), "--out", str(tmp_path / "x.json"))
+        for argv in (
+            ["est1d", "--method", "levinson", "--order", "50", "--in", str(sig_csv)],
+            ["experiment", "phase-sweep", "--order", "20"],
+            ["experiment", "phase-sweep", "--order", "0"],
+            ["experiment", "order-sweep", "--max-order", "20"],
+            ["experiment", "order-sweep", "--max-order", "0"],
+            ["experiment", "mse-vs-order", "--max-order", "20"],
+            ["experiment", "mse-vs-order", "--max-order", "0"],
+        ):
+            out = tmp_path / "x.out"
+            rc = run(*argv, "--out", str(out))
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: usage: order must be in [1, 19], got "), argv
+            assert err.count("\n") == 1
+            assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["levinson", "burg", "burg-mod"])
+    @pytest.mark.parametrize("sample", ["nan", "inf"])
+    def test_non_finite_sample_is_usage_error(self, tmp_path, capsys, method, sample):
+        sig = tmp_path / "sig.csv"
+        sig.write_text(f"index,re,im\n0,1.0,0.0\n1,{sample},0.0\n2,0.5,-1.0\n")
+        out = tmp_path / "m.json"
+        rc = run("est1d", "--method", method, "--order", "1", "--in", str(sig), "--out", str(out))
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: usage:")
-        assert err.count("\n") == 1
+        assert err == "error: usage: signal contains NaN or Inf samples\n"
+        assert not out.exists()
 
     def test_degenerate_signal_is_numerical_error(self, tmp_path, capsys):
         zeros = tmp_path / "zeros.csv"
@@ -215,10 +239,10 @@ class TestEst1d:
         assert err.count("\n") == 1
 
     def test_internal_key_error_is_not_a_usage_error(self, tmp_path, monkeypatch, sig_csv):
-        def buggy(x, order):
+        def buggy(x, order, padded):
             raise KeyError("internal")
 
-        monkeypatch.setattr(arspec.cli, "burg_classic", buggy)
+        monkeypatch.setattr(arspec.cli, "_burg_lattice", buggy)
         with pytest.raises(KeyError):
             run("est1d", "--method", "burg", "--order", "2",
                 "--in", str(sig_csv), "--out", str(tmp_path / "m.json"))
@@ -387,6 +411,23 @@ class TestSpectrumCommand:
                          id="history-entry-number"),
             pytest.param("ar2d", lambda o: o.update(coefficient_matrices=o["error_power_matrix"]),
                          "expected [re, im]", id="matrix-rank"),
+            pytest.param("ar1d", lambda o: o["coefficients"][0].__setitem__(0, math.nan),
+                         "expected finite [re, im] pairs", id="coefficient-NaN"),
+            pytest.param("ar1d", lambda o: o.update(error_power=math.inf),
+                         "error_power must be finite and >= 0, got inf", id="error_power-Infinity"),
+            pytest.param("ar2d",
+                         lambda o: o["coefficient_matrices"][0][0][0].__setitem__(1, "1e999"),
+                         "expected finite [re, im] pairs", id="matrix-1e999"),
+            pytest.param("quarter_plane_filter", lambda o: o.update(noise_power="1e999"),
+                         "noise_power must be finite and >= 0, got inf", id="noise_power-1e999"),
+            pytest.param("ar1d", lambda o: o.update(error_power=-1.0),
+                         "error_power must be finite and >= 0, got -1.0",
+                         id="error_power-negative"),
+            pytest.param("ar1d", lambda o: o["history"][1].update(error_power=-1e-300),
+                         "history error_power must be finite and >= 0", id="stage-power-negative"),
+            pytest.param("quarter_plane_filter", lambda o: o.update(noise_power=-1.0),
+                         "noise_power must be finite and >= 0, got -1.0",
+                         id="noise_power-negative"),
         ],
     )
     def test_missing_model_key_is_usage_error(self, tmp_path, capsys, kind, corrupt, message):
@@ -403,8 +444,12 @@ class TestSpectrumCommand:
             corrupt(obj)
         model = tmp_path / "m.json"
         write_json(model, obj)
-        rc = run("spectrum", "--in", str(model), "--out", str(tmp_path / "s.csv"))
+        # The string "1e999" stands for the bare literal, which json reads as inf.
+        model.write_text(model.read_text().replace('"1e999"', "1e999"))
+        out = tmp_path / "s.csv"
+        rc = run("spectrum", "--in", str(model), "--out", str(out))
         assert rc == 2
+        assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith(f"error: usage: {model}: ")
         assert message in err
@@ -431,6 +476,42 @@ class TestExperiments:
         assert len(lines) == 6
         assert lines[0].split(",")[0] == "phase"
         assert len(lines[1].split(",")) == 65
+
+    @pytest.mark.parametrize(
+        "method, extra",
+        [("levinson", []), ("burg", []), ("burg-mod", []), ("burg", ["--noiseless"])],
+    )
+    def test_batched_phase_sweep_matches_the_public_estimators(self, tmp_path, method, extra):
+        # 300 records at order 15 run as two batches (273 + 27).
+        out = tmp_path / "sweep.csv"
+        rc = run("experiment", "phase-sweep", "--method", method, "--order", "15",
+                 "--steps", "300", "--nfreq", "64", *extra, "--seed", "4", "--out", str(out))
+        assert rc == 0
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in out.read_text().splitlines()[1:]])
+        estimate = {
+            "levinson": lambda x: levinson(estimate_autocorr_1d(x, 15), 15),
+            "burg": lambda x: burg_classic(x, 15),
+            "burg-mod": lambda x: burg_modified(x, 15),
+        }[method]
+        snr_db = None if extra else 30.0
+        signals = phase_sweep(SynthConfig(20, 0.25, 0.0, snr_db, 4), 300)
+        models = [estimate(x) for x in signals]
+        if extra:
+            # noiseless: the classic lattice stops every record at order 1
+            assert {m.order for m in models} == {1}
+        expected = [ar_spectrum_1d(m, 64).power for m in models]
+        assert np.array_equal(rows[:, 1:], expected)
+
+    @pytest.mark.parametrize("methods", ["", "yule", "burg,burg"])
+    def test_bad_methods_are_usage_errors(self, tmp_path, capsys, methods):
+        out = tmp_path / "mse.csv"
+        rc = run("experiment", "mse-vs-order", "--methods", methods, "--out", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_order_sweep_rows_per_order(self, tmp_path):
         out = tmp_path / "orders.csv"
