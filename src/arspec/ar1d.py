@@ -166,12 +166,8 @@ class LatticeBatch:
 
 
 def _stack(x: np.ndarray, order: int) -> np.ndarray:
-    """``x``, a ``(B, N)`` complex stack of records, checked for an
-    order-``order`` run: every sample finite and ``order`` in ``[1, N-1]``."""
-    if x.ndim != 2 or x.size < 1:
-        raise ValueError(f"records must form a nonempty (B, N) stack, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("signal contains NaN or Inf samples")
+    """``x``, a ``(B, N)`` stack of records that :func:`as_signal_1d`
+    accepts, checked for an order-``order`` run: ``order`` in ``[1, N-1]``."""
     if not 1 <= order <= x.shape[1] - 1:
         raise ValueError(f"order must be in [1, {x.shape[1] - 1}], got {order}")
     return x
@@ -351,8 +347,7 @@ def burg_classic(x, order: int, keep_errors: bool = False) -> ArModel1D:
     same window, losing one sample per order. ``error_power`` follows the
     ``P_m = P_{m-1} (1 - |k_m|^2)`` recursion from ``P_0 = sum |x|^2``.
     """
-    x = np.asarray(x, dtype=complex)[None]
-    return _burg_lattice(_stack(x, order), order, False, keep_errors).model(0)
+    return _burg_lattice(_stack(as_signal_1d(x)[None], order), order, False, keep_errors).model(0)
 
 
 def burg_modified(x, order: int, keep_errors: bool = False) -> ArModel1D:
@@ -374,8 +369,7 @@ def burg_modified(x, order: int, keep_errors: bool = False) -> ArModel1D:
     order), order)`` up to rounding: the extended sums turn the lattice
     moments into biased lag sums with no boundary truncation.
     """
-    x = np.asarray(x, dtype=complex)[None]
-    return _burg_lattice(_stack(x, order), order, True, keep_errors).model(0)
+    return _burg_lattice(_stack(as_signal_1d(x)[None], order), order, True, keep_errors).model(0)
 
 
 def prediction_residual(x, coeffs) -> np.ndarray:

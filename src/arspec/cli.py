@@ -40,14 +40,14 @@ import math
 import os
 import sys
 import time
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 import numpy as np
 
 from . import __version__
 from .ar1d import ArModel1D, _burg_lattice, _levinson, _stack, residual_mse
 from .ar2d import ArModel2D, burg2d_classic, burg2d_modified, extract_quarter_plane_filter, wwra
-from .autocorr import _biased_lags, estimate_block_autocorr_2d
+from .autocorr import _biased_lags, as_signal_1d, estimate_block_autocorr_2d
 from .errors import NumericalError
 from .io import (
     filter_to_dict,
@@ -138,13 +138,19 @@ def _write_spectra(args, row_name: str, labels: list, powers: list) -> None:
     write_csv(args.out, header, ([x, *p.tolist()] for x, p in zip(labels, powers)))
 
 
-def _estimates(method: str, x: np.ndarray, order: int):
-    """Run a 1D method over a ``(B, N)`` stack of records, yielding one
-    :class:`LatticeBatch` per batch of at most ``_BATCH_COEFFS`` stage coefficients."""
-    x = _stack(x, order)
-    per_batch = max(1, _BATCH_COEFFS // (order * (order + 1) // 2))
-    for lo in range(0, len(x), per_batch):
-        yield _METHODS_1D[method](x[lo : lo + per_batch], order)
+def _batches(records, order: int):
+    """Validated ``(B, N)`` stacks of the equal-length ``records`` for an order-``order``
+    run, of at most ``_BATCH_COEFFS`` stage coefficients, each drawn when due."""
+    per_batch = max(1, _BATCH_COEFFS // max(1, order * (order + 1) // 2))
+    records = iter(records)
+    while chunk := [as_signal_1d(x) for x in islice(records, per_batch)]:
+        yield _stack(np.stack(chunk), order)
+
+
+def _model(method: str, x: np.ndarray, order: int) -> ArModel1D:
+    """``method``'s order-``order`` model of the one record ``x``."""
+    (stack,) = _batches([x], order)
+    return _METHODS_1D[method](stack, order).model(0)
 
 
 def _cmd_gen(args):
@@ -154,7 +160,7 @@ def _cmd_gen(args):
 
 
 def _cmd_est1d(args):
-    model = next(_estimates(args.method, read_signal_csv(args.input)[None], args.order)).model(0)
+    model = _model(args.method, read_signal_csv(args.input), args.order)
     write_json(args.out, model1d_to_dict(model, args.method))
     return 0, [args.out], {}
 
@@ -183,12 +189,10 @@ def _cmd_spectrum(args):
 
 def _cmd_phase_sweep(args):
     cfg = SynthConfig(args.n, args.freq, 0.0, args.snr_db, args.seed)
-    signals = np.stack(phase_sweep(cfg, args.steps))
-    powers = [
-        ar_spectrum_1d(batch.model(b), args.nfreq).power
-        for batch in _estimates(args.method, signals, args.order)
-        for b in range(len(batch.stages))
-    ]
+    powers = []
+    for x in _batches(phase_sweep(cfg, args.steps), args.order):
+        batch = _METHODS_1D[args.method](x, args.order)
+        powers += (ar_spectrum_1d(batch.model(b), args.nfreq).power for b in range(len(x)))
     phases = [2.0 * math.pi * j / args.steps for j in range(args.steps)]
     _write_spectra(args, "phase", phases, powers)
     return 0, [args.out], {}
@@ -196,8 +200,7 @@ def _cmd_phase_sweep(args):
 
 def _cmd_order_sweep(args):
     cfg = SynthConfig(args.n, args.freq, args.phase, args.snr_db, args.seed)
-    x = gen_noisy_sinusoid(cfg)[None]
-    history = next(_estimates(args.method, x, args.max_order)).model(0).history
+    history = _model(args.method, gen_noisy_sinusoid(cfg), args.max_order).history
     powers = [ar_spectrum_1d(st, args.nfreq).power for st in history]
     _write_spectra(args, "order", [st.order for st in history], powers)
     return 0, [args.out], _early_stops(args, {args.method: len(history)})
@@ -217,7 +220,7 @@ def _cmd_mse_vs_order(args):
     table = {
         method: [
             residual_mse(x, st, support=args.support)
-            for st in next(_estimates(method, x[None], args.max_order)).model(0).history
+            for st in _model(method, x, args.max_order).history
         ]
         for method in args.methods
     }
@@ -272,9 +275,11 @@ def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
     for first, n in enumerate(sizes[:trials_1d]):
         max_order = n - 5
         trials = range(first, trials_1d, len(sizes))
-        x = np.stack([Lcg32(seed, substream=1000 + i).complex_normal(n) for i in trials])
-        batches = zip(_estimates("levinson", x, max_order), _estimates("burg-mod", x, max_order))
-        for lev, mod in batches:
+        # Drawn per batch, so memory stays flat in --trials.
+        records = (Lcg32(seed, substream=1000 + i).complex_normal(n) for i in trials)
+        for x in _batches(records, max_order):
+            lev = _METHODS_1D["levinson"](x, max_order)
+            mod = _METHODS_1D["burg-mod"](x, max_order)
             dev1 = max(
                 dev1, _stage_deviation(lev.coeffs, lev.stages, mod.coeffs, mod.stages, lev.starts)
             )

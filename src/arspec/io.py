@@ -141,10 +141,11 @@ def _complex(value, shape: tuple) -> np.ndarray:
 
 
 def _power(value, name: str) -> float:
-    """A power read from JSON: finite (json reads 1e999 as inf) and >= 0."""
+    """A power read from JSON: finite (json reads 1e999 as inf), of either sign, since
+    the classic lattice's power can round a few ulps below zero at the unit circle."""
     power = float(value)
-    if not 0.0 <= power < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {power}")
+    if not math.isfinite(power):
+        raise ValueError(f"{name} must be finite, got {power}")
     return power
 
 

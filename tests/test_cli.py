@@ -368,6 +368,17 @@ class TestSpectrumCommand:
         assert float(row[0]) == -0.5
         assert abs(np.log10(float(row[1])) - float(row[2])) < 1e-12
 
+    def test_noiseless_classic_burg_model_reads_back(self, tmp_path):
+        # At the unit circle the classic lattice's power rounds below zero;
+        # spectrum must still read the model est1d wrote.
+        sig, model, spec = tmp_path / "s.csv", tmp_path / "m.json", tmp_path / "p.csv"
+        assert run("gen", "--noiseless", "--n", "20", "--freq", "0.3", "--out", str(sig)) == 0
+        assert run("est1d", "--method", "burg", "--order", "3",
+                   "--in", str(sig), "--out", str(model)) == 0
+        assert json.loads(model.read_text())["error_power"] < 0
+        assert run("spectrum", "--in", str(model), "--out", str(spec)) == 0
+        assert spec.exists()
+
     def test_2d_spectrum_from_filter(self, tmp_path):
         rng = np.random.default_rng(73)
         grid = tmp_path / "g.csv"
@@ -414,20 +425,14 @@ class TestSpectrumCommand:
             pytest.param("ar1d", lambda o: o["coefficients"][0].__setitem__(0, math.nan),
                          "expected finite [re, im] pairs", id="coefficient-NaN"),
             pytest.param("ar1d", lambda o: o.update(error_power=math.inf),
-                         "error_power must be finite and >= 0, got inf", id="error_power-Infinity"),
+                         "error_power must be finite, got inf", id="error_power-Infinity"),
             pytest.param("ar2d",
                          lambda o: o["coefficient_matrices"][0][0][0].__setitem__(1, "1e999"),
                          "expected finite [re, im] pairs", id="matrix-1e999"),
             pytest.param("quarter_plane_filter", lambda o: o.update(noise_power="1e999"),
-                         "noise_power must be finite and >= 0, got inf", id="noise_power-1e999"),
-            pytest.param("ar1d", lambda o: o.update(error_power=-1.0),
-                         "error_power must be finite and >= 0, got -1.0",
-                         id="error_power-negative"),
-            pytest.param("ar1d", lambda o: o["history"][1].update(error_power=-1e-300),
-                         "history error_power must be finite and >= 0", id="stage-power-negative"),
-            pytest.param("quarter_plane_filter", lambda o: o.update(noise_power=-1.0),
-                         "noise_power must be finite and >= 0, got -1.0",
-                         id="noise_power-negative"),
+                         "noise_power must be finite, got inf", id="noise_power-1e999"),
+            pytest.param("ar1d", lambda o: o["history"][1].update(error_power=math.nan),
+                         "history error_power must be finite, got nan", id="stage-power-NaN"),
         ],
     )
     def test_missing_model_key_is_usage_error(self, tmp_path, capsys, kind, corrupt, message):
