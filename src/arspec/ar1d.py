@@ -19,6 +19,19 @@ w(k)``:
   autocorrelation, so the two routes cross-check each other to machine
   precision.
 
+:func:`burg_classic` computes the classic lattice's reflections from the
+biased lags instead of the error signals (Andersen 1974, *Geophysics*;
+Vos, "A Fast Implementation of Burg's Method", 2013): one lag sum per
+order plus O(m) work at stage ``m``, where the lattice makes several passes
+over its error signals per stage. Its window sums are differences of sums
+of size ``r_0``, so a record stays on that route only while every half-sum
+denominator stays above ``r_0 / FAST_BURG_BOUND`` (30); any other record
+is recomputed on the error-signal lattice and gets its bits, stops and
+errors. On the records that stay, the coefficients carry up to about that
+bound times the lattice's rounding error: within 1e-12 of the lattice's on
+records of up to 200 samples, and 3.4e-12 at N=1e5, p=400, where the
+lattice is 2e-13 to 5e-13 from an extended-precision lattice.
+
 All three populate a per-order history so a single run at order ``n``
 yields the models of every intermediate order.
 
@@ -29,14 +42,15 @@ stacked stages. Each record stops on its own at the unit circle; from then
 on its reflection is 0, its denominators are masked and it gets no more
 stages, and the degenerate, singular and non-finite checks look at the
 records still running. The public functions run a batch of one and wrap
-its stages as :class:`LatticeStage` views.
+its stages as :class:`LatticeStage` views. A stage's error power stops at
+0 where ``|k|^2`` rounds past 1.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autocorr import as_signal_1d
+from .autocorr import _biased_lags, as_signal_1d
 from .errors import DegenerateSignalError, NumericalError, SingularityError
 
 __all__ = [
@@ -58,6 +72,10 @@ UNIT_CIRCLE_TOL = 1e-14
 
 #: Levinson denominator floor, relative to r_0.
 POWER_FLOOR_SCALE = 1e-14
+
+#: The autocorrelation route of :func:`burg_classic` keeps a record while
+#: its half-sum denominators stay above ``r_0 / FAST_BURG_BOUND``.
+FAST_BURG_BOUND = 30.0
 
 
 @dataclass
@@ -188,8 +206,12 @@ def _stage(batch: LatticeBatch, m: int, num, den, conj: np.ndarray, live: np.nda
     np.add(batch.coeffs[:, lo - m + 1 : lo], kcol * conj[:, ::-1], out=row[:, :-1])
     # |k|^2 by vecdot, which rounds as the product of complex scalars
     # k * conj(k) does; numpy's SIMD product of complex arrays may not.
+    factor = 1.0 - np.vecdot(kcol, kcol).real
+    # At the unit circle |k|^2 may round past 1: the power stops at 0, but
+    # a non-finite k still gives a non-finite power.
+    np.maximum(factor, 0.0, out=factor, where=factor > -np.inf)
     powers = batch.powers.T
-    np.multiply(powers[m - 1], 1.0 - np.vecdot(kcol, kcol).real, out=powers[m])
+    np.multiply(powers[m - 1], factor, out=powers[m])
     return kcol, row.conj()
 
 
@@ -279,16 +301,17 @@ def levinson(r, order: int) -> ArModel1D:
 def _burg_lattice(
     x: np.ndarray, order: int, padded: bool, keep_errors: bool = False
 ) -> LatticeBatch:
-    """The Burg lattice of both 1D estimators over a ``(B, N)`` stack of
-    records, over either support.
+    """The Burg error-signal lattice over a ``(B, N)`` stack of records, over
+    either support: :func:`burg_modified` runs it, and :func:`_burg_classic`
+    hands it the records it does not keep.
 
-    The errors live in one buffer per direction indexed by time plus one,
-    so slot 0 is ``e_b(-1) = 0`` and stays zero. Stage ``m`` pairs the
-    forward errors on its window, ``[m, N-1]`` when shrinking and
-    ``[0, N+m-1]`` when ``padded``, with the backward errors on the same
-    window delayed by one sample, and updates both in place on the forward
-    window, which is the support of the order-``m`` errors. The update
-    products go through two work buffers allocated once per call.
+    The errors live in buffers indexed by time plus one, so slot 0 is
+    ``e_b(-1) = 0`` and stays zero. Stage ``m`` pairs the forward errors on
+    its window, ``[m, N-1]`` when shrinking and ``[0, N+m-1]`` when
+    ``padded``, with the backward errors on the same window delayed by one
+    sample. It updates the forward errors in place on that window, which is
+    the support of the order-``m`` errors, and writes the new backward
+    errors there in a second buffer, which then takes the first one's place.
     """
     n_rec, n = x.shape
     power = np.vecdot(x, x).real
@@ -306,8 +329,8 @@ def _burg_lattice(
     ef = np.zeros((n_rec, span + 1), dtype=complex)
     ef[:, 1 : n + 1] = x
     eb = ef.copy()
-    work_f = np.empty((n_rec, span), dtype=complex)
-    work_b = np.empty_like(work_f)
+    eb_next = np.zeros_like(ef)
+    work = np.empty((n_rec, span), dtype=complex)
     batch = LatticeBatch.start(power, order, keep_errors)
     conj = batch.coeffs[:, :0]
     live = np.ones(n_rec, dtype=bool)
@@ -322,16 +345,102 @@ def _burg_lattice(
             raise DegenerateSignalError(f"zero error energy at order {m}")
         kcol, conj = _stage(batch, m, -np.vecdot(b, f), denom, conj, live)
         # The backward update reads the old forward errors: update f last.
-        new_b = np.multiply(kcol.conj(), f, out=work_b[:, : hi - lo])
+        new_b = np.multiply(kcol.conj(), f, out=eb_next[:, lo:hi])
         new_b += b
-        f += np.multiply(kcol, b, out=work_f[:, : hi - lo])
-        eb[:, lo:hi] = new_b
+        f += np.multiply(kcol, b, out=work[:, : hi - lo])
+        eb, eb_next = eb_next, eb
         if keep_errors:
             batch.errors.append(ErrorSignals1D(f.copy(), new_b.copy(), lo - 1, hi - 2))
         live = _stops(batch, m, kcol[:, 0], live)
         if not np.count_nonzero(live):
             break
     return _finish(batch)
+
+
+def _burg_classic(x: np.ndarray, order: int) -> LatticeBatch:
+    """The classic Burg lattice over a ``(B, N)`` stack of records, from
+    their biased lags; see :func:`burg_classic`.
+
+    Stage ``m`` needs the energies and the cross term of the order-``m-1``
+    errors, whose coefficients are ``A = [1, a_1 .. a_{m-1}]``, over the
+    window ``[m, N-1]``. Over the zero-padded support they are Toeplitz
+    forms of ``A``: with ``g_i = sum_j conj(A_j) r_{j-i}``, both energies
+    are ``sum_i A_i g_i`` and the cross term is ``sum_i A_i conj(g_{m-i})``.
+    The window sums subtract the padded errors outside it: ``e_f(0..m-1)``
+    and ``e_b(-1..m-2)`` at the head, ``e_f(N..N+m-1)`` and
+    ``e_b(N-1..N+m-2)`` at the tail. The lattice recursion carries these
+    edge errors to the next order, which needs one new sample per edge, and
+    persymmetry carries ``g``: ``g'_i = g_i + conj(k) conj(g_{m-i})``, where
+    two new lag sums give ``g_{-1}`` and ``g_{m+1}``. So a stage costs a few
+    O(m) products after the O(N order) lags.
+
+    Each window sum is a difference of sums of size ``r_0``, so its
+    relative error grows like ``r_0 / D_m`` for the half-sum denominator
+    ``D_m``, which lies in ``(0, r_0]`` in exact arithmetic. A record stays
+    on this route while ``r_0`` and ``2 r_0`` are normal doubles and
+    ``r_0 / FAST_BURG_BOUND <= D_m <= r_0``; it also leaves
+    once ``D_m (1 - |k_m|^2)``, the bound on the next denominator, falls
+    below ``r_0 / FAST_BURG_BOUND``, which a reflection near the unit
+    circle does. A record that leaves is recomputed in full by
+    :func:`_burg_lattice`, so every stop, error and degenerate record gets
+    the lattice's handling and bits.
+    """
+    n_rec, n = x.shape
+    r = _biased_lags(x, order)
+    r0 = r[:, 0].real
+    batch = LatticeBatch.start(r0, order)
+    fast = (r0 >= np.finfo(float).tiny) & (r0 <= 0.5 * np.finfo(float).max)
+    floor = r0 / FAST_BURG_BOUND
+    # g[:, i + 1] holds g_i, from g_{-1} on.
+    g = np.zeros((n_rec, order + 2), dtype=complex)
+    g[:, 1] = r0
+    g[:, 2] = r[:, 1].conj()
+    # The edge errors by direction and edge: edges[0, 0, :, i] = e_f(i),
+    # edges[1, 0, :, i] = e_b(i-1), edges[0, 1, :, i] = e_f(N+i) and
+    # edges[1, 1, :, i] = e_b(N-1+i). Each stage writes the next ones into
+    # the spare buffer; a slot it does not write stays zero.
+    edges = np.zeros((2, 2, n_rec, order + 1), dtype=complex)
+    edges[0, 0, :, 0] = x[:, 0]
+    edges[1, 1, :, 0] = x[:, -1]
+    spare = np.zeros_like(edges)
+    a = conj = batch.coeffs[:, :0]
+    # Near the top of the double range the forms may overflow; the guard
+    # then hands the record to the lattice, so the warning would be noise.
+    with np.errstate(all="ignore"):
+        for m in range(1, order + 1):
+            e = edges[..., :m]
+            f, b = e
+            form = g[:, 1] + np.vecdot(conj, g[:, 2 : m + 1])
+            cross = (g[:, m + 1] + np.vecdot(a, g[:, m:1:-1])).conj()
+            den = form.real - 0.5 * np.vecdot(e, e).real.sum((0, 1))
+            fast &= (floor <= den) & (den <= r0)
+            num = np.vecdot(b, f).sum(0) - cross
+            kcol, new_conj = _stage(batch, m, num, den, conj, fast)
+            fast &= floor <= den * (1.0 - np.vecdot(kcol, kcol).real)
+            if m == order or not np.count_nonzero(fast):
+                break
+            # The order-m edge errors, one new sample per edge.
+            new_a = new_conj.conj()
+            new_f, new_b = spare[..., : m + 1]
+            np.multiply(kcol, b, out=new_f[..., :m])
+            new_f[..., :m] += f
+            np.multiply(kcol.conj(), f, out=new_b[..., 1:])
+            new_b[..., 1:] += b
+            new_f[0, :, m] = x[:, m] + np.vecdot(new_conj, x[:, m - 1 :: -1])
+            new_b[1, :, 0] = x[:, n - 1 - m] + np.vecdot(new_a, x[:, n - m :])
+            edges, spare = spare, edges
+            # g of the order-m coefficients: g_{-1} and g_{m+1}, then persymmetry.
+            g[:, 0] = r[:, 1] + np.vecdot(a, r[:, 2 : m + 1])
+            g[:, m + 2] = (r[:, m + 1] + np.vecdot(conj, r[:, m:1:-1])).conj()
+            g[:, 1 : m + 3] += kcol.conj() * g[:, m + 1 :: -1].conj()
+            a, conj = new_a, new_conj
+    slow = ~fast
+    if np.count_nonzero(slow):
+        lattice = _burg_lattice(x[slow], order, padded=False)
+        batch.coeffs[slow] = lattice.coeffs
+        batch.powers[slow] = lattice.powers
+        batch.stages[slow] = lattice.stages
+    return batch
 
 
 def burg_classic(x, order: int, keep_errors: bool = False) -> ArModel1D:
@@ -345,9 +454,26 @@ def burg_classic(x, order: int, keep_errors: bool = False) -> ArModel1D:
 
     which bounds ``|k_m| <= 1``; the error signals are then updated on the
     same window, losing one sample per order. ``error_power`` follows the
-    ``P_m = P_{m-1} (1 - |k_m|^2)`` recursion from ``P_0 = sum |x|^2``.
+    ``P_m = P_{m-1} (1 - |k_m|^2)`` recursion from ``P_0 = sum |x|^2``,
+    stopping at 0 where ``|k_m|^2`` rounds past 1.
+
+    The sums come from the biased lags ``r_0 .. r_order`` and O(m) work at
+    stage ``m`` (Andersen 1974, *Geophysics*; Vos, "A Fast Implementation
+    of Burg's Method", 2013), not from several passes over the error
+    signals per stage. Each such sum is a difference of sums of size
+    ``r_0``, so the record is recomputed on the error-signal lattice as
+    soon as a half-sum denominator, or the bound ``D_m (1 - |k_m|^2)`` on
+    the next one, falls below ``r_0 / 30``, or when ``r_0`` or ``2 r_0``
+    is not a normal double. A recomputed record, and so every early stop
+    and every error, is the lattice's to the bit; on the others the
+    coefficients match the lattice's within 1e-12 relative on records of
+    up to 200 samples (3.4e-12 at N=1e5, order 400).
+    ``keep_errors=True`` runs the lattice.
     """
-    return _burg_lattice(_stack(as_signal_1d(x)[None], order), order, False, keep_errors).model(0)
+    x = _stack(as_signal_1d(x)[None], order)
+    if keep_errors:
+        return _burg_lattice(x, order, False, True).model(0)
+    return _burg_classic(x, order).model(0)
 
 
 def burg_modified(x, order: int, keep_errors: bool = False) -> ArModel1D:

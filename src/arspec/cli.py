@@ -45,7 +45,7 @@ from itertools import islice, zip_longest
 import numpy as np
 
 from . import __version__
-from .ar1d import ArModel1D, _burg_lattice, _levinson, _stack, residual_mse
+from .ar1d import ArModel1D, _burg_classic, _burg_lattice, _levinson, _stack, residual_mse
 from .ar2d import ArModel2D, burg2d_classic, burg2d_modified, extract_quarter_plane_filter, wwra
 from .autocorr import _biased_lags, as_signal_1d, estimate_block_autocorr_2d
 from .errors import NumericalError
@@ -68,7 +68,7 @@ from .spectrum import ar_spectrum_1d, ar_spectrum_2d, frequency_grid, log10_powe
 # called, so a replaced module attribute takes effect.
 _METHODS_1D = {
     "levinson": lambda x, p: _levinson(_biased_lags(x, p), p),
-    "burg": lambda x, p: _burg_lattice(x, p, padded=False),
+    "burg": lambda x, p: _burg_classic(x, p),
     "burg-mod": lambda x, p: _burg_lattice(x, p, padded=True),
 }
 _METHODS_2D = {

@@ -141,11 +141,12 @@ def _complex(value, shape: tuple) -> np.ndarray:
 
 
 def _power(value, name: str) -> float:
-    """A power read from JSON: finite (json reads 1e999 as inf), of either sign, since
-    the classic lattice's power can round a few ulps below zero at the unit circle."""
+    """A power read from JSON: finite (json reads 1e999 as inf) and nonnegative."""
     power = float(value)
     if not math.isfinite(power):
         raise ValueError(f"{name} must be finite, got {power}")
+    if power < 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {power}")
     return power
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from arspec.ar1d import (
     ArModel1D,
+    _burg_classic,
     _burg_lattice,
     _levinson,
     backward_prediction_residual,
@@ -18,6 +19,7 @@ from arspec.ar1d import (
     residual_mse,
 )
 from arspec.autocorr import _biased_lags, estimate_autocorr_1d, toeplitz_matrix
+from arspec import ar1d
 from arspec.errors import DegenerateSignalError, SingularityError
 from arspec.linalg import max_rel_diff, solve_hermitian_dense
 from arspec.siggen import SynthConfig, gen_noisy_sinusoid
@@ -349,9 +351,12 @@ class TestBatch:
         single = burg_modified if padded else burg_classic
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = _burg_lattice(x, order, padded)
+            batch = _burg_lattice(x, order, True) if padded else _burg_classic(x, order)
+            lattice = _burg_lattice(x, order, padded)
             for b in range(n_rec):
                 assert_same_model(batch.model(b), single(x[b], order))
+                alone = _burg_lattice(x[b : b + 1], order, padded).model(0)
+                assert_same_model(lattice.model(b), alone)
             lags = _biased_lags(x, order)
             for b in range(n_rec):
                 assert np.array_equal(lags[b], estimate_autocorr_1d(x[b], order))
@@ -406,3 +411,122 @@ class TestBatch:
             _burg_lattice(x, 4, padded)
         with pytest.raises(DegenerateSignalError):
             _levinson(_biased_lags(x, 4), 4)
+
+
+def _sinusoid(rng, n: int, noise: float, real: bool) -> np.ndarray:
+    """A unit sinusoid at a random frequency and phase plus white noise of
+    standard deviation ``noise``, complex or real."""
+    k = np.arange(n)
+    z = np.exp(1j * (2.0 * np.pi * rng.uniform(-0.5, 0.5) * k + rng.uniform(0.0, 2.0 * np.pi)))
+    z += noise * crandn(rng, n)
+    return z.real + 0j if real else z
+
+
+def _lattice_spy(monkeypatch) -> list:
+    """Route ``ar1d._burg_lattice`` through a spy; returns the list that
+    collects the stacks it is given."""
+    seen = []
+    real = ar1d._burg_lattice
+
+    def spy(x, *args, **kwargs):
+        seen.append(x.copy())
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(ar1d, "_burg_lattice", spy)
+    return seen
+
+
+def assert_bitwise_model(got: ArModel1D, want: ArModel1D):
+    assert (got.order, got.early_stop, got.error_power) == (
+        want.order, want.early_stop, want.error_power
+    )
+    for g, w in zip(got.history, want.history, strict=True):
+        assert np.array_equal(g.coeffs, w.coeffs)
+        assert (g.error_power, g.reflection) == (w.error_power, w.reflection)
+
+
+class TestFastClassic:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        order=st.integers(1, 79),
+        kind=st.sampled_from(["complex", "real", "sinusoid", "real-sinusoid"]),
+        noise=st.sampled_from([0.0] + [10.0**e for e in range(-15, 0)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=20, order=19, kind="sinusoid", noise=0.0, seed=1)
+    @example(n=2, order=1, kind="real", noise=0.1, seed=3)
+    def test_matches_the_lattice(self, n, order, kind, noise, seed):
+        order = min(order, n - 1)
+        rng = np.random.default_rng(seed)
+        if kind == "complex":
+            x = crandn(rng, n)
+        elif kind == "real":
+            x = rng.standard_normal(n) + 0j
+        else:
+            x = _sinusoid(rng, n, noise, kind == "real-sinusoid")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                ref = _burg_lattice(x[None], order, padded=False).model(0)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    burg_classic(x, order)
+                return
+            model = burg_classic(x, order)
+        assert (model.order, model.early_stop) == (ref.order, ref.early_stop)
+        assert len(model.history) == len(ref.history)
+        for got, want in zip(model.history, ref.history):
+            assert max_rel_diff(got.coeffs, want.coeffs) <= 1e-12
+            assert abs(got.error_power - want.error_power) <= 1e-12 * want.error_power
+
+    def test_a_tripped_record_gets_the_lattice_bits(self, monkeypatch):
+        # The paper's record (N=20, 30 dB) leaves the fast route at order 2.
+        x = gen_noisy_sinusoid(SynthConfig(20, 0.25, 0.0, 30.0, 1))
+        seen = _lattice_spy(monkeypatch)
+        batch = _burg_classic(x[None], 19)
+        assert len(seen) == 1 and np.array_equal(seen[0], x[None])
+        ref = _burg_lattice(x[None], 19, padded=False)
+        assert np.array_equal(batch.coeffs, ref.coeffs)
+        assert np.array_equal(batch.powers, ref.powers)
+        assert np.array_equal(batch.stages, ref.stages)
+
+    def test_mixed_batch_equals_each_record_alone(self, monkeypatch):
+        rng = np.random.default_rng(94)
+        x = crandn(rng, 6, 24)
+        x[1] = gen_noisy_sinusoid(SynthConfig(24, 0.25, 0.0, 30.0, 1))
+        x[3] = gen_noisy_sinusoid(SynthConfig(24, 0.3, 0.0, None, 1))
+        x[4] = rng.standard_normal(24)
+        seen = _lattice_spy(monkeypatch)
+        batch = _burg_classic(x, 15)
+        # Only the two sinusoids go to the lattice, as one sub-batch.
+        assert len(seen) == 1 and np.array_equal(seen[0], x[[1, 3]])
+        for b in range(len(x)):
+            assert_bitwise_model(batch.model(b), burg_classic(x[b], 15))
+
+    def test_overflowing_sums_leave_quietly(self):
+        # Near the top of the double range the lag forms overflow where the
+        # lattice's sums do not: the record goes to the lattice, silently.
+        x = crandn(np.random.default_rng(96), 64)
+        x *= np.sqrt(0.49 * np.finfo(float).max / np.vdot(x, x).real)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = burg_classic(x, 63)
+            ref = _burg_lattice(x[None], 63, padded=False).model(0)
+        assert_bitwise_model(model, ref)
+
+    def test_fast_route_is_taken(self, monkeypatch):
+        # A reduced lattice_1d record: two unit tones in noise of variance 0.1.
+        rng = np.random.default_rng(95)
+        k = np.arange(4096)
+        x = np.exp(2j * np.pi * 0.11 * k) + np.exp(2j * np.pi * (-0.23 * k + 0.4))
+        x += np.sqrt(0.05) * crandn(rng, k.size)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the record left the fast route")
+
+        monkeypatch.setattr(ar1d, "_burg_lattice", refuse)
+        model = burg_classic(x, 64)
+        assert model.order == 64 and not model.early_stop
+        assert len(model.history) == 64
+        assert all(abs(st.reflection) < 1.0 for st in model.history)

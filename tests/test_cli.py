@@ -239,10 +239,10 @@ class TestEst1d:
         assert err.count("\n") == 1
 
     def test_internal_key_error_is_not_a_usage_error(self, tmp_path, monkeypatch, sig_csv):
-        def buggy(x, order, padded):
+        def buggy(x, order):
             raise KeyError("internal")
 
-        monkeypatch.setattr(arspec.cli, "_burg_lattice", buggy)
+        monkeypatch.setattr(arspec.cli, "_burg_classic", buggy)
         with pytest.raises(KeyError):
             run("est1d", "--method", "burg", "--order", "2",
                 "--in", str(sig_csv), "--out", str(tmp_path / "m.json"))
@@ -369,13 +369,13 @@ class TestSpectrumCommand:
         assert abs(np.log10(float(row[1])) - float(row[2])) < 1e-12
 
     def test_noiseless_classic_burg_model_reads_back(self, tmp_path):
-        # At the unit circle the classic lattice's power rounds below zero;
-        # spectrum must still read the model est1d wrote.
+        # At the unit circle |k|^2 of the classic lattice rounds past 1; the
+        # power stops at zero, and spectrum reads the model est1d wrote.
         sig, model, spec = tmp_path / "s.csv", tmp_path / "m.json", tmp_path / "p.csv"
         assert run("gen", "--noiseless", "--n", "20", "--freq", "0.3", "--out", str(sig)) == 0
         assert run("est1d", "--method", "burg", "--order", "3",
                    "--in", str(sig), "--out", str(model)) == 0
-        assert json.loads(model.read_text())["error_power"] < 0
+        assert json.loads(model.read_text())["error_power"] == 0.0
         assert run("spectrum", "--in", str(model), "--out", str(spec)) == 0
         assert spec.exists()
 
@@ -433,6 +433,10 @@ class TestSpectrumCommand:
                          "noise_power must be finite, got inf", id="noise_power-1e999"),
             pytest.param("ar1d", lambda o: o["history"][1].update(error_power=math.nan),
                          "history error_power must be finite, got nan", id="stage-power-NaN"),
+            pytest.param("ar1d", lambda o: o.update(error_power=-1.0),
+                         "error_power must be nonnegative, got -1.0", id="error_power-negative"),
+            pytest.param("quarter_plane_filter", lambda o: o.update(noise_power=-1.0),
+                         "noise_power must be nonnegative, got -1.0", id="noise_power-negative"),
         ],
     )
     def test_missing_model_key_is_usage_error(self, tmp_path, capsys, kind, corrupt, message):
