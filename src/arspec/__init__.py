@@ -7,101 +7,24 @@ lattices) over the shifted-row channel embedding, quarter-plane filter
 extraction, AR spectra, and a deterministic noisy-sinusoid generator with
 exactly controlled SNR. The ``arspec`` CLI wraps everything into
 reproducible CSV/JSON experiment artifacts.
+
+The package exports every name in the ``__all__`` of the library modules
+below; the file codecs (:mod:`arspec.io`) and the CLI stay in their modules.
 """
 
-from .ar1d import (
-    ArModel1D,
-    ErrorSignals1D,
-    LatticeStage,
-    backward_prediction_residual,
-    burg_classic,
-    burg_modified,
-    levinson,
-    prediction_residual,
-    residual_mse,
-)
-from .ar2d import (
-    ArModel2D,
-    BlockStage,
-    ErrorSignals2D,
-    QuarterPlaneFilter,
-    burg2d_classic,
-    burg2d_modified,
-    extract_quarter_plane_filter,
-    quarter_plane_residual,
-    residual_mse_2d,
-    wwra,
-)
-from .autocorr import (
-    block_toeplitz_matrix,
-    build_data_matrices,
-    estimate_autocorr_1d,
-    estimate_block_autocorr_2d,
-    toeplitz_matrix,
-)
-from .errors import DegenerateSignalError, NumericalError, SingularityError
-from .linalg import (
-    exchange_conj,
-    exchange_transpose,
-    is_hermitian,
-    is_toeplitz,
-    max_rel_diff,
-    solve_hermitian_dense,
-)
-from .siggen import Lcg32, SynthConfig, gen_noisy_sinusoid, phase_sweep
-from .spectrum import (
-    SpectrumGrid,
-    ar_spectrum_1d,
-    ar_spectrum_2d,
-    dft,
-    frequency_grid,
-    idft,
-)
+from . import ar1d, ar2d, autocorr, errors, linalg, siggen, spectrum
+from .ar1d import *
+from .ar2d import *
+from .autocorr import *
+from .errors import *
+from .linalg import *
+from .siggen import *
+from .spectrum import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArModel1D",
-    "ArModel2D",
-    "BlockStage",
-    "DegenerateSignalError",
-    "ErrorSignals1D",
-    "ErrorSignals2D",
-    "LatticeStage",
-    "Lcg32",
-    "NumericalError",
-    "QuarterPlaneFilter",
-    "SingularityError",
-    "SpectrumGrid",
-    "SynthConfig",
-    "ar_spectrum_1d",
-    "ar_spectrum_2d",
-    "backward_prediction_residual",
-    "block_toeplitz_matrix",
-    "build_data_matrices",
-    "burg2d_classic",
-    "burg2d_modified",
-    "burg_classic",
-    "burg_modified",
-    "dft",
-    "estimate_autocorr_1d",
-    "estimate_block_autocorr_2d",
-    "exchange_conj",
-    "exchange_transpose",
-    "extract_quarter_plane_filter",
-    "frequency_grid",
-    "gen_noisy_sinusoid",
-    "idft",
-    "is_hermitian",
-    "is_toeplitz",
-    "levinson",
-    "max_rel_diff",
-    "phase_sweep",
-    "prediction_residual",
-    "quarter_plane_residual",
-    "residual_mse",
-    "residual_mse_2d",
-    "solve_hermitian_dense",
-    "toeplitz_matrix",
-    "wwra",
+    name
+    for module in (ar1d, ar2d, autocorr, errors, linalg, siggen, spectrum)
+    for name in module.__all__
 ]

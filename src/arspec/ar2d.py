@@ -227,7 +227,8 @@ def _burg2d_lattice(
     n1_len, p, width = data.shape
     if not 0 <= order <= n1_len - 1:
         raise ValueError(f"order must be in [0, {n1_len - 1}], got {order}")
-    if order >= 1 and not np.any(x):
+    # The 1D lattice's rule: an energy that rounds to zero is no energy.
+    if order >= 1 and not np.vecdot(x.ravel(), x.ravel()).real:
         raise DegenerateSignalError("grid has zero energy")
 
     ef = np.zeros((p, (n1_len + 1 + (order if padded else 0)) * width), dtype=complex)

@@ -61,6 +61,7 @@ from .io import (
     write_signal_csv,
     write_spectrum_csv,
 )
+from .linalg import max_rel_diff
 from .siggen import Lcg32, SynthConfig, gen_noisy_sinusoid, phase_sweep
 from .spectrum import ar_spectrum_1d, ar_spectrum_2d, frequency_grid, log10_power
 
@@ -230,36 +231,26 @@ def _cmd_mse_vs_order(args):
     return 0, [args.out], _early_stops(args, {m: len(col) for m, col in table.items()})
 
 
-def _stage_deviation(ref, ref_stages, est, est_stages, starts) -> float:
-    """Largest stage-by-stage coefficient deviation between two batches of
-    stages: ``(B, T)`` arrays whose row ``b`` packs the coefficients of the
-    ``*_stages[b]`` stages of record ``b``, stage ``j`` from offset
-    ``starts[j]`` on.
+def _stage_deviation(ref, est) -> float:
+    """Largest stage-by-stage coefficient deviation between two
+    :class:`~arspec.ar1d.LatticeBatch` runs over the same records.
 
     A stage's deviation is relative to the larger magnitude peak of its two
     sides (0.0 when both are zero) and ``inf`` when an entry is not finite;
     the result is ``inf`` when a record's two stage counts differ, so a
     truncated route cannot pass.
     """
-    if not np.array_equal(ref_stages, est_stages):
+    if not np.array_equal(ref.stages, est.stages):
         return math.inf
+    starts = ref.starts
     with np.errstate(all="ignore"):
         # maximum propagates NaN, and |z| is infinite when a part of z is.
-        peak = np.maximum.reduceat(np.maximum(np.abs(ref), np.abs(est)), starts, axis=1)
-        gap = np.maximum.reduceat(np.abs(ref - est), starts, axis=1)
+        peak = np.maximum(np.abs(ref.coeffs), np.abs(est.coeffs))
+        peak = np.maximum.reduceat(peak, starts, axis=1)
+        gap = np.maximum.reduceat(np.abs(ref.coeffs - est.coeffs), starts, axis=1)
     dev = np.where(np.isfinite(peak), gap / np.where(peak > 0.0, peak, 1.0), math.inf)
-    done = np.arange(len(starts)) < np.asarray(ref_stages)[:, None]
+    done = np.arange(len(starts)) < ref.stages[:, None]
     return float(dev[done].max(initial=0.0))
-
-
-def _packed(history: list) -> tuple:
-    """One model's history as a batch of one for :func:`_stage_deviation`:
-    the packed coefficients, the stage count and the stage offsets."""
-    starts = np.cumsum([0, *(st.coeffs.size for st in history)])
-    coeffs = np.zeros((1, starts[-1]), dtype=complex)
-    for st, lo in zip(history, starts):
-        coeffs[0, lo : lo + st.coeffs.size] = st.coeffs.ravel()
-    return coeffs, [len(history)], starts[:-1]
 
 
 def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
@@ -280,9 +271,7 @@ def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
         for x in _batches(records, max_order):
             lev = _METHODS_1D["levinson"](x, max_order)
             mod = _METHODS_1D["burg-mod"](x, max_order)
-            dev1 = max(
-                dev1, _stage_deviation(lev.coeffs, lev.stages, mod.coeffs, mod.stages, lev.starts)
-            )
+            dev1 = max(dev1, _stage_deviation(lev, mod))
 
     grid_sizes = (5, 8)
     dev2 = 0.0
@@ -295,9 +284,11 @@ def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
         x = raw.reshape(n1_len, n2_len)
         mod = _METHODS_2D["burg2d-mod"](x, order, channel)
         ww = _METHODS_2D["wwra"](x, order, channel)
-        ref, ref_stages, starts = _packed(ww.history)
-        est, est_stages, _ = _packed(mod.history[1:])
-        dev2 = max(dev2, _stage_deviation(ref, ref_stages, est, est_stages, starts))
+        # The lattice's history starts at order 0, the recursion's at 1.
+        if len(ww.history) != len(mod.history) - 1:
+            dev2 = math.inf
+        for a, b in zip(ww.history, mod.history[1:]):
+            dev2 = max(dev2, max_rel_diff(a.coeffs, b.coeffs))
 
     tol1, tol2 = 1e-9, 1e-8
     # A non-finite deviation is written as null: strict JSON has no Infinity.

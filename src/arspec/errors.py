@@ -1,5 +1,7 @@
 """Exception types shared across the estimators."""
 
+__all__ = ["DegenerateSignalError", "NumericalError", "SingularityError"]
+
 
 class NumericalError(Exception):
     """Base class for numerical failures (as opposed to usage errors)."""

@@ -7,8 +7,9 @@ Formats (UTF-8, '.' decimal, no locale dependence):
 * Model / filter JSON: complex numbers as explicit ``[re, im]`` pairs,
   never a string encoding; models carry the method name, order(s) and the
   per-stage error powers. :func:`read_model` decodes any of the three
-  kinds; a malformed file, a non-finite coefficient or power, or a negative
-  1D or filter power is a ``ValueError`` naming it.
+  kinds; a malformed file, a non-finite coefficient or power, a negative
+  1D or filter power, or a 2D ``sample_terms`` or stage criterion of the
+  wrong kind is a ``ValueError`` naming it.
 * Spectrum CSV: ``frequency,power,log10_power`` (1D) or
   ``f1,f2,power,log10_power`` (2D).
 * Table CSV (the experiments): a header row, then one row per phase or
@@ -150,6 +151,20 @@ def _power(value, name: str) -> float:
     return power
 
 
+def _sample_terms(value) -> int | None:
+    """``sample_terms`` read from JSON: ``None`` (unknown) or a count >= 1."""
+    if value is None or (type(value) is int and value >= 1):
+        return value
+    raise ValueError(f"sample_terms must be null or an integer >= 1, got {value!r}")
+
+
+def _criterion(value) -> float | None:
+    """A stage criterion read from JSON: ``None`` or a finite number."""
+    if value is None or (type(value) in (int, float) and math.isfinite(value)):
+        return value
+    raise ValueError(f"criterion must be null or a finite number, got {value!r}")
+
+
 def model1d_to_dict(model: ArModel1D, method: str) -> dict:
     return {
         "kind": "ar1d",
@@ -224,12 +239,12 @@ def model2d_from_dict(obj: dict) -> ArModel2D:
             empty,
             None,
             _complex(st["error_power_matrix"], p),
-            criterion=st["criterion"],
+            criterion=_criterion(st["criterion"]),
         )
         for st in obj.get("history", [])
     ]
     power = _complex(obj["error_power_matrix"], p)
-    return ArModel2D(n1, n2, coeffs, power, history, obj.get("sample_terms"))
+    return ArModel2D(n1, n2, coeffs, power, history, _sample_terms(obj.get("sample_terms")))
 
 
 def filter_to_dict(filt: QuarterPlaneFilter) -> dict:
@@ -286,6 +301,8 @@ def read_json(path) -> dict:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def write_spectrum_csv(path, grid: SpectrumGrid) -> None:

@@ -19,13 +19,14 @@ uniforms,
     z0 = sqrt(-2 ln u1) cos(2 pi u2),  z1 = sqrt(-2 ln u1) sin(2 pi u2),
 
 and one unit-variance complex sample is ``(z0 + i z1) / sqrt(2)``. The
-initial state for a (seed, substream, attempt) triple is
+initial state for a (seed, substream) pair is
 
-    state0 = (seed + 0x9E3779B9 * substream + 0x85EBCA6B * attempt) mod 2**32.
+    state0 = (seed + 0x9E3779B9 * substream) mod 2**32.
 
-Substreams separate the noise draws of sweep steps; the attempt counter
-only increments in the (probability ~0) event that a drawn noise vector is
-identically zero and must be regenerated.
+Substreams separate the noise draws of sweep steps. A uniform is at most
+``1 - 2**-33``, so every complex sample has ``|z|**2 = -ln u1 >= 2**-33``
+and every noise record has positive energy: the SNR rescaling never
+divides by zero.
 """
 
 import math
@@ -46,16 +47,13 @@ _LCG_MULT = 1664525
 _LCG_INC = 1013904223
 _LCG_MOD = 2**32
 _SUBSTREAM_STEP = 0x9E3779B9
-_ATTEMPT_STEP = 0x85EBCA6B
 
 
 class Lcg32:
     """The documented 32-bit LCG with Box-Muller normal sampling."""
 
-    def __init__(self, seed: int, substream: int = 0, attempt: int = 0):
-        self._state = (
-            seed + _SUBSTREAM_STEP * substream + _ATTEMPT_STEP * attempt
-        ) % _LCG_MOD
+    def __init__(self, seed: int, substream: int = 0):
+        self._state = (seed + _SUBSTREAM_STEP * substream) % _LCG_MOD
 
     def uniform(self) -> float:
         """Next uniform draw in the open interval (0, 1)."""
@@ -116,13 +114,8 @@ def gen_noisy_sinusoid(cfg: SynthConfig, substream: int = 0) -> np.ndarray:
     if cfg.snr_db is None:
         return sinusoid
 
-    attempt = 0
-    while True:
-        noise = Lcg32(cfg.seed, substream, attempt).complex_normal(cfg.n)
-        noise_energy = np.vdot(noise, noise).real
-        if noise_energy > 0.0:
-            break
-        attempt += 1
+    noise = Lcg32(cfg.seed, substream).complex_normal(cfg.n)
+    noise_energy = np.vdot(noise, noise).real
     signal_energy = cfg.n * np.vdot(sinusoid, sinusoid).real
     scale = math.sqrt(signal_energy / (noise_energy * 10.0 ** (cfg.snr_db / 10.0)))
     return sinusoid + scale * idft(noise)

@@ -395,3 +395,29 @@ def test_non_finite_estimate_raises(method, scale):
     # non-finite; the estimator raises instead of returning it.
     with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
         SCALED_ESTIMATORS[method](scale)
+
+
+@pytest.mark.parametrize("scale", [1e-165, 1e-200])
+@pytest.mark.parametrize("lattice", [burg2d_classic, burg2d_modified])
+def test_energy_that_rounds_to_zero_is_degenerate(lattice, scale):
+    # A nonzero grid whose energy underflows: like the 1D lattices, raise
+    # instead of returning zero coefficients with zero noise power.
+    x = scale * crandn(np.random.default_rng(79), 5, 5)
+    assert np.any(x)
+    with pytest.raises(DegenerateSignalError, match="grid has zero energy"):
+        lattice(x, 2, 1)
+
+
+@pytest.mark.parametrize("method", ["wwra", "burg2d_classic", "burg2d_modified"])
+def test_subnormal_energy_gives_non_finite_result(method):
+    # At 1e-158 the moments are subnormal: the order-1 solve overflows, and
+    # the final check names the non-finite result.
+    x = 1e-158 * crandn(np.random.default_rng(79), 5, 5)
+    fit = {
+        "wwra": lambda: wwra(estimate_block_autocorr_2d(x, 1, 1), 1),
+        "burg2d_classic": lambda: burg2d_classic(x, 1, 1),
+        "burg2d_modified": lambda: burg2d_modified(x, 1, 1),
+    }[method]
+    message = "non-finite coefficients or error power at order 1"
+    with pytest.raises(NumericalError, match=message), pytest.warns(RuntimeWarning):
+        fit()

@@ -224,8 +224,9 @@ class TestEst1d:
             (["0,1.0,0.0", "1,2.0,0.0", "-1,3.0,0.0", "2,4.0,0.0"], "negative index"),
             (["0,1.0,0.0", "1,2.0,0.0", "1,3.0,0.0", "2,4.0,0.0"], "duplicate index"),
             (["0,1.0,0.0", "1,2.0", "2,4.0,0.0"], "expected 3 fields"),
+            ([], "no samples"),
         ],
-        ids=["negative", "duplicate", "short"],
+        ids=["negative", "duplicate", "short", "header-only"],
     )
     def test_bad_signal_rows_are_usage_errors(self, tmp_path, capsys, rows, message):
         bad = tmp_path / "bad.csv"
@@ -237,6 +238,16 @@ class TestEst1d:
         assert err.startswith("error: usage:")
         assert message in err
         assert err.count("\n") == 1
+
+    def test_blank_rows_are_skipped(self, tmp_path, sig_csv):
+        lines = sig_csv.read_text().splitlines()
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n".join([*lines[:5], "", *lines[5:], ""]) + "\n")
+        for name, path in (("plain", sig_csv), ("blank", blank)):
+            rc = run("est1d", "--method", "burg", "--order", "3",
+                     "--in", str(path), "--out", str(tmp_path / f"{name}.json"))
+            assert rc == 0
+        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "blank.json").read_bytes()
 
     def test_internal_key_error_is_not_a_usage_error(self, tmp_path, monkeypatch, sig_csv):
         def buggy(x, order):
@@ -277,6 +288,17 @@ class TestEst2d:
         assert err.startswith("error: numerical: coefficient matrix")
         assert "non-finite entry" in err
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["burg2d", "burg2d-mod"])
+    def test_energy_that_rounds_to_zero_is_numerical_error(self, tmp_path, capsys, method):
+        grid = tmp_path / "grid.csv"
+        write_signal_2d_csv(grid, 1e-165 * crandn(np.random.default_rng(79), 5, 5))
+        out = tmp_path / "model.json"
+        rc = run("est2d", "--method", method, "--n1", "2", "--n2", "1",
+                 "--in", str(grid), "--out", str(out))
+        assert rc == 3
+        assert capsys.readouterr().err == "error: numerical: grid has zero energy\n"
         assert not out.exists()
 
     def test_wwra_and_modified_agree_end_to_end(self, tmp_path):
@@ -331,8 +353,10 @@ class TestEst2d:
             (["0,0,1.0,0.0", "0,-1,2.0,0.0", "0,1,3.0,0.0"], "negative index"),
             (["0,0,1.0,0.0", "0,0,2.0,0.0", "0,1,3.0,0.0"], "duplicate index"),
             (["0,0,1.0,0.0", "0,1,2.0"], "expected 4 fields"),
+            (["0,0,1.0,0.0", "0,1,2.0,0.0", "1,0,3.0,0.0"], "missing samples"),
+            (["0,0,1.0,0.0", "0,1,nan,0.0", "1,0,3.0,0.0", "1,1,4.0,0.0"], "NaN"),
         ],
-        ids=["negative", "duplicate", "short"],
+        ids=["negative", "duplicate", "short", "missing", "nan"],
     )
     def test_bad_grid_rows_are_usage_errors(self, tmp_path, capsys, rows, message):
         bad = tmp_path / "bad.csv"
@@ -437,6 +461,18 @@ class TestSpectrumCommand:
                          "error_power must be nonnegative, got -1.0", id="error_power-negative"),
             pytest.param("quarter_plane_filter", lambda o: o.update(noise_power=-1.0),
                          "noise_power must be nonnegative, got -1.0", id="noise_power-negative"),
+            pytest.param("ar2d", lambda o: o.update(kind="ar3d"), "unsupported kind 'ar3d'",
+                         id="kind-unknown"),
+            *(
+                pytest.param("ar2d", lambda o, v=value: o.update(sample_terms=v),
+                             "sample_terms must be null or an integer >= 1",
+                             id=f"sample_terms-{id_}")
+                for id_, value in [("abc", "abc"), ("list", [1]), ("negative", -5), ("zero", 0),
+                                   ("true", True), ("fraction", 2.5), ("1e999", "1e999")]
+            ),
+            pytest.param("ar2d", lambda o: o["history"][1].update(criterion="x"),
+                         "criterion must be null or a finite number, got 'x'",
+                         id="criterion-string"),
         ],
     )
     def test_missing_model_key_is_usage_error(self, tmp_path, capsys, kind, corrupt, message):
@@ -464,6 +500,13 @@ class TestSpectrumCommand:
         assert message in err
         assert err.count("\n") == 1
 
+
+    def test_model_that_is_not_json_is_usage_error(self, tmp_path, capsys, sig_csv):
+        rc = run("spectrum", "--in", str(sig_csv), "--out", str(tmp_path / "s.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: {sig_csv}: not valid JSON: Expecting value")
+        assert err.count("\n") == 1
 
     def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys):
         model = tmp_path / "m.json"
@@ -610,6 +653,28 @@ class TestExperiments:
         assert verdict["pass"] is False
         assert verdict["equivalence_1d"]["pass"] is False
         assert verdict["equivalence_1d"]["max_rel_deviation"] is None
+
+    @pytest.mark.parametrize("corrupt", ["nan", "truncate"])
+    def test_2d_equivalence_fails_loudly(self, tmp_path, monkeypatch, corrupt):
+        real = arspec.cli.burg2d_modified
+
+        def broken(x, n1, n2):
+            model = real(x, n1, n2)
+            if corrupt == "nan":
+                model.history[-1].coeffs[0, 0, 0] = np.nan
+            else:
+                model.history.pop()
+            return model
+
+        monkeypatch.setattr(arspec.cli, "burg2d_modified", broken)
+        out = tmp_path / "eq.json"
+        rc = run("experiment", "equivalence", "--trials", "3", "--trials-2d", "3",
+                 "--seed", "1", "--out", str(out))
+        assert rc == 1
+        verdict = read_json(out)
+        assert verdict["equivalence_1d"]["pass"] is True
+        assert verdict["equivalence_2d"]["pass"] is False
+        assert verdict["equivalence_2d"]["max_rel_deviation"] is None
 
     def test_mse_vs_order_early_stop(self, tmp_path):
         out = tmp_path / "mse.csv"

@@ -127,6 +127,15 @@ class TestSolveHermitianDense:
         x = solve_hermitian_dense(a, b, side="right")
         assert np.linalg.norm(x @ a - b) <= 1e-10 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_small_leading_pivot_swaps_rows(self, side):
+        # |a[1, 0]| > |a[0, 0]|, so column 0 pivots on row 1.
+        a = np.array([[1e-3, 1.0], [1.0, 1.0]], dtype=complex)
+        b = np.array([[1.0, 2j], [3.0, -1.0]])
+        x = solve_hermitian_dense(a, b, side=side)
+        ref = np.linalg.solve(a, b) if side == "left" else np.linalg.solve(a.T, b.T).T
+        assert np.allclose(x, ref, rtol=1e-14, atol=0)
+
     def test_singular_raises(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         with pytest.raises(SingularityError):
