@@ -33,7 +33,11 @@ records of up to 200 samples, and 3.4e-12 at N=1e5, p=400, where the
 lattice is 2e-13 to 5e-13 from an extended-precision lattice.
 
 All three populate a per-order history so a single run at order ``n``
-yields the models of every intermediate order.
+yields the models of every intermediate order. A stage keeps its
+coefficients, not its error signals: those are functions of the
+coefficients, :func:`prediction_residual` and
+:func:`backward_prediction_residual` on the zero-padded support, of which
+the classic lattice's stage ``m`` sees ``[m, N-1]``.
 
 The recursions run batch-first: their kernels take a ``(B, N)`` stack of
 equal-length records (``(B, L)`` lag sequences for Levinson), reduce along
@@ -55,7 +59,6 @@ from .errors import DegenerateSignalError, NumericalError, SingularityError
 
 __all__ = [
     "ArModel1D",
-    "ErrorSignals1D",
     "LatticeStage",
     "backward_prediction_residual",
     "burg_classic",
@@ -79,31 +82,14 @@ FAST_BURG_BOUND = 30.0
 
 
 @dataclass
-class ErrorSignals1D:
-    """Forward/backward prediction errors with an explicit support.
-
-    ``forward[i]`` is the forward error at time ``k_min + i`` (same for
-    ``backward``). Classic Burg keeps ``[order, N-1]``; the zero-padded
-    variant keeps ``[0, N+order-1]``, with the boundary samples
-    ``e_b(-1) = 0`` and ``e_f(N+order) = 0`` implied outside the arrays.
-    """
-
-    forward: np.ndarray
-    backward: np.ndarray
-    k_min: int
-    k_max: int
-
-
-@dataclass
 class LatticeStage:
-    """One completed recursion order; ``coeffs`` and ``errors`` are views
-    into the :class:`LatticeBatch` that computed them."""
+    """One completed recursion order; ``coeffs`` is a view into the
+    :class:`LatticeBatch` that computed it."""
 
     order: int
     coeffs: np.ndarray
     error_power: float
     reflection: complex
-    errors: ErrorSignals1D | None = None
 
 
 @dataclass
@@ -133,18 +119,15 @@ class LatticeBatch:
     offset ``m (m - 1) / 2`` on (``starts``), and its reflection coefficient
     is the last of them. ``powers[b, m]`` is the error power after stage
     ``m`` (``powers[b, 0]`` is ``P_0``). ``stages[b]`` counts the stages
-    record ``b`` completed; entries past it belong to no stage. A lattice
-    run with ``keep_errors`` appends one :class:`ErrorSignals1D` per stage
-    to ``errors``, its arrays stacked over the batch (``forward[b, i]``).
+    record ``b`` completed; entries past it belong to no stage.
     """
 
     coeffs: np.ndarray
     powers: np.ndarray
     stages: np.ndarray
-    errors: list[ErrorSignals1D] | None = None
 
     @classmethod
-    def start(cls, power: np.ndarray, order: int, keep_errors: bool = False) -> "LatticeBatch":
+    def start(cls, power: np.ndarray, order: int) -> "LatticeBatch":
         """An empty batch whose records start from the powers ``P_0``."""
         powers = np.zeros((power.size, order + 1))
         powers[:, 0] = power
@@ -152,7 +135,6 @@ class LatticeBatch:
             np.zeros((power.size, order * (order + 1) // 2), dtype=complex),
             powers,
             np.full(power.size, order),
-            [] if keep_errors else None,
         )
 
     @property
@@ -173,13 +155,7 @@ class LatticeBatch:
         coeffs = [row[j * (j + 1) // 2 : (j + 1) * (j + 2) // 2] for j in range(m)]
         reflections = row[[j * (j + 3) // 2 for j in range(m)]].tolist()
         powers = self.powers[b, 1 : m + 1].tolist()
-        errors = [None] * m
-        if self.errors is not None:
-            errors = [
-                ErrorSignals1D(e.forward[b], e.backward[b], e.k_min, e.k_max)
-                for e in self.errors[:m]
-            ]
-        history = list(map(LatticeStage, range(1, m + 1), coeffs, powers, reflections, errors))
+        history = list(map(LatticeStage, range(1, m + 1), coeffs, powers, reflections))
         return ArModel1D(m, coeffs[-1], powers[-1], history, m < self.powers.shape[1] - 1)
 
 
@@ -298,9 +274,7 @@ def levinson(r, order: int) -> ArModel1D:
     return _levinson(r[None, : order + 1], order).model(0)
 
 
-def _burg_lattice(
-    x: np.ndarray, order: int, padded: bool, keep_errors: bool = False
-) -> LatticeBatch:
+def _burg_lattice(x: np.ndarray, order: int, padded: bool) -> LatticeBatch:
     """The Burg error-signal lattice over a ``(B, N)`` stack of records, over
     either support: :func:`burg_modified` runs it, and :func:`_burg_classic`
     hands it the records it does not keep.
@@ -331,7 +305,7 @@ def _burg_lattice(
     eb = ef.copy()
     eb_next = np.zeros_like(ef)
     work = np.empty((n_rec, span), dtype=complex)
-    batch = LatticeBatch.start(power, order, keep_errors)
+    batch = LatticeBatch.start(power, order)
     conj = batch.coeffs[:, :0]
     live = np.ones(n_rec, dtype=bool)
     for m in range(1, order + 1):
@@ -349,8 +323,6 @@ def _burg_lattice(
         new_b += b
         f += np.multiply(kcol, b, out=work[:, : hi - lo])
         eb, eb_next = eb_next, eb
-        if keep_errors:
-            batch.errors.append(ErrorSignals1D(f.copy(), new_b.copy(), lo - 1, hi - 2))
         live = _stops(batch, m, kcol[:, 0], live)
         if not np.count_nonzero(live):
             break
@@ -443,7 +415,7 @@ def _burg_classic(x: np.ndarray, order: int) -> LatticeBatch:
     return batch
 
 
-def burg_classic(x, order: int, keep_errors: bool = False) -> ArModel1D:
+def burg_classic(x, order: int) -> ArModel1D:
     """Finite-sample Burg lattice with shrinking error supports.
 
     At stage ``m`` the reflection coefficient is estimated over the common
@@ -468,15 +440,11 @@ def burg_classic(x, order: int, keep_errors: bool = False) -> ArModel1D:
     and every error, is the lattice's to the bit; on the others the
     coefficients match the lattice's within 1e-12 relative on records of
     up to 200 samples (3.4e-12 at N=1e5, order 400).
-    ``keep_errors=True`` runs the lattice.
     """
-    x = _stack(as_signal_1d(x)[None], order)
-    if keep_errors:
-        return _burg_lattice(x, order, False, True).model(0)
-    return _burg_classic(x, order).model(0)
+    return _burg_classic(_stack(as_signal_1d(x)[None], order), order).model(0)
 
 
-def burg_modified(x, order: int, keep_errors: bool = False) -> ArModel1D:
+def burg_modified(x, order: int) -> ArModel1D:
     """Zero-padded Burg lattice; reproduces :func:`levinson` exactly.
 
     The error signals start as the signal itself on ``[0, N-1]`` and gain
@@ -495,7 +463,7 @@ def burg_modified(x, order: int, keep_errors: bool = False) -> ArModel1D:
     order), order)`` up to rounding: the extended sums turn the lattice
     moments into biased lag sums with no boundary truncation.
     """
-    return _burg_lattice(_stack(as_signal_1d(x)[None], order), order, True, keep_errors).model(0)
+    return _burg_lattice(_stack(as_signal_1d(x)[None], order), order, True).model(0)
 
 
 def prediction_residual(x, coeffs) -> np.ndarray:

@@ -25,6 +25,12 @@ linear prediction into multichannel prediction with coefficient MATRICES
   ``Pfb = J Pfb^T J`` at every stage, so the symmetric update coincides
   with the plain ``A = -Pfb Pb^{-1}``.
 
+A stage keeps its coefficients and moments, not its error blocks: those
+are functions of the coefficients over the data matrices ``X(k)``, zero
+outside ``[0, N1-1]``: ``e_f(k) = X(k) + sum_l A_l X(k-l)`` and
+``e_b(k) = X(k-m) + sum_l J A_l^* J X(k-m+l)`` at order ``m``. The lattices
+take an order ``n1`` in ``[1, N1-1]``.
+
 A quarter-plane scalar prediction filter is recovered from any of the
 models by :func:`extract_quarter_plane_filter`; the extraction is pinned by
 a self-validating contract (the scalar filter must reproduce component 0 of
@@ -42,7 +48,6 @@ from .linalg import exchange_conj, exchange_transpose, solve_hermitian_dense
 __all__ = [
     "ArModel2D",
     "BlockStage",
-    "ErrorSignals2D",
     "QuarterPlaneFilter",
     "burg2d_classic",
     "burg2d_modified",
@@ -51,22 +56,6 @@ __all__ = [
     "residual_mse_2d",
     "wwra",
 ]
-
-
-@dataclass
-class ErrorSignals2D:
-    """Per-stage forward/backward error blocks with explicit support.
-
-    ``forward[i]`` is the ``(n2+1) x (N2+n2)`` forward error block at row
-    index ``k_min + i``. The zero-padded variant starts at ``k_min = 0``
-    and grows one block per order (boundary blocks are zero); the classic
-    variant starts at ``k_min = order``.
-    """
-
-    forward: np.ndarray
-    backward: np.ndarray
-    k_min: int
-    k_max: int
 
 
 @dataclass
@@ -94,7 +83,6 @@ class BlockStage:
     forward_power: np.ndarray | None = None
     cross_power: np.ndarray | None = None
     criterion: float | None = None
-    errors: ErrorSignals2D | None = None
 
 
 @dataclass
@@ -175,9 +163,11 @@ def wwra(blocks, order: int, sample_terms: int | None = None) -> ArModel2D:
     ``P <- P + J A_nn^* J Delta_n``, which reproduces the defining sum
     ``R_0 + sum_l J A_l^* J R_l`` exactly.
 
-    Raises :class:`arspec.errors.SingularityError` if ``P`` is singular
-    within the pivot tolerance at any stage, and
-    :class:`arspec.errors.NumericalError` if the result is not finite.
+    Raises :class:`arspec.errors.DegenerateSignalError` if a diagonal
+    entry of ``R_0`` is not positive (a grid whose energy rounds to zero),
+    :class:`arspec.errors.SingularityError` if ``P`` is singular within the
+    pivot tolerance at any stage, and :class:`arspec.errors.NumericalError`
+    if the result is not finite.
     """
     blocks = np.asarray(blocks, dtype=complex)
     if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
@@ -186,6 +176,11 @@ def wwra(blocks, order: int, sample_terms: int | None = None) -> ArModel2D:
         raise ValueError(f"order must be >= 1, got {order}")
     if blocks.shape[0] < order + 1:
         raise ValueError(f"need lag blocks R_0..R_{order}, got {blocks.shape[0]}")
+    diag = blocks[0].diagonal().real
+    if np.count_nonzero(diag <= 0.0):
+        raise DegenerateSignalError(
+            f"R_0 diagonal must be positive, got {diag[np.argmax(diag <= 0.0)]}"
+        )
 
     p = blocks.shape[1]
     coeffs = np.zeros((order, p, p), dtype=complex)
@@ -208,9 +203,16 @@ def wwra(blocks, order: int, sample_terms: int | None = None) -> ArModel2D:
     return ArModel2D(order, p - 1, coeffs, power, history, sample_terms)
 
 
-def _burg2d_lattice(
-    x, order: int, channel_order: int, padded: bool, keep_errors: bool
-) -> ArModel2D:
+def _grid(x, order: int) -> np.ndarray:
+    """``x``, a grid that :func:`as_grid_2d` accepts, checked for an
+    order-``order`` run: ``order`` in ``[1, N1-1]``."""
+    x = as_grid_2d(x)
+    if not 1 <= order <= x.shape[0] - 1:
+        raise ValueError(f"order must be in [1, {x.shape[0] - 1}], got {order}")
+    return x
+
+
+def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2D:
     """The block Burg lattice of both 2D estimators, over either support.
 
     The error blocks live channel-major in one ``(p, rows * width)`` buffer
@@ -222,13 +224,11 @@ def _burg2d_lattice(
     support of the order-``m`` errors. Each moment is one matmul over a
     window.
     """
-    x = as_grid_2d(x)
+    x = _grid(x, order)
     data = build_data_matrices(x, channel_order)
     n1_len, p, width = data.shape
-    if not 0 <= order <= n1_len - 1:
-        raise ValueError(f"order must be in [0, {n1_len - 1}], got {order}")
     # The 1D lattice's rule: an energy that rounds to zero is no energy.
-    if order >= 1 and not np.vecdot(x.ravel(), x.ravel()).real:
+    if not np.vecdot(x.ravel(), x.ravel()).real:
         raise DegenerateSignalError("grid has zero energy")
 
     ef = np.zeros((p, (n1_len + 1 + (order if padded else 0)) * width), dtype=complex)
@@ -257,17 +257,8 @@ def _burg2d_lattice(
             b[:] = b_prev + exchange_conj(a_nn) @ f
             f[:] = new_f
         pf, pb, pfb = _gram(f, f), _gram(b, b), _gram(f[:, width:], b[:, :-width])
-        errors = None
-        if keep_errors:
-            errors = ErrorSignals2D(
-                *(e.reshape(p, -1, width).transpose(1, 0, 2).copy() for e in (f, b)),
-                lo - 1,
-                hi - 2,
-            )
         criterion = float((pf.trace() + pb.trace()).real)
-        history.append(
-            BlockStage(m, coeffs[:m].copy(), a_nn, pb, pf, pfb, criterion, errors)
-        )
+        history.append(BlockStage(m, coeffs[:m].copy(), a_nn, pb, pf, pfb, criterion))
         if not padded:
             # The next stage's shrinking windows drop the first forward and
             # the last backward block; padded windows only add zero blocks.
@@ -278,9 +269,7 @@ def _burg2d_lattice(
     return ArModel2D(order, channel_order, coeffs, power, history, hi - lo)
 
 
-def burg2d_classic(
-    x, order: int, channel_order: int, keep_errors: bool = False
-) -> ArModel2D:
+def burg2d_classic(x, order: int, channel_order: int) -> ArModel2D:
     """Finite-sample 2D Burg lattice with shrinking supports.
 
     The error blocks start as the data matrices on ``k in [0, N1-1]``; at
@@ -295,12 +284,10 @@ def burg2d_classic(
     ``tr(Pf + J Pb^* J)`` evaluated over the new support; the sequence is
     nonincreasing in the stage.
     """
-    return _burg2d_lattice(x, order, channel_order, padded=False, keep_errors=keep_errors)
+    return _burg2d_lattice(x, order, channel_order, padded=False)
 
 
-def burg2d_modified(
-    x, order: int, channel_order: int, keep_errors: bool = False
-) -> ArModel2D:
+def burg2d_modified(x, order: int, channel_order: int) -> ArModel2D:
     """Zero-padded 2D Burg lattice; reproduces :func:`wwra` exactly.
 
     The error blocks are extended one row index per order (``e_b(-1) = 0``,
@@ -316,7 +303,9 @@ def burg2d_modified(
     ``wwra(estimate_block_autocorr_2d(x, order, channel_order), order)``
     to machine precision.
     """
-    return _burg2d_lattice(x, order, channel_order, padded=True, keep_errors=keep_errors)
+    return _burg2d_lattice(x, order, channel_order, padded=True)
+
+
 def extract_quarter_plane_filter(model: ArModel2D) -> QuarterPlaneFilter:
     """Recover the scalar quarter-plane filter from a multichannel model.
 

@@ -46,7 +46,14 @@ import numpy as np
 
 from . import __version__
 from .ar1d import ArModel1D, _burg_classic, _burg_lattice, _levinson, _stack, residual_mse
-from .ar2d import ArModel2D, burg2d_classic, burg2d_modified, extract_quarter_plane_filter, wwra
+from .ar2d import (
+    ArModel2D,
+    _grid,
+    burg2d_classic,
+    burg2d_modified,
+    extract_quarter_plane_filter,
+    wwra,
+)
 from .autocorr import _biased_lags, as_signal_1d, estimate_block_autocorr_2d
 from .errors import NumericalError
 from .io import (
@@ -167,7 +174,7 @@ def _cmd_est1d(args):
 
 
 def _cmd_est2d(args):
-    x = read_signal_2d_csv(args.input)
+    x = _grid(read_signal_2d_csv(args.input), args.n1)
     model = _METHODS_2D[args.method](x, args.n1, args.n2)
     filt = extract_quarter_plane_filter(model)
     args.filter_out = args.filter_out or f"{args.out}.filter.json"

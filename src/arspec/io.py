@@ -8,8 +8,9 @@ Formats (UTF-8, '.' decimal, no locale dependence):
   never a string encoding; models carry the method name, order(s) and the
   per-stage error powers. :func:`read_model` decodes any of the three
   kinds; a malformed file, a non-finite coefficient or power, a negative
-  1D or filter power, or a 2D ``sample_terms`` or stage criterion of the
-  wrong kind is a ``ValueError`` naming it.
+  1D or filter power, a 2D model order ``n1 < 1``, or a 2D
+  ``sample_terms`` or stage criterion of the wrong kind is a
+  ``ValueError`` naming it.
 * Spectrum CSV: ``frequency,power,log10_power`` (1D) or
   ``f1,f2,power,log10_power`` (2D).
 * Table CSV (the experiments): a header row, then one row per phase or
@@ -69,8 +70,9 @@ def _read_samples(path, header: list[str]) -> dict:
     """``{index tuple: complex sample}`` from a signal CSV with this header.
 
     The leading columns are the indices, the last two the real and
-    imaginary parts. A row with the wrong number of fields, a negative
-    index or an index seen before is rejected.
+    imaginary parts. A row with the wrong number of fields, a field that
+    does not parse as an integer index or a float part, a negative index
+    or an index seen before is rejected, naming the file and line.
     """
     n_index = len(header) - 2
     samples = {}
@@ -87,11 +89,15 @@ def _read_samples(path, header: list[str]) -> dict:
                     f"{path}, line {reader.line_num}: "
                     f"expected {len(header)} fields, got {len(r)}"
                 )
-            idx = tuple(int(v) for v in r[:n_index])
+            try:
+                idx = tuple(int(v) for v in r[:n_index])
+                z = complex(float(r[n_index]), float(r[n_index + 1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
             if min(idx) < 0 or idx in samples:
                 problem = "negative" if min(idx) < 0 else "duplicate"
                 raise ValueError(f"{path}, line {reader.line_num}: {problem} index {idx}")
-            samples[idx] = complex(float(r[n_index]), float(r[n_index + 1]))
+            samples[idx] = z
     if not samples:
         raise ValueError(f"{path}: no samples")
     return samples
@@ -226,13 +232,15 @@ def model2d_from_dict(obj: dict) -> ArModel2D:
 
     The JSON history keeps each stage's order, error power and criterion;
     the stage coefficient matrices are not written, so restored stages hold
-    an empty ``(0, n2+1, n2+1)`` stack.
+    an empty ``(0, n2+1, n2+1)`` stack. The model order ``n1`` must be at
+    least 1, as every 2D estimator requires.
     """
     n1, n2 = int(obj["n1"]), int(obj["n2"])
+    if n1 < 1:
+        raise ValueError(f"n1 must be >= 1, got {n1}")
     p = (n2 + 1, n2 + 1)
-    # An order-0 model writes [], which carries no matrix shape.
+    coeffs = _complex(obj["coefficient_matrices"], (n1, *p))
     empty = np.zeros((0, *p), dtype=complex)
-    coeffs = _complex(obj["coefficient_matrices"], (n1, *p)) if n1 else empty
     history = [
         BlockStage(
             int(st["order"]),

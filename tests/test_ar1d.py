@@ -42,6 +42,40 @@ def backward_error_def(x, coeffs, k):
     return out
 
 
+def burg_reflection_def(x, coeffs, padded):
+    """Burg's half-sum reflection of the stage after ``coeffs``, from the
+    definitional errors of ``coeffs`` on that stage's window: ``[m, N-1]``
+    for the classic lattice, ``[0, N+m-1]`` when ``padded``."""
+    m, n = len(coeffs) + 1, len(x)
+    ef = prediction_residual(x, coeffs)
+    eb = backward_prediction_residual(x, coeffs)
+    if padded:
+        f, b = np.append(ef, 0.0), np.insert(eb, 0, 0.0)
+    else:
+        f, b = ef[m:n], eb[m - 1 : n - 1]
+    return -np.vdot(b, f) / (0.5 * (np.vdot(f, f).real + np.vdot(b, b).real))
+
+
+def reflection_records():
+    """40 complex normal records of 8 to 200 samples and a near-noiseless
+    N=20 sinusoid, which leaves the fast classic route."""
+    rng = np.random.default_rng(25)
+    records = [crandn(rng, n) for n in (8, 20, 64) * 13 + (200,)]
+    return [*records, gen_noisy_sinusoid(SynthConfig(20, 0.25, 0.0, 60.0, 1))]
+
+
+def assert_reflections_match_definition(estimator, padded):
+    """Every stage's reflection, at order N/2 of each of
+    :func:`reflection_records`, within 1e-11 of :func:`burg_reflection_def`."""
+    for x in reflection_records():
+        model = estimator(x, x.size // 2)
+        assert model.order == x.size // 2
+        prev = np.zeros(0, dtype=complex)
+        for st in model.history:
+            assert abs(st.reflection - burg_reflection_def(x, prev, padded)) <= 1e-11
+            prev = st.coeffs
+
+
 def burg_classic_oracle(x, order):
     """Step-by-step reference: materializes the error arrays from the
     definitions at every stage instead of updating them recursively."""
@@ -186,16 +220,11 @@ class TestBurgClassic:
             for st in model.history:
                 assert abs(st.reflection) <= 1.0 + 1e-14
 
-    def test_error_recursion_consistency(self):
-        rng = np.random.default_rng(24)
-        x = crandn(rng, 14)
-        model = burg_classic(x, 6, keep_errors=True)
-        scale = np.abs(x).max()
-        for st in model.history:
-            err = st.errors
-            for idx, k in enumerate(range(err.k_min, err.k_max + 1)):
-                assert abs(err.forward[idx] - forward_error_def(x, st.coeffs, k)) <= 1e-12 * scale
-                assert abs(err.backward[idx] - backward_error_def(x, st.coeffs, k)) <= 1e-12 * scale
+    def test_error_recursion_consistency(self, monkeypatch):
+        seen = _lattice_spy(monkeypatch)
+        assert_reflections_match_definition(burg_classic, padded=False)
+        # Both routes are checked: only the sinusoid went to the lattice.
+        assert len(seen) == 1 and np.array_equal(seen[0], reflection_records()[-1][None])
 
     def test_unit_reflection_stops_early(self):
         model = burg_classic(np.array([1.0, -1.0, 1.0, -1.0]), 2)
@@ -236,35 +265,19 @@ class TestBurgModified:
             assert max_rel_diff(st_m.coeffs, st_l.coeffs) <= 1e-10
         assert abs(mod.error_power - lev.error_power) <= 1e-10 * lev.error_power
 
-    def test_error_support_grows(self):
-        rng = np.random.default_rng(26)
-        x = crandn(rng, 10)
-        model = burg_modified(x, 4, keep_errors=True)
-        for st in model.history:
-            err = st.errors
-            assert err.k_min == 0
-            assert err.k_max == 10 + st.order - 1
-            assert err.forward.size == 10 + st.order
-
     def test_error_recursion_consistency(self):
-        rng = np.random.default_rng(27)
-        x = crandn(rng, 12)
-        model = burg_modified(x, 6, keep_errors=True)
-        scale = np.abs(x).max()
-        for st in model.history:
-            fwd_def = prediction_residual(x, st.coeffs)
-            bwd_def = backward_prediction_residual(x, st.coeffs)
-            assert np.abs(st.errors.forward - fwd_def).max() <= 1e-12 * scale
-            assert np.abs(st.errors.backward - bwd_def).max() <= 1e-12 * scale
+        assert_reflections_match_definition(burg_modified, padded=True)
 
     def test_forward_backward_energy_equal_each_stage(self):
         rng = np.random.default_rng(28)
         x = crandn(rng, 20)
-        model = burg_modified(x, 14, keep_errors=True)
+        model = burg_modified(x, 14)
+        # Over the zero-padded support the two residual energies of any
+        # coefficients are equal; each must be the recursion's error power.
         for st in model.history:
-            ef_energy = np.sum(np.abs(st.errors.forward) ** 2)
-            eb_energy = np.sum(np.abs(st.errors.backward) ** 2)
-            assert abs(ef_energy - eb_energy) <= 1e-11 * ef_energy
+            for residual in (prediction_residual, backward_prediction_residual):
+                energy = np.sum(np.abs(residual(x, st.coeffs)) ** 2)
+                assert abs(st.error_power - energy) <= 1e-11 * energy
 
     def test_power_matches_extended_residual_energy(self):
         rng = np.random.default_rng(29)

@@ -225,8 +225,10 @@ class TestEst1d:
             (["0,1.0,0.0", "1,2.0,0.0", "1,3.0,0.0", "2,4.0,0.0"], "duplicate index"),
             (["0,1.0,0.0", "1,2.0", "2,4.0,0.0"], "expected 3 fields"),
             ([], "no samples"),
+            (["0,1.0,0.0", "1e0,2.0,0.0"], "bad.csv, line 3: invalid literal for int()"),
+            (["0,1.0,0.0", "1,abc,0.0"], "bad.csv, line 3: could not convert string to float"),
         ],
-        ids=["negative", "duplicate", "short", "header-only"],
+        ids=["negative", "duplicate", "short", "header-only", "index-1e0", "sample-abc"],
     )
     def test_bad_signal_rows_are_usage_errors(self, tmp_path, capsys, rows, message):
         bad = tmp_path / "bad.csv"
@@ -290,15 +292,31 @@ class TestEst2d:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("method", ["burg2d", "burg2d-mod"])
+    @pytest.mark.parametrize("method", ["burg2d", "burg2d-mod", "wwra"])
     def test_energy_that_rounds_to_zero_is_numerical_error(self, tmp_path, capsys, method):
+        message = {"wwra": "R_0 diagonal must be positive, got 0.0"}.get(
+            method, "grid has zero energy"
+        )
+        for scale in (0.0, 1e-165):
+            grid = tmp_path / "grid.csv"
+            write_signal_2d_csv(grid, scale * crandn(np.random.default_rng(79), 5, 5))
+            out = tmp_path / "model.json"
+            rc = run("est2d", "--method", method, "--n1", "2", "--n2", "1",
+                     "--in", str(grid), "--out", str(out))
+            assert rc == 3
+            assert capsys.readouterr().err == f"error: numerical: {message}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("n1", [0, 6])
+    @pytest.mark.parametrize("method", ["burg2d", "burg2d-mod", "wwra"])
+    def test_order_outside_the_grid_is_usage_error(self, tmp_path, capsys, method, n1):
         grid = tmp_path / "grid.csv"
-        write_signal_2d_csv(grid, 1e-165 * crandn(np.random.default_rng(79), 5, 5))
+        write_signal_2d_csv(grid, crandn(np.random.default_rng(80), 6, 6))
         out = tmp_path / "model.json"
-        rc = run("est2d", "--method", method, "--n1", "2", "--n2", "1",
+        rc = run("est2d", "--method", method, "--n1", str(n1), "--n2", "1",
                  "--in", str(grid), "--out", str(out))
-        assert rc == 3
-        assert capsys.readouterr().err == "error: numerical: grid has zero energy\n"
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: usage: order must be in [1, 5], got {n1}\n"
         assert not out.exists()
 
     def test_wwra_and_modified_agree_end_to_end(self, tmp_path):
@@ -355,8 +373,10 @@ class TestEst2d:
             (["0,0,1.0,0.0", "0,1,2.0"], "expected 4 fields"),
             (["0,0,1.0,0.0", "0,1,2.0,0.0", "1,0,3.0,0.0"], "missing samples"),
             (["0,0,1.0,0.0", "0,1,nan,0.0", "1,0,3.0,0.0", "1,1,4.0,0.0"], "NaN"),
+            (["0,0,1.0,0.0", "0,1e0,2.0,0.0"], "bad.csv, line 3: invalid literal for int()"),
+            (["0,0,1.0,0.0", "0,1,2.0,abc"], "bad.csv, line 3: could not convert string to float"),
         ],
-        ids=["negative", "duplicate", "short", "missing", "nan"],
+        ids=["negative", "duplicate", "short", "missing", "nan", "index-1e0", "sample-abc"],
     )
     def test_bad_grid_rows_are_usage_errors(self, tmp_path, capsys, rows, message):
         bad = tmp_path / "bad.csv"
@@ -442,6 +462,8 @@ class TestSpectrumCommand:
             pytest.param("ar1d", lambda o: o.update(coefficients=5), "expected [re, im]",
                          id="coefficients-number"),
             pytest.param("ar2d", lambda o: o.update(n2="x"), "invalid literal", id="n2-string"),
+            pytest.param("ar2d", lambda o: o.update(n1=0, coefficient_matrices=[]),
+                         "n1 must be >= 1, got 0", id="n1-zero"),
             pytest.param("ar1d", lambda o: o.update(history=[5]), "not subscriptable",
                          id="history-entry-number"),
             pytest.param("ar2d", lambda o: o.update(coefficient_matrices=o["error_power_matrix"]),
@@ -633,8 +655,8 @@ class TestExperiments:
     def test_equivalence_fails_loudly(self, tmp_path, monkeypatch, corrupt):
         real = arspec.cli._burg_lattice
 
-        def broken(x, order, padded, keep_errors=False):
-            batch = real(x, order, padded, keep_errors)
+        def broken(x, order, padded):
+            batch = real(x, order, padded)
             if corrupt == "nan":
                 batch.coeffs[0, 0] = np.nan
             else:
