@@ -39,31 +39,37 @@ coefficients, :func:`prediction_residual` and
 :func:`backward_prediction_residual` on the zero-padded support, of which
 the classic lattice's stage ``m`` sees ``[m, N-1]``.
 
-The recursions run batch-first: their kernels take a ``(B, N)`` stack of
-equal-length records (``(B, L)`` lag sequences for Levinson), reduce along
-the last axis with ``np.vecdot`` and return a :class:`LatticeBatch` of
-stacked stages. Each record stops on its own at the unit circle; from then
-on its reflection is 0, its denominators are masked and it gets no more
-stages, and the degenerate, singular and non-finite checks look at the
-records still running. The public functions run a batch of one and wrap
-its stages as :class:`LatticeStage` views. A stage's error power stops at
-0 where ``|k|^2`` rounds past 1.
+The recursions run batch-first: :func:`levinson_batch`,
+:func:`burg_classic_batch` and :func:`burg_modified_batch` take a
+``(B, N)`` stack of equal-length records (``(B, L)`` lag sequences for
+Levinson), validate it once, reduce along the last axis with ``np.vecdot``
+and return a :class:`LatticeBatch` of stacked stages. Each record stops on
+its own at the unit circle; from then on its reflection is 0, its
+denominators are masked and it gets no more stages, and the degenerate,
+singular and non-finite checks look at the records still running.
+:func:`levinson`, :func:`burg_classic` and :func:`burg_modified` run a
+batch of one and wrap its stages as :class:`LatticeStage` views. A stage's
+error power stops at 0 where ``|k|^2`` rounds past 1.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autocorr import _biased_lags, as_signal_1d
+from .autocorr import as_signal_1d, as_signals_1d, estimate_autocorr_1d
 from .errors import DegenerateSignalError, NumericalError, SingularityError
 
 __all__ = [
     "ArModel1D",
+    "LatticeBatch",
     "LatticeStage",
     "backward_prediction_residual",
     "burg_classic",
+    "burg_classic_batch",
     "burg_modified",
+    "burg_modified_batch",
     "levinson",
+    "levinson_batch",
     "prediction_residual",
     "residual_mse",
 ]
@@ -159,9 +165,11 @@ class LatticeBatch:
         return ArModel1D(m, coeffs[-1], powers[-1], history, m < self.powers.shape[1] - 1)
 
 
-def _stack(x: np.ndarray, order: int) -> np.ndarray:
-    """``x``, a ``(B, N)`` stack of records that :func:`as_signal_1d`
-    accepts, checked for an order-``order`` run: ``order`` in ``[1, N-1]``."""
+def stack_for_order(x, order: int) -> np.ndarray:
+    """``x``, a ``(B, N)`` stack of records that
+    :func:`~arspec.autocorr.as_signals_1d` accepts, checked for an
+    order-``order`` run: ``order`` in ``[1, N-1]``."""
+    x = as_signals_1d(x)
     if not 1 <= order <= x.shape[1] - 1:
         raise ValueError(f"order must be in [1, {x.shape[1] - 1}], got {order}")
     return x
@@ -215,9 +223,39 @@ def _finish(batch: LatticeBatch) -> LatticeBatch:
     return batch
 
 
-def _levinson(r: np.ndarray, order: int) -> LatticeBatch:
-    """The Levinson recursion over a ``(B, L)`` stack of lag sequences,
-    ``L > order``; see :func:`levinson`."""
+def levinson_batch(r, order: int) -> LatticeBatch:
+    """Solve the Toeplitz normal equations of each row of ``r`` by order
+    recursion.
+
+    Parameters
+    ----------
+    r : array_like
+        A ``(B, L)`` stack of autocorrelation lags ``r_0 .. r_{L-1}``, one
+        sequence per row, with ``L > order`` and ``r_0 > 0`` (see
+        :func:`arspec.autocorr.estimate_autocorr_1d`).
+    order : int
+        Requested prediction order, at least 1.
+
+    The stage-``n`` reflection coefficient is ``-(r_n + sum r_{n-l} a_l) /
+    P_{n-1}`` with ``P_0 = r_0`` and ``P_n = P_{n-1} (1 - |k_n|^2)``.
+
+    Raises
+    ------
+    DegenerateSignalError
+        If ``r_0 <= 0``.
+    SingularityError
+        If the error power falls below ``1e-14 r_0`` (perfectly predictable
+        input) before a unit-circle reflection is seen.
+    NumericalError
+        If the final error power is not finite (a non-finite k makes it so).
+    """
+    r = np.asarray(r, dtype=complex)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if r.ndim != 2 or r.shape[1] < order + 1:
+        n_lags = np.prod(r.shape[1:], dtype=int)
+        raise ValueError(f"need lags r_0..r_{order}, got {n_lags} lags")
+    r = r[:, : order + 1]
     r0 = r[:, 0].real
     if np.count_nonzero(r0 <= 0.0):
         raise DegenerateSignalError(f"r_0 must be positive, got {r0[np.argmax(r0 <= 0.0)]}")
@@ -243,41 +281,14 @@ def _levinson(r: np.ndarray, order: int) -> LatticeBatch:
 
 
 def levinson(r, order: int) -> ArModel1D:
-    """Solve the Toeplitz normal equations by order recursion.
-
-    Parameters
-    ----------
-    r : array_like
-        Autocorrelation lags ``r_0 .. r_max`` with ``max >= order`` and
-        ``r_0 > 0`` (see :func:`arspec.autocorr.estimate_autocorr_1d`).
-    order : int
-        Requested prediction order, at least 1.
-
-    The stage-``n`` reflection coefficient is ``-(r_n + sum r_{n-l} a_l) /
-    P_{n-1}`` with ``P_0 = r_0`` and ``P_n = P_{n-1} (1 - |k_n|^2)``.
-
-    Raises
-    ------
-    DegenerateSignalError
-        If ``r_0 <= 0``.
-    SingularityError
-        If the error power falls below ``1e-14 r_0`` (perfectly predictable
-        input) before a unit-circle reflection is seen.
-    NumericalError
-        If the final error power is not finite (a non-finite k makes it so).
-    """
-    r = np.asarray(r, dtype=complex)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if r.ndim != 1 or r.size < order + 1:
-        raise ValueError(f"need lags r_0..r_{order}, got {r.size} lags")
-    return _levinson(r[None, : order + 1], order).model(0)
+    """The model of the one lag sequence ``r``; see :func:`levinson_batch`."""
+    return levinson_batch(np.asarray(r)[None], order).model(0)
 
 
 def _burg_lattice(x: np.ndarray, order: int, padded: bool) -> LatticeBatch:
     """The Burg error-signal lattice over a ``(B, N)`` stack of records, over
-    either support: :func:`burg_modified` runs it, and :func:`_burg_classic`
-    hands it the records it does not keep.
+    either support: :func:`burg_modified_batch` runs it, and
+    :func:`burg_classic_batch` hands it the records it does not keep.
 
     The errors live in buffers indexed by time plus one, so slot 0 is
     ``e_b(-1) = 0`` and stays zero. Stage ``m`` pairs the forward errors on
@@ -329,15 +340,30 @@ def _burg_lattice(x: np.ndarray, order: int, padded: bool) -> LatticeBatch:
     return _finish(batch)
 
 
-def _burg_classic(x: np.ndarray, order: int) -> LatticeBatch:
-    """The classic Burg lattice over a ``(B, N)`` stack of records, from
-    their biased lags; see :func:`burg_classic`.
+def burg_classic_batch(x, order: int) -> LatticeBatch:
+    """Finite-sample Burg lattice with shrinking error supports, over each
+    record of a ``(B, N)`` stack; ``order`` is in ``[1, N-1]``.
 
-    Stage ``m`` needs the energies and the cross term of the order-``m-1``
-    errors, whose coefficients are ``A = [1, a_1 .. a_{m-1}]``, over the
-    window ``[m, N-1]``. Over the zero-padded support they are Toeplitz
-    forms of ``A``: with ``g_i = sum_j conj(A_j) r_{j-i}``, both energies
-    are ``sum_i A_i g_i`` and the cross term is ``sum_i A_i conj(g_{m-i})``.
+    At stage ``m`` the reflection coefficient is estimated over the common
+    support ``k in [m, N-1]``:
+
+        ``k_m = -sum e_f(k) conj(e_b(k-1)) /
+                (0.5 sum (|e_f(k)|^2 + |e_b(k-1)|^2))``
+
+    which bounds ``|k_m| <= 1``; the error signals are then updated on the
+    same window, losing one sample per order. ``error_power`` follows the
+    ``P_m = P_{m-1} (1 - |k_m|^2)`` recursion from ``P_0 = sum |x|^2``,
+    stopping at 0 where ``|k_m|^2`` rounds past 1.
+
+    The sums come from the biased lags ``r_0 .. r_order`` and O(m) work at
+    stage ``m`` (Andersen 1974, *Geophysics*; Vos, "A Fast Implementation
+    of Burg's Method", 2013), not from several passes over the error
+    signals per stage. Stage ``m`` needs the energies and the cross term
+    of the order-``m-1`` errors, whose coefficients are ``A = [1, a_1 ..
+    a_{m-1}]``, over the window ``[m, N-1]``. Over the zero-padded support
+    they are Toeplitz forms of ``A``: with ``g_i = sum_j conj(A_j)
+    r_{j-i}``, both energies are ``sum_i A_i g_i`` and the cross term is
+    ``sum_i A_i conj(g_{m-i})``.
     The window sums subtract the padded errors outside it: ``e_f(0..m-1)``
     and ``e_b(-1..m-2)`` at the head, ``e_f(N..N+m-1)`` and
     ``e_b(N-1..N+m-2)`` at the tail. The lattice recursion carries these
@@ -355,10 +381,13 @@ def _burg_classic(x: np.ndarray, order: int) -> LatticeBatch:
     below ``r_0 / FAST_BURG_BOUND``, which a reflection near the unit
     circle does. A record that leaves is recomputed in full by
     :func:`_burg_lattice`, so every stop, error and degenerate record gets
-    the lattice's handling and bits.
+    the lattice's handling and bits. On the others the coefficients match
+    the lattice's within 1e-12 relative on records of up to 200 samples
+    (3.4e-12 at N=1e5, order 400).
     """
+    x = stack_for_order(x, order)
     n_rec, n = x.shape
-    r = _biased_lags(x, order)
+    r = estimate_autocorr_1d(x, order)
     r0 = r[:, 0].real
     batch = LatticeBatch.start(r0, order)
     fast = (r0 >= np.finfo(float).tiny) & (r0 <= 0.5 * np.finfo(float).max)
@@ -416,36 +445,13 @@ def _burg_classic(x: np.ndarray, order: int) -> LatticeBatch:
 
 
 def burg_classic(x, order: int) -> ArModel1D:
-    """Finite-sample Burg lattice with shrinking error supports.
-
-    At stage ``m`` the reflection coefficient is estimated over the common
-    support ``k in [m, N-1]``:
-
-        ``k_m = -sum e_f(k) conj(e_b(k-1)) /
-                (0.5 sum (|e_f(k)|^2 + |e_b(k-1)|^2))``
-
-    which bounds ``|k_m| <= 1``; the error signals are then updated on the
-    same window, losing one sample per order. ``error_power`` follows the
-    ``P_m = P_{m-1} (1 - |k_m|^2)`` recursion from ``P_0 = sum |x|^2``,
-    stopping at 0 where ``|k_m|^2`` rounds past 1.
-
-    The sums come from the biased lags ``r_0 .. r_order`` and O(m) work at
-    stage ``m`` (Andersen 1974, *Geophysics*; Vos, "A Fast Implementation
-    of Burg's Method", 2013), not from several passes over the error
-    signals per stage. Each such sum is a difference of sums of size
-    ``r_0``, so the record is recomputed on the error-signal lattice as
-    soon as a half-sum denominator, or the bound ``D_m (1 - |k_m|^2)`` on
-    the next one, falls below ``r_0 / 30``, or when ``r_0`` or ``2 r_0``
-    is not a normal double. A recomputed record, and so every early stop
-    and every error, is the lattice's to the bit; on the others the
-    coefficients match the lattice's within 1e-12 relative on records of
-    up to 200 samples (3.4e-12 at N=1e5, order 400).
-    """
-    return _burg_classic(_stack(as_signal_1d(x)[None], order), order).model(0)
+    """The model of the one record ``x``; see :func:`burg_classic_batch`."""
+    return burg_classic_batch(np.asarray(x)[None], order).model(0)
 
 
-def burg_modified(x, order: int) -> ArModel1D:
-    """Zero-padded Burg lattice; reproduces :func:`levinson` exactly.
+def burg_modified_batch(x, order: int) -> LatticeBatch:
+    """Zero-padded Burg lattice over each record of a ``(B, N)`` stack,
+    ``order`` in ``[1, N-1]``; reproduces :func:`levinson_batch` exactly.
 
     The error signals start as the signal itself on ``[0, N-1]`` and gain
     one sample per order instead of losing one; the recursion runs until
@@ -459,11 +465,16 @@ def burg_modified(x, order: int) -> ArModel1D:
     Under zero padding the forward and backward error energies are equal at
     every stage, so the half-sum equals either energy.
 
-    The resulting coefficients equal ``levinson(estimate_autocorr_1d(x,
-    order), order)`` up to rounding: the extended sums turn the lattice
+    The resulting coefficients equal ``levinson_batch(estimate_autocorr_1d(x,
+    order), order)``'s up to rounding: the extended sums turn the lattice
     moments into biased lag sums with no boundary truncation.
     """
-    return _burg_lattice(_stack(as_signal_1d(x)[None], order), order, True).model(0)
+    return _burg_lattice(stack_for_order(x, order), order, padded=True)
+
+
+def burg_modified(x, order: int) -> ArModel1D:
+    """The model of the one record ``x``; see :func:`burg_modified_batch`."""
+    return burg_modified_batch(np.asarray(x)[None], order).model(0)
 
 
 def prediction_residual(x, coeffs) -> np.ndarray:

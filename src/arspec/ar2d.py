@@ -203,7 +203,7 @@ def wwra(blocks, order: int, sample_terms: int | None = None) -> ArModel2D:
     return ArModel2D(order, p - 1, coeffs, power, history, sample_terms)
 
 
-def _grid(x, order: int) -> np.ndarray:
+def grid_for_order(x, order: int) -> np.ndarray:
     """``x``, a grid that :func:`as_grid_2d` accepts, checked for an
     order-``order`` run: ``order`` in ``[1, N1-1]``."""
     x = as_grid_2d(x)
@@ -224,7 +224,7 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
     support of the order-``m`` errors. Each moment is one matmul over a
     window.
     """
-    x = _grid(x, order)
+    x = grid_for_order(x, order)
     data = build_data_matrices(x, channel_order)
     n1_len, p, width = data.shape
     # The 1D lattice's rule: an energy that rounds to zero is no energy.

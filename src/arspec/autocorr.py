@@ -16,22 +16,26 @@ form a Hermitian Toeplitz-block-Toeplitz correlation structure.
 import numpy as np
 
 __all__ = [
-    "block_toeplitz_matrix",
     "build_data_matrices",
     "estimate_autocorr_1d",
     "estimate_block_autocorr_2d",
-    "toeplitz_matrix",
 ]
+
+
+def as_signals_1d(x) -> np.ndarray:
+    """Validate and convert a ``(B, N)`` stack of 1D complex signals, one
+    per row, each as :func:`as_signal_1d` wants it."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError(f"signal must be a nonempty 1D array, got shape {x.shape[1:]}")
+    if not np.isfinite(x).all():
+        raise ValueError("signal contains NaN or Inf samples")
+    return x
 
 
 def as_signal_1d(x) -> np.ndarray:
     """Validate and convert a 1D complex signal (finite, length >= 1)."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError(f"signal must be a nonempty 1D array, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("signal contains NaN or Inf samples")
-    return x
+    return as_signals_1d(np.asarray(x)[None])[0]
 
 
 def as_grid_2d(x) -> np.ndarray:
@@ -48,41 +52,19 @@ def estimate_autocorr_1d(x, max_lag: int) -> np.ndarray:
     """Lags ``r_0 .. r_max_lag`` of the biased, unnormalized autocorrelation.
 
     ``r_t = sum_{k=0}^{N-1-t} x(k+t) conj(x(k))``; negative lags are implied
-    by ``r_{-t} = conj(r_t)``. ``r_0`` is real and nonnegative.
+    by ``r_{-t} = conj(r_t)``. ``r_0`` is real and nonnegative. ``x`` is one
+    signal or a ``(B, N)`` stack of them; the lags run along the last axis.
     """
-    x = as_signal_1d(x)
-    if not 0 <= max_lag <= x.size - 1:
-        raise ValueError(f"max_lag must be in [0, {x.size - 1}], got {max_lag}")
-    return _biased_lags(x[None], max_lag)[0]
-
-
-def _biased_lags(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Lags ``r_0 .. r_max_lag`` of each row of a ``(B, N)`` stack of
-    records, shape ``(B, max_lag+1)``."""
-    n = x.shape[1]
-    r = np.empty((len(x), max_lag + 1), dtype=complex)
+    x = np.asarray(x)
+    stack = as_signals_1d(x) if x.ndim == 2 else as_signal_1d(x)[None]
+    n = stack.shape[1]
+    if not 0 <= max_lag <= n - 1:
+        raise ValueError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
+    r = np.empty((len(stack), max_lag + 1), dtype=complex)
     for t in range(max_lag + 1):
-        np.vecdot(x[:, : n - t], x[:, t:], out=r[:, t])
+        np.vecdot(stack[:, : n - t], stack[:, t:], out=r[:, t])
     r[:, 0] = r[:, 0].real
-    return r
-
-
-def toeplitz_matrix(lags, size: int | None = None) -> np.ndarray:
-    """Hermitian Toeplitz matrix ``M[i, j] = r_{i-j}`` from lags ``r_0..``.
-
-    ``r_{-t}`` is taken as ``conj(r_t)``. Used to assemble the dense normal
-    equations that serve as the oracle for the order recursions.
-    """
-    lags = np.asarray(lags, dtype=complex)
-    if lags.ndim != 1 or lags.size < 1:
-        raise ValueError("lags must be a nonempty 1D array")
-    n = lags.size if size is None else size
-    if n < 1 or n > lags.size:
-        raise ValueError(f"size must be in [1, {lags.size}], got {n}")
-    idx = np.arange(n)
-    d = idx[:, None] - idx[None, :]
-    m = lags[np.abs(d)]
-    return np.where(d >= 0, m, m.conj())
+    return r if x.ndim == 2 else r[0]
 
 
 def build_data_matrices(x, n2: int) -> np.ndarray:
@@ -96,7 +78,7 @@ def build_data_matrices(x, n2: int) -> np.ndarray:
     x = as_grid_2d(x)
     n_rows, n_cols = x.shape
     if not 0 <= n2 <= n_cols - 1:
-        raise ValueError(f"channel order must be in [0, {n_cols - 1}], got {n2}")
+        raise ValueError(f"n2 must be in [0, {n_cols - 1}], got {n2}")
     out = np.zeros((n_rows, n2 + 1, n_cols + n2), dtype=complex)
     for i in range(n2 + 1):
         out[:, i, i : i + n_cols] = x
@@ -139,25 +121,3 @@ def estimate_block_autocorr_2d(x, n1: int, n2: int) -> np.ndarray:
     diff = np.arange(p)[:, None] - np.arange(p)[None, :]
     blocks = rho[:, diff + n2]
     return np.ascontiguousarray(blocks)
-
-
-def block_toeplitz_matrix(blocks, order: int | None = None) -> np.ndarray:
-    """Stacked Hermitian block-Toeplitz matrix with ``(i, j)`` block
-    ``R_{j-i}``, assembled from nonnegative lag blocks (``R_{-k} = R_k^H``).
-
-    Oracle-side helper for the dense solve of the block normal equations.
-    """
-    blocks = np.asarray(blocks, dtype=complex)
-    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
-        raise ValueError(f"blocks must have shape (n+1, p, p), got {blocks.shape}")
-    n = blocks.shape[0] if order is None else order
-    if n < 1 or n > blocks.shape[0]:
-        raise ValueError(f"order must be in [1, {blocks.shape[0]}], got {n}")
-    p = blocks.shape[1]
-    big = np.empty((n * p, n * p), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            k = j - i
-            blk = blocks[k] if k >= 0 else blocks[-k].conj().T
-            big[i * p : (i + 1) * p, j * p : (j + 1) * p] = blk
-    return big

@@ -17,10 +17,12 @@ Subcommands
 
 This module parses arguments and runs the recipes; every file format lives
 in :mod:`arspec.io`. Every 1D recipe estimates its records with the batch
-kernels of :mod:`arspec.ar1d`, in batches of at most 2^15 stage
-coefficients, so the stages held at once stay bounded. A recipe returns
-``(exit code, outputs, manifest fields)``, and :func:`main` times it and
-writes exactly one manifest JSON (default ``<out>.manifest.json``)
+estimators of :mod:`arspec.ar1d` (``levinson_batch`` on the stacked lags of
+:func:`~arspec.autocorr.estimate_autocorr_1d`, ``burg_classic_batch``,
+``burg_modified_batch``), in batches of at most 2^15 stage coefficients,
+so the stages held at once stay bounded; the module imports only public
+names. A recipe returns ``(exit code, outputs, manifest fields)``, and
+:func:`main` times it and writes exactly one manifest JSON (default ``<out>.manifest.json``)
 recording the subcommand, the parsed arguments as parameters, the effective
 argv, the seed, the library version, the output paths and the wall-clock
 duration; ``order-sweep`` and ``mse-vs-order`` also record the methods that
@@ -45,16 +47,23 @@ from itertools import islice, zip_longest
 import numpy as np
 
 from . import __version__
-from .ar1d import ArModel1D, _burg_classic, _burg_lattice, _levinson, _stack, residual_mse
+from .ar1d import (
+    ArModel1D,
+    burg_classic_batch,
+    burg_modified_batch,
+    levinson_batch,
+    residual_mse,
+    stack_for_order,
+)
 from .ar2d import (
     ArModel2D,
-    _grid,
     burg2d_classic,
     burg2d_modified,
     extract_quarter_plane_filter,
+    grid_for_order,
     wwra,
 )
-from .autocorr import _biased_lags, as_signal_1d, estimate_block_autocorr_2d
+from .autocorr import estimate_autocorr_1d, estimate_block_autocorr_2d
 from .errors import NumericalError
 from .io import (
     filter_to_dict,
@@ -73,11 +82,12 @@ from .siggen import Lcg32, SynthConfig, gen_noisy_sinusoid, phase_sweep
 from .spectrum import ar_spectrum_1d, ar_spectrum_2d, frequency_grid, log10_power
 
 # The estimators by method name. Each entry looks its estimator up when
-# called, so a replaced module attribute takes effect.
+# called, so a replaced module attribute takes effect. The 1D ones take a
+# (B, N) stack of records and return a LatticeBatch.
 _METHODS_1D = {
-    "levinson": lambda x, p: _levinson(_biased_lags(x, p), p),
-    "burg": lambda x, p: _burg_classic(x, p),
-    "burg-mod": lambda x, p: _burg_lattice(x, p, padded=True),
+    "levinson": lambda x, p: levinson_batch(estimate_autocorr_1d(stack_for_order(x, p), p), p),
+    "burg": lambda x, p: burg_classic_batch(x, p),
+    "burg-mod": lambda x, p: burg_modified_batch(x, p),
 }
 _METHODS_2D = {
     "wwra": lambda x, n1, n2: wwra(
@@ -147,18 +157,17 @@ def _write_spectra(args, row_name: str, labels: list, powers: list) -> None:
 
 
 def _batches(records, order: int):
-    """Validated ``(B, N)`` stacks of the equal-length ``records`` for an order-``order``
+    """``(B, N)`` stacks of the equal-length ``records`` for an order-``order``
     run, of at most ``_BATCH_COEFFS`` stage coefficients, each drawn when due."""
     per_batch = max(1, _BATCH_COEFFS // max(1, order * (order + 1) // 2))
     records = iter(records)
-    while chunk := [as_signal_1d(x) for x in islice(records, per_batch)]:
-        yield _stack(np.stack(chunk), order)
+    while chunk := list(islice(records, per_batch)):
+        yield np.stack(chunk)
 
 
 def _model(method: str, x: np.ndarray, order: int) -> ArModel1D:
     """``method``'s order-``order`` model of the one record ``x``."""
-    (stack,) = _batches([x], order)
-    return _METHODS_1D[method](stack, order).model(0)
+    return _METHODS_1D[method](np.asarray(x)[None], order).model(0)
 
 
 def _cmd_gen(args):
@@ -174,7 +183,7 @@ def _cmd_est1d(args):
 
 
 def _cmd_est2d(args):
-    x = _grid(read_signal_2d_csv(args.input), args.n1)
+    x = grid_for_order(read_signal_2d_csv(args.input), args.n1)
     model = _METHODS_2D[args.method](x, args.n1, args.n2)
     filt = extract_quarter_plane_filter(model)
     args.filter_out = args.filter_out or f"{args.out}.filter.json"

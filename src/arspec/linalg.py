@@ -8,7 +8,6 @@ adds only the pieces that carry domain meaning:
 
 * the exchange (anti-diagonal) transforms, applied as index reversals and
   never materialized as permutation matrices,
-* structure predicates (Hermitian / Toeplitz within a tolerance),
 * a partially pivoted LU solver with an explicit pivot floor, used as the
   brute-force oracle against the order recursions.
 """
@@ -22,8 +21,6 @@ from .errors import NumericalError, SingularityError
 __all__ = [
     "exchange_conj",
     "exchange_transpose",
-    "is_hermitian",
-    "is_toeplitz",
     "max_rel_diff",
     "solve_hermitian_dense",
 ]
@@ -54,24 +51,6 @@ def exchange_transpose(m) -> np.ndarray:
     Leaves every Toeplitz matrix unchanged (entries depend on i - j only).
     """
     return _square(m)[::-1, ::-1].T
-
-
-def is_hermitian(m, tol: float = 0.0) -> bool:
-    """True iff ``max |m[i, j] - conj(m[j, i])| <= tol``."""
-    m = _square(m)
-    return bool(np.abs(m - m.conj().T).max(initial=0.0) <= tol)
-
-
-def is_toeplitz(m, tol: float = 0.0) -> bool:
-    """True iff the entries depend only on i - j, within ``tol``."""
-    m = _square(m)
-    n = m.shape[0]
-    dev = 0.0
-    for d in range(-(n - 1), n):
-        diag = np.diagonal(m, offset=-d)
-        if diag.size > 1:
-            dev = max(dev, float(np.abs(diag - diag[0]).max()))
-    return dev <= tol
 
 
 def max_rel_diff(a, b) -> float:

@@ -34,8 +34,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectrum import idft
-
 __all__ = [
     "Lcg32",
     "SynthConfig",
@@ -118,7 +116,7 @@ def gen_noisy_sinusoid(cfg: SynthConfig, substream: int = 0) -> np.ndarray:
     noise_energy = np.vdot(noise, noise).real
     signal_energy = cfg.n * np.vdot(sinusoid, sinusoid).real
     scale = math.sqrt(signal_energy / (noise_energy * 10.0 ** (cfg.snr_db / 10.0)))
-    return sinusoid + scale * idft(noise)
+    return sinusoid + scale * np.fft.ifft(noise)
 
 
 def phase_sweep(cfg: SynthConfig, steps: int) -> list[np.ndarray]:

@@ -1,15 +1,10 @@
-"""AR power spectral densities and the DFT pair.
+"""AR power spectral densities.
 
 Frequencies are normalized (cycles/sample) on a uniform grid covering
 ``[-0.5, 0.5)``, where one FFT of the prediction filter evaluates 1D and 2D
 spectra alike. Spectra are reported in linear power; pole bins (where the
 prediction polynomial vanishes to machine precision) are flagged rather
 than clipped, and carry ``inf``; :func:`log10_power` maps them to ``inf``.
-
-DFT convention: the forward transform is unnormalized,
-``X[j] = sum_k x[k] exp(-2 pi i j k / N)``, and the inverse carries the
-``1/N``, so ``idft(dft(x)) == x`` and ``sum |x|^2 == (1/N) sum |X|^2``.
-Both are evaluated by ``numpy.fft`` in O(N log N).
 """
 
 from dataclasses import dataclass
@@ -23,8 +18,6 @@ __all__ = [
     "SpectrumGrid",
     "ar_spectrum_1d",
     "ar_spectrum_2d",
-    "dft",
-    "idft",
     "frequency_grid",
     "log10_power",
 ]
@@ -97,18 +90,3 @@ def log10_power(power) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(power <= 0.0, -np.inf, np.log10(power))
 
-
-def dft(x) -> np.ndarray:
-    """Unnormalized forward DFT."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError("dft expects a nonempty 1D array")
-    return np.fft.fft(x)
-
-
-def idft(spec) -> np.ndarray:
-    """Inverse DFT carrying the 1/N factor; ``idft(dft(x)) == x``."""
-    spec = np.asarray(spec, dtype=complex)
-    if spec.ndim != 1 or spec.size < 1:
-        raise ValueError("idft expects a nonempty 1D array")
-    return np.fft.ifft(spec)

@@ -1,0 +1,71 @@
+"""Dense oracles the tests check the order recursions against.
+
+The library never assembles the normal equations or tests a matrix for
+structure; these helpers do both, for the tests only.
+"""
+
+import numpy as np
+
+
+def _square(m) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    return m
+
+
+def toeplitz_matrix(lags, size: int | None = None) -> np.ndarray:
+    """Hermitian Toeplitz matrix ``M[i, j] = r_{i-j}`` from lags ``r_0..``.
+
+    ``r_{-t}`` is taken as ``conj(r_t)``. Used to assemble the dense normal
+    equations that serve as the oracle for the order recursions.
+    """
+    lags = np.asarray(lags, dtype=complex)
+    if lags.ndim != 1 or lags.size < 1:
+        raise ValueError("lags must be a nonempty 1D array")
+    n = lags.size if size is None else size
+    if n < 1 or n > lags.size:
+        raise ValueError(f"size must be in [1, {lags.size}], got {n}")
+    idx = np.arange(n)
+    d = idx[:, None] - idx[None, :]
+    m = lags[np.abs(d)]
+    return np.where(d >= 0, m, m.conj())
+
+
+def block_toeplitz_matrix(blocks, order: int | None = None) -> np.ndarray:
+    """Stacked Hermitian block-Toeplitz matrix with ``(i, j)`` block
+    ``R_{j-i}``, assembled from nonnegative lag blocks (``R_{-k} = R_k^H``),
+    for the dense solve of the block normal equations.
+    """
+    blocks = np.asarray(blocks, dtype=complex)
+    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
+        raise ValueError(f"blocks must have shape (n+1, p, p), got {blocks.shape}")
+    n = blocks.shape[0] if order is None else order
+    if n < 1 or n > blocks.shape[0]:
+        raise ValueError(f"order must be in [1, {blocks.shape[0]}], got {n}")
+    p = blocks.shape[1]
+    big = np.empty((n * p, n * p), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            k = j - i
+            blk = blocks[k] if k >= 0 else blocks[-k].conj().T
+            big[i * p : (i + 1) * p, j * p : (j + 1) * p] = blk
+    return big
+
+
+def is_hermitian(m, tol: float = 0.0) -> bool:
+    """True iff ``max |m[i, j] - conj(m[j, i])| <= tol``."""
+    m = _square(m)
+    return bool(np.abs(m - m.conj().T).max(initial=0.0) <= tol)
+
+
+def is_toeplitz(m, tol: float = 0.0) -> bool:
+    """True iff the entries depend only on i - j, within ``tol``."""
+    m = _square(m)
+    n = m.shape[0]
+    dev = 0.0
+    for d in range(-(n - 1), n):
+        diag = np.diagonal(m, offset=-d)
+        if diag.size > 1:
+            dev = max(dev, float(np.abs(diag - diag[0]).max()))
+    return dev <= tol

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 from conftest import crandn
+from oracles import block_toeplitz_matrix, toeplitz_matrix
 
 from arspec.ar1d import (
     ArModel1D,
@@ -28,12 +29,7 @@ from arspec.ar2d import (
     extract_quarter_plane_filter,
     wwra,
 )
-from arspec.autocorr import (
-    block_toeplitz_matrix,
-    estimate_autocorr_1d,
-    estimate_block_autocorr_2d,
-    toeplitz_matrix,
-)
+from arspec.autocorr import estimate_autocorr_1d, estimate_block_autocorr_2d
 from arspec.linalg import exchange_conj, exchange_transpose, max_rel_diff, solve_hermitian_dense
 from arspec.siggen import SynthConfig, gen_noisy_sinusoid, phase_sweep
 from arspec.spectrum import ar_spectrum_1d

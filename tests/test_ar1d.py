@@ -5,20 +5,22 @@ import pytest
 from conftest import crandn
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import toeplitz_matrix
 
 from arspec.ar1d import (
     ArModel1D,
-    _burg_classic,
     _burg_lattice,
-    _levinson,
     backward_prediction_residual,
     burg_classic,
+    burg_classic_batch,
     burg_modified,
+    burg_modified_batch,
     levinson,
+    levinson_batch,
     prediction_residual,
     residual_mse,
 )
-from arspec.autocorr import _biased_lags, estimate_autocorr_1d, toeplitz_matrix
+from arspec.autocorr import estimate_autocorr_1d
 from arspec import ar1d
 from arspec.errors import DegenerateSignalError, SingularityError
 from arspec.linalg import max_rel_diff, solve_hermitian_dense
@@ -364,24 +366,59 @@ class TestBatch:
         single = burg_modified if padded else burg_classic
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = _burg_lattice(x, order, True) if padded else _burg_classic(x, order)
+            batch = (burg_modified_batch if padded else burg_classic_batch)(x, order)
             lattice = _burg_lattice(x, order, padded)
             for b in range(n_rec):
-                assert_same_model(batch.model(b), single(x[b], order))
+                assert_bitwise_model(batch.model(b), single(x[b], order))
                 alone = _burg_lattice(x[b : b + 1], order, padded).model(0)
                 assert_same_model(lattice.model(b), alone)
-            lags = _biased_lags(x, order)
+            lags = estimate_autocorr_1d(x, order)
             for b in range(n_rec):
                 assert np.array_equal(lags[b], estimate_autocorr_1d(x[b], order))
             try:
                 singles = [levinson(lags[b], order) for b in range(n_rec)]
             except SingularityError:
                 with pytest.raises(SingularityError):
-                    _levinson(lags, order)
+                    levinson_batch(lags, order)
                 return
-            recursion = _levinson(lags, order)
+            recursion = levinson_batch(lags, order)
             for b in range(n_rec):
-                assert_same_model(recursion.model(b), singles[b])
+                assert_bitwise_model(recursion.model(b), singles[b])
+
+    @pytest.mark.parametrize(
+        "batch, single",
+        [(burg_classic_batch, burg_classic), (burg_modified_batch, burg_modified)],
+    )
+    def test_bad_stack_raises_as_a_single_record_does(self, batch, single):
+        x = crandn(np.random.default_rng(97), 3, 8)
+        bad = x.copy()
+        bad[1, 2] = np.nan
+        for stack, order, record in (
+            (bad, 3, bad[1]),  # a non-finite row
+            (x, 8, x[0]),  # an order outside [1, N-1]
+            (x, 0, x[0]),
+            (x[None], 3, x),  # not a (B, N) stack
+            (x[0], 3, x[0, 0]),
+        ):
+            with pytest.raises(ValueError) as want:
+                single(record, order)
+            with pytest.raises(ValueError) as got:
+                batch(stack, order)
+            assert str(got.value) == str(want.value)
+
+    def test_bad_lags_raise_as_a_single_sequence_does(self):
+        r = estimate_autocorr_1d(crandn(np.random.default_rng(98), 3, 8), 4)
+        for stack, order, lags in (
+            (r, 0, r[0]),  # an order below 1
+            (r, 5, r[0]),  # too few lags
+            (r[None], 2, r),  # not a (B, L) stack
+            (r[0], 2, r[0, 0]),
+        ):
+            with pytest.raises(ValueError) as want:
+                levinson(lags, order)
+            with pytest.raises(ValueError) as got:
+                levinson_batch(stack, order)
+            assert str(got.value) == str(want.value)
 
     def test_sinusoid_stops_alone(self):
         x = crandn(np.random.default_rng(90), 3, 20)
@@ -411,7 +448,7 @@ class TestBatch:
         lags[1] = estimate_autocorr_1d(crandn(np.random.default_rng(92), 12), 6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = _levinson(lags, 6)
+            batch = levinson_batch(lags, 6)
         assert batch.stages.tolist() == [1, 6]
         assert_same_model(batch.model(0), levinson(lags[0], 6))
         assert_same_model(batch.model(1), levinson(lags[1], 6))
@@ -421,9 +458,9 @@ class TestBatch:
         x = crandn(np.random.default_rng(91), 3, 12)
         x[2] = 0.0
         with pytest.raises(DegenerateSignalError):
-            _burg_lattice(x, 4, padded)
+            (burg_modified_batch if padded else burg_classic_batch)(x, 4)
         with pytest.raises(DegenerateSignalError):
-            _levinson(_biased_lags(x, 4), 4)
+            levinson_batch(estimate_autocorr_1d(x, 4), 4)
 
 
 def _sinusoid(rng, n: int, noise: float, real: bool) -> np.ndarray:
@@ -497,7 +534,7 @@ class TestFastClassic:
         # The paper's record (N=20, 30 dB) leaves the fast route at order 2.
         x = gen_noisy_sinusoid(SynthConfig(20, 0.25, 0.0, 30.0, 1))
         seen = _lattice_spy(monkeypatch)
-        batch = _burg_classic(x[None], 19)
+        batch = burg_classic_batch(x[None], 19)
         assert len(seen) == 1 and np.array_equal(seen[0], x[None])
         ref = _burg_lattice(x[None], 19, padded=False)
         assert np.array_equal(batch.coeffs, ref.coeffs)
@@ -511,7 +548,7 @@ class TestFastClassic:
         x[3] = gen_noisy_sinusoid(SynthConfig(24, 0.3, 0.0, None, 1))
         x[4] = rng.standard_normal(24)
         seen = _lattice_spy(monkeypatch)
-        batch = _burg_classic(x, 15)
+        batch = burg_classic_batch(x, 15)
         # Only the two sinusoids go to the lattice, as one sub-batch.
         assert len(seen) == 1 and np.array_equal(seen[0], x[[1, 3]])
         for b in range(len(x)):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import crandn
+from oracles import block_toeplitz_matrix
 
 from arspec.ar1d import burg_classic, burg_modified, levinson
 from arspec.ar2d import (
@@ -13,7 +14,6 @@ from arspec.ar2d import (
     wwra,
 )
 from arspec.autocorr import (
-    block_toeplitz_matrix,
     build_data_matrices,
     estimate_autocorr_1d,
     estimate_block_autocorr_2d,

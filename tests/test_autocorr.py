@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 from conftest import crandn
+from oracles import block_toeplitz_matrix, is_hermitian, is_toeplitz, toeplitz_matrix
 
 from arspec.autocorr import (
-    block_toeplitz_matrix,
     build_data_matrices,
     estimate_autocorr_1d,
     estimate_block_autocorr_2d,
-    toeplitz_matrix,
 )
-from arspec.linalg import is_hermitian, is_toeplitz
 
 
 def autocorr_brute(x, max_lag):

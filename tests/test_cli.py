@@ -255,7 +255,7 @@ class TestEst1d:
         def buggy(x, order):
             raise KeyError("internal")
 
-        monkeypatch.setattr(arspec.cli, "_burg_classic", buggy)
+        monkeypatch.setattr(arspec.cli, "burg_classic_batch", buggy)
         with pytest.raises(KeyError):
             run("est1d", "--method", "burg", "--order", "2",
                 "--in", str(sig_csv), "--out", str(tmp_path / "m.json"))
@@ -317,6 +317,18 @@ class TestEst2d:
                  "--in", str(grid), "--out", str(out))
         assert rc == 2
         assert capsys.readouterr().err == f"error: usage: order must be in [1, 5], got {n1}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n2", [-1, 6])
+    @pytest.mark.parametrize("method", ["burg2d", "burg2d-mod", "wwra"])
+    def test_channel_order_outside_the_grid_is_usage_error(self, tmp_path, capsys, method, n2):
+        grid = tmp_path / "grid.csv"
+        write_signal_2d_csv(grid, crandn(np.random.default_rng(80), 6, 6))
+        out = tmp_path / "model.json"
+        rc = run("est2d", "--method", method, "--n1", "2", "--n2", str(n2),
+                 "--in", str(grid), "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: usage: n2 must be in [0, 5], got {n2}\n"
         assert not out.exists()
 
     def test_wwra_and_modified_agree_end_to_end(self, tmp_path):
@@ -653,10 +665,10 @@ class TestExperiments:
 
     @pytest.mark.parametrize("corrupt", ["nan", "truncate"])
     def test_equivalence_fails_loudly(self, tmp_path, monkeypatch, corrupt):
-        real = arspec.cli._burg_lattice
+        real = arspec.cli.burg_modified_batch
 
-        def broken(x, order, padded):
-            batch = real(x, order, padded)
+        def broken(x, order):
+            batch = real(x, order)
             if corrupt == "nan":
                 batch.coeffs[0, 0] = np.nan
             else:
@@ -666,7 +678,7 @@ class TestExperiments:
         def strict(token):
             raise AssertionError(f"non-standard JSON constant {token}")
 
-        monkeypatch.setattr(arspec.cli, "_burg_lattice", broken)
+        monkeypatch.setattr(arspec.cli, "burg_modified_batch", broken)
         out = tmp_path / "eq.json"
         rc = run("experiment", "equivalence", "--trials", "3", "--trials-2d", "1",
                  "--seed", "1", "--out", str(out))

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 from conftest import crandn, hermitian_pd
+from oracles import is_hermitian, is_toeplitz
 
 from arspec.errors import SingularityError
 from arspec.linalg import (
     exchange_conj,
     exchange_transpose,
-    is_hermitian,
-    is_toeplitz,
     max_rel_diff,
     solve_hermitian_dense,
 )

@@ -1,6 +1,8 @@
+import ast
 import importlib
 
 import arspec
+import arspec.cli
 
 #: The modules whose public names the package re-exports.
 LIBRARY_MODULES = ("ar1d", "ar2d", "autocorr", "errors", "linalg", "siggen", "spectrum")
@@ -28,3 +30,16 @@ def test_errors_exports_every_exception_it_defines():
 
     defined = {n for n, v in vars(errors).items() if isinstance(v, type)}
     assert set(errors.__all__) == defined
+
+
+def test_cli_imports_no_private_name():
+    with open(arspec.cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
