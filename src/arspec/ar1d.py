@@ -25,19 +25,17 @@ Vos, "A Fast Implementation of Burg's Method", 2013): one lag sum per
 order plus O(m) work at stage ``m``, where the lattice makes several passes
 over its error signals per stage. Its window sums are differences of sums
 of size ``r_0``, so a record stays on that route only while every half-sum
-denominator stays above ``r_0 / FAST_BURG_BOUND`` (30); any other record
-is recomputed on the error-signal lattice and gets its bits, stops and
-errors. On the records that stay, the coefficients carry up to about that
-bound times the lattice's rounding error: within 1e-12 of the lattice's on
-records of up to 200 samples, and 3.4e-12 at N=1e5, p=400, where the
-lattice is 2e-13 to 5e-13 from an extended-precision lattice.
+denominator stays above ``r_0 / FAST_BURG_BOUND`` (30), and then carries up
+to about that bound times the lattice's rounding error; any other record is
+recomputed on the error-signal lattice and gets its bits, stops and errors.
 
 All three populate a per-order history so a single run at order ``n``
 yields the models of every intermediate order. A stage keeps its
 coefficients, not its error signals: those are functions of the
-coefficients, :func:`prediction_residual` and
-:func:`backward_prediction_residual` on the zero-padded support, of which
-the classic lattice's stage ``m`` sees ``[m, N-1]``.
+coefficients on the zero-padded support, the forward error
+:func:`prediction_residual` and the backward error
+``x(k-n) + sum_l conj(a_l) x(k+l-n)``, of which the classic lattice's
+stage ``m`` sees ``[m, N-1]``.
 
 The recursions run batch-first: :func:`levinson_batch`,
 :func:`burg_classic_batch` and :func:`burg_modified_batch` take a
@@ -63,7 +61,6 @@ __all__ = [
     "ArModel1D",
     "LatticeBatch",
     "LatticeStage",
-    "backward_prediction_residual",
     "burg_classic",
     "burg_classic_batch",
     "burg_modified",
@@ -370,20 +367,23 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
     edge errors to the next order, which needs one new sample per edge, and
     persymmetry carries ``g``: ``g'_i = g_i + conj(k) conj(g_{m-i})``, where
     two new lag sums give ``g_{-1}`` and ``g_{m+1}``. So a stage costs a few
-    O(m) products after the O(N order) lags.
+    O(m) products after the O(N order) lags. That pays on long records only:
+    on complex noise it took 1.3-2.5x the lattice's time at N <= 4096, broke
+    even at N=8192-16384 and took a seventh at N=1e5, order 400 (2 vCPUs).
 
     Each window sum is a difference of sums of size ``r_0``, so its
     relative error grows like ``r_0 / D_m`` for the half-sum denominator
     ``D_m``, which lies in ``(0, r_0]`` in exact arithmetic. A record stays
     on this route while ``r_0`` and ``2 r_0`` are normal doubles and
-    ``r_0 / FAST_BURG_BOUND <= D_m <= r_0``; it also leaves
-    once ``D_m (1 - |k_m|^2)``, the bound on the next denominator, falls
-    below ``r_0 / FAST_BURG_BOUND``, which a reflection near the unit
-    circle does. A record that leaves is recomputed in full by
+    ``r_0 / FAST_BURG_BOUND <= D_m <= r_0``; it also leaves once
+    ``D_m (1 - |k_m|^2)``, the bound on the next denominator, falls below
+    ``r_0 / FAST_BURG_BOUND``, which a reflection near the unit circle
+    does. A record that leaves is recomputed in full by
     :func:`_burg_lattice`, so every stop, error and degenerate record gets
     the lattice's handling and bits. On the others the coefficients match
     the lattice's within 1e-12 relative on records of up to 200 samples
-    (3.4e-12 at N=1e5, order 400).
+    (3.4e-12 at N=1e5, order 400, where the lattice is 2e-13 to 5e-13 from
+    an extended-precision lattice).
     """
     x = stack_for_order(x, order)
     n_rec, n = x.shape
@@ -398,22 +398,20 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
     g[:, 2] = r[:, 1].conj()
     # The edge errors by direction and edge: edges[0, 0, :, i] = e_f(i),
     # edges[1, 0, :, i] = e_b(i-1), edges[0, 1, :, i] = e_f(N+i) and
-    # edges[1, 1, :, i] = e_b(N-1+i). Each stage writes the next ones into
-    # the spare buffer; a slot it does not write stays zero.
-    edges = np.zeros((2, 2, n_rec, order + 1), dtype=complex)
+    # edges[1, 1, :, i] = e_b(N-1+i). Each stage builds the next ones in a
+    # new array; a slot it does not write, e_f(N+m) or e_b(-1), stays zero.
+    edges = np.zeros((2, 2, n_rec, 1), dtype=complex)
     edges[0, 0, :, 0] = x[:, 0]
     edges[1, 1, :, 0] = x[:, -1]
-    spare = np.zeros_like(edges)
     a = conj = batch.coeffs[:, :0]
     # Near the top of the double range the forms may overflow; the guard
     # then hands the record to the lattice, so the warning would be noise.
     with np.errstate(all="ignore"):
         for m in range(1, order + 1):
-            e = edges[..., :m]
-            f, b = e
+            f, b = edges
             form = g[:, 1] + np.vecdot(conj, g[:, 2 : m + 1])
             cross = (g[:, m + 1] + np.vecdot(a, g[:, m:1:-1])).conj()
-            den = form.real - 0.5 * np.vecdot(e, e).real.sum((0, 1))
+            den = form.real - 0.5 * np.vecdot(edges, edges).real.sum((0, 1))
             fast &= (floor <= den) & (den <= r0)
             num = np.vecdot(b, f).sum(0) - cross
             kcol, new_conj = _stage(batch, m, num, den, conj, fast)
@@ -422,14 +420,11 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
                 break
             # The order-m edge errors, one new sample per edge.
             new_a = new_conj.conj()
-            new_f, new_b = spare[..., : m + 1]
-            np.multiply(kcol, b, out=new_f[..., :m])
-            new_f[..., :m] += f
-            np.multiply(kcol.conj(), f, out=new_b[..., 1:])
-            new_b[..., 1:] += b
-            new_f[0, :, m] = x[:, m] + np.vecdot(new_conj, x[:, m - 1 :: -1])
-            new_b[1, :, 0] = x[:, n - 1 - m] + np.vecdot(new_a, x[:, n - m :])
-            edges, spare = spare, edges
+            edges = np.zeros((2, 2, n_rec, m + 1), dtype=complex)
+            edges[0, ..., :m] = f + kcol * b
+            edges[1, ..., 1:] = b + kcol.conj() * f
+            edges[0, 0, :, m] = x[:, m] + np.vecdot(new_conj, x[:, m - 1 :: -1])
+            edges[1, 1, :, 0] = x[:, n - 1 - m] + np.vecdot(new_a, x[:, n - m :])
             # g of the order-m coefficients: g_{-1} and g_{m+1}, then persymmetry.
             g[:, 0] = r[:, 1] + np.vecdot(a, r[:, 2 : m + 1])
             g[:, m + 2] = (r[:, m + 1] + np.vecdot(conj, r[:, m:1:-1])).conj()
@@ -483,14 +478,6 @@ def prediction_residual(x, coeffs) -> np.ndarray:
     x = as_signal_1d(x)
     filt = np.concatenate([[1.0 + 0.0j], np.asarray(coeffs, dtype=complex)])
     return np.convolve(filt, x)
-
-
-def backward_prediction_residual(x, coeffs) -> np.ndarray:
-    """Backward prediction error ``x(k-n) + sum_l conj(a_l) x(k+l-n)`` on
-    the zero-padded support, length ``N + order``."""
-    x = as_signal_1d(x)
-    filt = np.concatenate([[1.0 + 0.0j], np.asarray(coeffs, dtype=complex)])
-    return np.convolve(filt[::-1].conj(), x)
 
 
 def residual_mse(x, model: ArModel1D | LatticeStage, support: str = "window") -> float:

@@ -133,10 +133,12 @@ def _extend_block(coeffs: np.ndarray, m: int, a_nn: np.ndarray) -> None:
     coeffs[m - 1] = a_nn
 
 
-def _gram(lead: np.ndarray, lag: np.ndarray) -> np.ndarray:
-    """``sum_k lead(k) lag(k)^H`` over the blocks of two channel-major
-    ``(p, rows * width)`` windows."""
-    return lead @ lag.conj().T
+def _finish(coeffs: np.ndarray, history: list[BlockStage], sample_terms: int | None) -> ArModel2D:
+    """The model ending in the last stage, unless it is not finite."""
+    power = history[-1].error_power
+    if not (np.isfinite(coeffs).all() and np.isfinite(power).all()):
+        raise NumericalError(f"non-finite coefficients or error power at order {len(coeffs)}")
+    return ArModel2D(len(coeffs), coeffs.shape[1] - 1, coeffs, power, history, sample_terms)
 
 
 def wwra(blocks, order: int, sample_terms: int | None = None) -> ArModel2D:
@@ -184,7 +186,7 @@ def wwra(blocks, order: int, sample_terms: int | None = None) -> ArModel2D:
 
     p = blocks.shape[1]
     coeffs = np.zeros((order, p, p), dtype=complex)
-    power = blocks[0].copy()
+    power = blocks[0]
     history: list[BlockStage] = []
     for m in range(1, order + 1):
         delta = blocks[m].copy()
@@ -197,10 +199,8 @@ def wwra(blocks, order: int, sample_terms: int | None = None) -> ArModel2D:
         # coincides with this for scalar blocks; using it here breaks the
         # agreement with both the defining sum for P and the lattice route.
         power = power + exchange_conj(a_nn) @ delta
-        history.append(BlockStage(m, coeffs[:m].copy(), a_nn, power.copy()))
-    if not (np.isfinite(coeffs).all() and np.isfinite(power).all()):
-        raise NumericalError(f"non-finite coefficients or error power at order {order}")
-    return ArModel2D(order, p - 1, coeffs, power, history, sample_terms)
+        history.append(BlockStage(m, coeffs[:m].copy(), a_nn, power))
+    return _finish(coeffs, history, sample_terms)
 
 
 def grid_for_order(x, order: int) -> np.ndarray:
@@ -256,17 +256,15 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
             new_f = f + a_nn @ b_prev
             b[:] = b_prev + exchange_conj(a_nn) @ f
             f[:] = new_f
-        pf, pb, pfb = _gram(f, f), _gram(b, b), _gram(f[:, width:], b[:, :-width])
+        pf, pb, pfb = f @ f.conj().T, b @ b.conj().T, f[:, width:] @ b[:, :-width].conj().T
         criterion = float((pf.trace() + pb.trace()).real)
         history.append(BlockStage(m, coeffs[:m].copy(), a_nn, pb, pf, pfb, criterion))
         if not padded:
             # The next stage's shrinking windows drop the first forward and
             # the last backward block; padded windows only add zero blocks.
-            pf, pb = _gram(f[:, width:], f[:, width:]), _gram(b[:, :-width], b[:, :-width])
-    power = history[-1].error_power
-    if not (np.isfinite(coeffs).all() and np.isfinite(power).all()):
-        raise NumericalError(f"non-finite coefficients or error power at order {order}")
-    return ArModel2D(order, channel_order, coeffs, power, history, hi - lo)
+            f, b = f[:, width:], b[:, :-width]
+            pf, pb = f @ f.conj().T, b @ b.conj().T
+    return _finish(coeffs, history, hi - lo)
 
 
 def burg2d_classic(x, order: int, channel_order: int) -> ArModel2D:
@@ -320,14 +318,10 @@ def extract_quarter_plane_filter(model: ArModel2D) -> QuarterPlaneFilter:
     ``sample_terms`` (left unnormalized when unknown), making it comparable
     to :func:`residual_mse_2d`.
     """
-    p = model.channel_order + 1
-    c = np.zeros((model.order + 1, p), dtype=complex)
+    c = np.zeros((model.order + 1, model.channel_order + 1), dtype=complex)
     c[0, 0] = 1.0
-    for l1 in range(1, model.order + 1):
-        c[l1] = model.coeffs[l1 - 1][0, :]
-    pb00 = float(model.error_power[0, 0].real)
-    terms = model.sample_terms if model.sample_terms else 1
-    return QuarterPlaneFilter(c, pb00 / terms)
+    c[1:] = model.coeffs[:, 0]
+    return QuarterPlaneFilter(c, float(model.error_power[0, 0].real) / (model.sample_terms or 1))
 
 
 def quarter_plane_residual(x, filt: QuarterPlaneFilter) -> np.ndarray:
@@ -337,10 +331,8 @@ def quarter_plane_residual(x, filt: QuarterPlaneFilter) -> np.ndarray:
     c = filt.coeffs
     rows, cols = x.shape
     out = np.zeros((rows + c.shape[0] - 1, cols + c.shape[1] - 1), dtype=complex)
-    for l1 in range(c.shape[0]):
-        for l2 in range(c.shape[1]):
-            if c[l1, l2] != 0.0:
-                out[l1 : l1 + rows, l2 : l2 + cols] += c[l1, l2] * x
+    for (l1, l2), tap in np.ndenumerate(c):
+        out[l1 : l1 + rows, l2 : l2 + cols] += tap * x
     return out
 
 

@@ -109,13 +109,9 @@ def estimate_block_autocorr_2d(x, n1: int, n2: int) -> np.ndarray:
     # rho[k, d] = sum_{m,v} x(m+k, v-d) conj(x(m, v)), d = i - j
     rho = np.empty((n1 + 1, 2 * n2 + 1), dtype=complex)
     for k in range(n1 + 1):
-        lead = x[k:, :]
-        lag = x[: rows - k, :]
         for d in range(-n2, n2 + 1):
-            if d >= 0:
-                rho[k, d + n2] = np.sum(lead[:, : cols - d] * lag[:, d:].conj())
-            else:
-                rho[k, d + n2] = np.sum(lead[:, -d:] * lag[:, : cols + d].conj())
+            lo, hi = max(-d, 0), cols - max(d, 0)
+            rho[k, d + n2] = np.sum(x[k:, lo:hi] * x[: rows - k, lo + d : hi + d].conj())
 
     p = n2 + 1
     diff = np.arange(p)[:, None] - np.arange(p)[None, :]

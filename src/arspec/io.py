@@ -8,9 +8,9 @@ Formats (UTF-8, '.' decimal, no locale dependence):
   never a string encoding; models carry the method name, order(s) and the
   per-stage error powers. :func:`read_model` decodes any of the three
   kinds; a malformed file, a non-finite coefficient or power, a negative
-  1D or filter power, a 2D model order ``n1 < 1``, or a 2D
-  ``sample_terms`` or stage criterion of the wrong kind is a
-  ``ValueError`` naming it.
+  1D or filter power, an order that is not a JSON integer, a 2D model
+  order ``n1 < 1``, or a ``sample_terms``, ``early_stop`` or stage
+  criterion of the wrong kind is a ``ValueError`` naming it.
 * Spectrum CSV: ``frequency,power,log10_power`` (1D) or
   ``f1,f2,power,log10_power`` (2D).
 * Table CSV (the experiments): a header row, then one row per phase or
@@ -157,6 +157,13 @@ def _power(value, name: str) -> float:
     return power
 
 
+def _count(obj: dict, key: str) -> int:
+    """``obj[key]``, a JSON integer literal: not ``2.0``, ``"2"`` or ``true``."""
+    if type(value := obj[key]) is int:
+        return value
+    raise ValueError(f"invalid literal for {key}: expected an integer, got {value!r}")
+
+
 def _sample_terms(value) -> int | None:
     """``sample_terms`` read from JSON: ``None`` (unknown) or a count >= 1."""
     if value is None or (type(value) is int and value >= 1):
@@ -192,19 +199,21 @@ def model1d_to_dict(model: ArModel1D, method: str) -> dict:
 
 
 def model1d_from_dict(obj: dict) -> ArModel1D:
-    order = int(obj["order"])
+    order = _count(obj, "order")
     coeffs = _complex(obj["coefficients"], (order,))
     history = [
         LatticeStage(
-            int(st["order"]),
-            _complex(st["coefficients"], (int(st["order"]),)),
+            m := _count(st, "order"),
+            _complex(st["coefficients"], (m,)),
             _power(st["error_power"], "history error_power"),
             complex(_complex(st["reflection"], ())),
         )
         for st in obj.get("history", [])
     ]
     power = _power(obj["error_power"], "error_power")
-    return ArModel1D(order, coeffs, power, history, bool(obj.get("early_stop", False)))
+    if type(early_stop := obj.get("early_stop", False)) is not bool:
+        raise ValueError(f"early_stop must be true or false, got {early_stop!r}")
+    return ArModel1D(order, coeffs, power, history, early_stop)
 
 
 def model2d_to_dict(model: ArModel2D, method: str) -> dict:
@@ -235,7 +244,7 @@ def model2d_from_dict(obj: dict) -> ArModel2D:
     an empty ``(0, n2+1, n2+1)`` stack. The model order ``n1`` must be at
     least 1, as every 2D estimator requires.
     """
-    n1, n2 = int(obj["n1"]), int(obj["n2"])
+    n1, n2 = _count(obj, "n1"), _count(obj, "n2")
     if n1 < 1:
         raise ValueError(f"n1 must be >= 1, got {n1}")
     p = (n2 + 1, n2 + 1)
@@ -243,7 +252,7 @@ def model2d_from_dict(obj: dict) -> ArModel2D:
     empty = np.zeros((0, *p), dtype=complex)
     history = [
         BlockStage(
-            int(st["order"]),
+            _count(st, "order"),
             empty,
             None,
             _complex(st["error_power_matrix"], p),
@@ -266,7 +275,7 @@ def filter_to_dict(filt: QuarterPlaneFilter) -> dict:
 
 
 def filter_from_dict(obj: dict) -> QuarterPlaneFilter:
-    coeffs = _complex(obj["coefficients"], (int(obj["n1"]) + 1, int(obj["n2"]) + 1))
+    coeffs = _complex(obj["coefficients"], (_count(obj, "n1") + 1, _count(obj, "n2") + 1))
     return QuarterPlaneFilter(coeffs, _power(obj["noise_power"], "noise_power"))
 
 

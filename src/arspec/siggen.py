@@ -113,9 +113,15 @@ def gen_noisy_sinusoid(cfg: SynthConfig, substream: int = 0) -> np.ndarray:
         return sinusoid
 
     noise = Lcg32(cfg.seed, substream).complex_normal(cfg.n)
-    noise_energy = np.vdot(noise, noise).real
-    signal_energy = cfg.n * np.vdot(sinusoid, sinusoid).real
-    scale = math.sqrt(signal_energy / (noise_energy * 10.0 ** (cfg.snr_db / 10.0)))
+    # Python floats: an out-of-range SNR raises here, with no float warning.
+    noise_energy = float(np.vdot(noise, noise).real)
+    signal_energy = cfg.n * float(np.vdot(sinusoid, sinusoid).real)
+    try:
+        scale = math.sqrt(signal_energy / (noise_energy * 10.0 ** (cfg.snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        scale = 0.0
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"snr_db={cfg.snr_db} puts the noise scale outside the double range")
     return sinusoid + scale * np.fft.ifft(noise)
 
 

@@ -1,10 +1,13 @@
 """Dense oracles the tests check the order recursions against.
 
-The library never assembles the normal equations or tests a matrix for
-structure; these helpers do both, for the tests only.
+The library never assembles the normal equations, tests a matrix for
+structure or evaluates a backward prediction error; these helpers do all
+three, for the tests only.
 """
 
 import numpy as np
+
+from arspec.autocorr import as_signal_1d
 
 
 def _square(m) -> np.ndarray:
@@ -69,3 +72,11 @@ def is_toeplitz(m, tol: float = 0.0) -> bool:
         if diag.size > 1:
             dev = max(dev, float(np.abs(diag - diag[0]).max()))
     return dev <= tol
+
+
+def backward_prediction_residual(x, coeffs) -> np.ndarray:
+    """Backward prediction error ``x(k-n) + sum_l conj(a_l) x(k+l-n)`` on
+    the zero-padded support, length ``N + order``."""
+    x = as_signal_1d(x)
+    filt = np.concatenate([[1.0 + 0.0j], np.asarray(coeffs, dtype=complex)])
+    return np.convolve(filt[::-1].conj(), x)

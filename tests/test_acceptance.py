@@ -12,11 +12,10 @@ import time
 import numpy as np
 import pytest
 from conftest import crandn
-from oracles import block_toeplitz_matrix, toeplitz_matrix
+from oracles import backward_prediction_residual, block_toeplitz_matrix, toeplitz_matrix
 
 from arspec.ar1d import (
     ArModel1D,
-    backward_prediction_residual,
     burg_classic,
     burg_modified,
     levinson,

@@ -5,12 +5,11 @@ import pytest
 from conftest import crandn
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import toeplitz_matrix
+from oracles import backward_prediction_residual, toeplitz_matrix
 
 from arspec.ar1d import (
     ArModel1D,
     _burg_lattice,
-    backward_prediction_residual,
     burg_classic,
     burg_classic_batch,
     burg_modified,

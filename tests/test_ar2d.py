@@ -139,6 +139,11 @@ class TestWwra:
         with pytest.raises(ValueError):
             wwra(blocks, 2)
 
+    def test_blocks_that_are_not_square_are_rejected(self):
+        message = r"^blocks must have shape \(n\+1, p, p\), got \(3, 2, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            wwra(np.zeros((3, 2, 3)), 1)
+
 
 class TestBurg2dClassic:
     def test_single_column_reduces_to_burg_classic(self):
@@ -265,6 +270,11 @@ class TestBurg2dModified:
     def test_zero_grid_rejected(self):
         with pytest.raises(DegenerateSignalError):
             burg2d_modified(np.zeros((4, 4), dtype=complex), 1, 1)
+
+    def test_empty_grid_rejected(self):
+        message = r"^grid must be a nonempty 2D array, got shape \(0, 3\)$"
+        with pytest.raises(ValueError, match=message):
+            burg2d_modified(np.zeros((0, 3)), 1, 0)
 
 
 class TestQuarterPlaneFilter:

@@ -102,6 +102,18 @@ class TestGen:
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["gen", "phase-sweep"])
+    @pytest.mark.parametrize("snr_db", ["3100", "-4000"])
+    def test_snr_outside_the_double_range_is_usage_error(self, tmp_path, capsys, command, snr_db):
+        # 10^310 overflows; 10^-400 rounds to 0 and the noise scale to inf.
+        argv = ["gen"] if command == "gen" else ["experiment", command]
+        rc = run(*argv, "--n", "8", f"--snr-db={snr_db}", "--out", str(tmp_path / "o.csv"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: usage: snr_db={float(snr_db)} puts the noise scale "
+                       "outside the double range\n")
+        assert not list(tmp_path.iterdir())
+
 
 class TestEst1d:
     def test_model_json_contents(self, tmp_path, sig_csv):
@@ -507,6 +519,30 @@ class TestSpectrumCommand:
             pytest.param("ar2d", lambda o: o["history"][1].update(criterion="x"),
                          "criterion must be null or a finite number, got 'x'",
                          id="criterion-string"),
+            *(
+                pytest.param(kind, corrupt, f"invalid literal for {key}: expected an integer, got",
+                             id=id_)
+                for kind, key, corrupt, id_ in [
+                    ("ar1d", "order", lambda o: o.update(order=2.9), "order-fraction"),
+                    ("ar1d", "order", lambda o: o.update(order="2"), "order-string"),
+                    ("ar1d", "order", lambda o: o["history"][0].update(order=1.0),
+                     "stage-order-float"),
+                    ("ar2d", "n1", lambda o: o.update(n1=1.5), "n1-fraction"),
+                    ("ar2d", "n1", lambda o: o.update(n1="1"), "n1-string"),
+                    ("ar2d", "n1", lambda o: o.update(n1=True), "n1-true"),
+                    ("ar2d", "order", lambda o: o["history"][1].update(order="1"),
+                     "2d-stage-order-string"),
+                    ("quarter_plane_filter", "n1", lambda o: o.update(n1="1"), "filter-n1-string"),
+                    ("quarter_plane_filter", "n2", lambda o: o.update(n2=1.5),
+                     "filter-n2-fraction"),
+                ]
+            ),
+            *(
+                pytest.param("ar1d", lambda o, v=value: o.update(early_stop=v),
+                             f"early_stop must be true or false, got {value!r}",
+                             id=f"early_stop-{id_}")
+                for id_, value in [("no", "no"), ("zero", 0), ("null", None)]
+            ),
         ],
     )
     def test_missing_model_key_is_usage_error(self, tmp_path, capsys, kind, corrupt, message):

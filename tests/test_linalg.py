@@ -111,6 +111,10 @@ class TestSolveHermitianDense:
         bound = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
         assert residual <= bound
 
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match=r"^side must be 'left' or 'right', got 'up'$"):
+            solve_hermitian_dense(np.eye(2), np.ones(2), side="up")
+
     def test_sizes_up_to_32(self):
         rng = np.random.default_rng(8)
         for n in (2, 5, 13, 32):

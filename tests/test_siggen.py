@@ -113,6 +113,13 @@ class TestGenNoisySinusoid:
             with pytest.raises(ValueError, match="phase"):
                 gen_noisy_sinusoid(SynthConfig(8, 0.25, phase=phase))
 
+    @pytest.mark.parametrize("snr_db", [3100.0, -4000.0, 3080.0])
+    def test_noise_scale_outside_the_double_range_raises(self, snr_db):
+        # 10^310 overflows, 10^-400 rounds to 0, and 10^308 times the noise
+        # energy overflows: each raises without a float warning.
+        with pytest.raises(ValueError, match=f"^snr_db={snr_db} puts the noise scale"):
+            gen_noisy_sinusoid(SynthConfig(8, 0.25, snr_db=snr_db))
+
 
 class TestPhaseSweep:
     def test_single_step(self):
