@@ -312,7 +312,6 @@ def _burg_lattice(x: np.ndarray, order: int, padded: bool) -> LatticeBatch:
     ef[:, 1 : n + 1] = x
     eb = ef.copy()
     eb_next = np.zeros_like(ef)
-    work = np.empty((n_rec, span), dtype=complex)
     batch = LatticeBatch.start(power, order)
     conj = batch.coeffs[:, :0]
     live = np.ones(n_rec, dtype=bool)
@@ -326,10 +325,10 @@ def _burg_lattice(x: np.ndarray, order: int, padded: bool) -> LatticeBatch:
         if np.count_nonzero(denom) < n_rec:
             raise DegenerateSignalError(f"zero error energy at order {m}")
         kcol, conj = _stage(batch, m, -np.vecdot(b, f), denom, conj, live)
-        # The backward update reads the old forward errors: update f last.
+        # The backward update reads the old forward errors: update f last, in the spent b.
         new_b = np.multiply(kcol.conj(), f, out=eb_next[:, lo:hi])
         new_b += b
-        f += np.multiply(kcol, b, out=work[:, : hi - lo])
+        f += np.multiply(kcol, b, out=b)
         eb, eb_next = eb_next, eb
         live = _stops(batch, m, kcol[:, 0], live)
         if not np.count_nonzero(live):

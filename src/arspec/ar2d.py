@@ -15,13 +15,15 @@ linear prediction into multichannel prediction with coefficient MATRICES
 * :func:`burg2d_classic` and :func:`burg2d_modified` - one block Burg
   lattice run over two supports. Each stage takes the symmetric update
   ``A = -[Pfb + J Pfb^T J][Pb + J Pf^* J]^{-1}`` (J the exchange matrix),
-  which minimizes the summed forward+backward error trace, with the
-  moments taken over the stage's forward window against the backward
-  window delayed by one row index. The classic lattice's supports shrink
-  by one row per order. The modified lattice's supports grow over
-  zero-padded rows; its coefficient matrices then equal :func:`wwra`
-  applied to the zero-padded block autocorrelation, to machine precision,
-  and its moment matrices satisfy ``Pb = J Pf^* J`` and
+  which minimizes the summed forward+backward error trace. All three
+  moments come from one real Gram per stage, over the stage's forward
+  window stacked on the backward window delayed by one row index, so
+  ``Pf`` and ``Pb`` are exactly Hermitian. The classic lattice's supports
+  shrink by one row per order; the products of the two blocks that drop
+  out complete its recorded ``Pf`` and ``Pb``. The modified lattice's
+  supports grow over zero-padded rows; its coefficient matrices then equal
+  :func:`wwra` applied to the zero-padded block autocorrelation, to
+  machine precision, and its moments satisfy ``Pb = J Pf^* J`` and
   ``Pfb = J Pfb^T J`` at every stage, so the symmetric update coincides
   with the plain ``A = -Pfb Pb^{-1}``.
 
@@ -212,17 +214,30 @@ def grid_for_order(x, order: int) -> np.ndarray:
     return x
 
 
+def _gram(r: np.ndarray) -> np.ndarray:
+    """``u @ u^H`` for the rows ``Re u_0, Im u_0, Re u_1, ...`` of ``r``; exactly
+    Hermitian, since numpy computes ``r @ r.T`` as a symmetric rank-k update."""
+    g = r @ r.T
+    out = np.empty((len(r) // 2, len(r) // 2), dtype=complex)
+    np.add(g[0::2, 0::2], g[1::2, 1::2], out=out.real)
+    np.subtract(g[1::2, 0::2], g[0::2, 1::2], out=out.imag)
+    return out
+
+
 def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2D:
     """The block Burg lattice of both 2D estimators, over either support.
 
-    The error blocks live channel-major in one ``(p, rows * width)`` buffer
-    per direction, row ``k`` at block ``k + 1``, so block 0 is
-    ``e_b(-1) = 0`` and stays zero. Stage ``m`` pairs the forward errors on
-    its window, rows ``[m, N1-1]`` when shrinking and ``[0, N1+m-1]`` when
-    ``padded``, with the backward errors on the same window delayed by one
-    row, and updates both in place on the forward window, which is the
-    support of the order-``m`` errors. Each moment is one matmul over a
-    window.
+    The errors live in one real ``(4p, blocks * width)`` buffer: column
+    block ``k`` holds ``e_f(k)`` over ``D(k) = e_b(k-1)``, each channel as
+    its real row over its imaginary row, so ``D(0) = e_b(-1) = 0``. Stage
+    ``m`` updates them on its window, rows ``[m, N1-1]`` when shrinking and
+    ``[0, N1+m-1]`` when ``padded``, by two real ``(2p x 2p)`` matmuls into
+    a second buffer: ``e_f(k)`` into block ``k``, ``e_b(k)`` into ``k + 1``.
+    One Gram over the next window, a row shorter or longer, gives the next
+    stage's ``Pf``, ``Pb`` and ``Pfb``, which under zero padding are also
+    this stage's. On shrinking supports this stage's ``Pf`` and ``Pb`` add
+    the products of the dropped first ``e_f`` and last ``e_b`` blocks:
+    positive semidefinite terms, so nothing cancels.
     """
     x = grid_for_order(x, order)
     data = build_data_matrices(x, channel_order)
@@ -231,40 +246,46 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
     if not np.vecdot(x.ravel(), x.ravel()).real:
         raise DegenerateSignalError("grid has zero energy")
 
-    ef = np.zeros((p, (n1_len + 1 + (order if padded else 0)) * width), dtype=complex)
-    ef[:, width : (n1_len + 1) * width] = data.transpose(1, 0, 2).reshape(p, -1)
-    eb = ef.copy()
+    cur, nxt = np.zeros((2, 4 * p, (n1_len + 1 + (order if padded else 0)) * width))
+    parts = data.view(float).reshape(n1_len, p, width, 2).transpose(1, 3, 0, 2)
+    cur[: 2 * p, : n1_len * width] = parts.reshape(2 * p, -1)
+    cur[2 * p :, width : (n1_len + 1) * width] = cur[: 2 * p, : n1_len * width]
+    # Real forms of A on D (rows 2i, 2i+1: conj(A[i]), 1j conj(A[i])) and, reversed, of J A^* J.
+    upd = np.empty((2, 2 * p, 2 * p))
+    pairs = upd[0].view(complex).reshape(p, 2, p)
     coeffs = np.zeros((order, p, p), dtype=complex)
     history: list[BlockStage] = []
+    lo, hi = 0, n1_len
     for m in range(order + 1):
-        lo, hi = (1, n1_len + m + 1) if padded else (m + 1, n1_len + 1)
-        f = ef[:, lo * width : hi * width]
-        b = eb[:, lo * width : hi * width]
         a_nn = None
         if m:
             numer = pfb + exchange_transpose(pfb)
-            # A zero cross moment already minimizes the criterion at A = 0;
-            # do not insist on inverting a (possibly rank-deficient)
-            # denominator.
+            # A zero cross moment already minimizes the criterion at A = 0; do
+            # not insist on inverting a (possibly rank-deficient) denominator.
             if not np.any(numer):
                 a_nn = np.zeros((p, p), dtype=complex)
             else:
                 a_nn = -solve_hermitian_dense(pb + exchange_conj(pf), numer, side="right")
             _extend_block(coeffs, m, a_nn)
-            # The backward update reads the old forward errors: write f last.
-            b_prev = eb[:, (lo - 1) * width : (hi - 1) * width]
-            new_f = f + a_nn @ b_prev
-            b[:] = b_prev + exchange_conj(a_nn) @ f
-            f[:] = new_f
-        pf, pb, pfb = f @ f.conj().T, b @ b.conj().T, f[:, width:] @ b[:, :-width].conj().T
-        criterion = float((pf.trace() + pb.trace()).real)
-        history.append(BlockStage(m, coeffs[:m].copy(), a_nn, pb, pf, pfb, criterion))
+            np.multiply(np.conjugate(a_nn, out=pairs[:, 0]), 1j, out=pairs[:, 1])
+            upd[1] = upd[0, ::-1, ::-1]
+            win, ahead = slice(lo * width, hi * width), slice((lo + 1) * width, (hi + 1) * width)
+            np.matmul(upd[0], cur[2 * p :, win], out=nxt[: 2 * p, win])
+            nxt[: 2 * p, win] += cur[: 2 * p, win]
+            np.matmul(upd[1], cur[: 2 * p, win], out=nxt[2 * p :, ahead])
+            nxt[2 * p :, ahead] += cur[2 * p :, win]
+            cur, nxt = nxt, cur
+        lo, hi = (lo, hi + 1) if padded else (lo + 1, hi)
+        mom = full = _gram(cur[:, lo * width : hi * width])
+        pf, pb, pfb = mom[:p, :p], mom[p:, p:], mom[:p, p:]
         if not padded:
-            # The next stage's shrinking windows drop the first forward and
-            # the last backward block; padded windows only add zero blocks.
-            f, b = f[:, width:], b[:, :-width]
-            pf, pb = f @ f.conj().T, b @ b.conj().T
-    return _finish(coeffs, history, hi - lo)
+            first = cur[: 2 * p, (lo - 1) * width : lo * width]
+            last = cur[2 * p :, hi * width : (hi + 1) * width]
+            full = mom + _gram(np.concatenate((first, last)))
+        criterion = float(full.trace().real)
+        stage = BlockStage(m, coeffs[:m].copy(), a_nn, full[p:, p:], full[:p, :p], pfb, criterion)
+        history.append(stage)
+    return _finish(coeffs, history, n1_len + order if padded else n1_len - order)
 
 
 def burg2d_classic(x, order: int, channel_order: int) -> ArModel2D:

@@ -185,21 +185,40 @@ class TestBurg2dClassic:
     @pytest.mark.parametrize("estimator", [burg2d_classic, burg2d_modified])
     def test_every_stage_records_moments_of_its_errors(self, estimator):
         rng = np.random.default_rng(53)
-        for _ in range(20):
-            x = crandn(rng, 7, 5)
-            model = estimator(x, 3, 2)
+        classic = estimator is burg2d_classic
+        # (rows, cols, order, n2, draws): after the 7x5 grids at order 3,
+        # n2 = 0, order N1-1 (the last classic support is one row), a 2-row
+        # grid and a single-column grid.
+        cases = [(7, 5, 3, 2, 20), (7, 5, 3, 0, 5), (7, 5, 6, 2, 5)]
+        cases += [(2, 5, 1, 2, 5), (7, 1, 3, 0, 5)]
+        for rows, cols, order, n2, draws in cases:
+            for _ in range(draws):
+                x = crandn(rng, rows, cols)
+                model = estimator(x, order, n2)
+                assert model.sample_terms == (rows - order if classic else rows + order)
+                for st in model.history:
+                    ef, eb = error_blocks(x, st.coeffs, n2)
+                    if classic:
+                        # The classic support is rows [m, N1-1].
+                        ef, eb = ef[st.order : rows], eb[st.order : rows]
+                    pf = sum(f @ f.conj().T for f in ef)
+                    pb = sum(b @ b.conj().T for b in eb)
+                    pfb = sum(f @ b.conj().T for f, b in zip(ef[1:], eb[:-1]))
+                    assert max_rel_diff(st.forward_power, pf) <= 1e-13
+                    assert max_rel_diff(st.error_power, pb) <= 1e-13
+                    assert max_rel_diff(st.cross_power, pfb) <= 1e-13
+                    assert abs(st.criterion - np.trace(pf + pb).real) <= 1e-13 * st.criterion
+
+    @pytest.mark.parametrize("estimator", [burg2d_classic, burg2d_modified])
+    def test_stage_powers_are_exactly_hermitian(self, estimator):
+        # solve_hermitian_dense takes its denominator's symmetry on trust;
+        # the lattices' powers keep it bit for bit, not only to rounding.
+        rng = np.random.default_rng(84)
+        for rows, cols, order, n2 in [(8, 6, 3, 2), (40, 40, 6, 6), (7, 1, 3, 0)]:
+            model = estimator(crandn(rng, rows, cols), order, n2)
             for st in model.history:
-                ef, eb = error_blocks(x, st.coeffs, 2)
-                if estimator is burg2d_classic:
-                    # The classic support is rows [m, N1-1].
-                    ef, eb = ef[st.order : 7], eb[st.order : 7]
-                pf = sum(f @ f.conj().T for f in ef)
-                pb = sum(b @ b.conj().T for b in eb)
-                pfb = sum(f @ b.conj().T for f, b in zip(ef[1:], eb[:-1]))
-                assert max_rel_diff(st.forward_power, pf) <= 1e-13
-                assert max_rel_diff(st.error_power, pb) <= 1e-13
-                assert max_rel_diff(st.cross_power, pfb) <= 1e-13
-                assert abs(st.criterion - np.trace(pf + pb).real) <= 1e-13 * st.criterion
+                assert np.array_equal(st.forward_power, st.forward_power.conj().T)
+                assert np.array_equal(st.error_power, st.error_power.conj().T)
 
     def test_impulse_grid_gives_zero_coefficients(self):
         x = np.zeros((5, 4), dtype=complex)
