@@ -80,7 +80,6 @@ class BlockStage:
 
     order: int
     coeffs: np.ndarray
-    reflection: np.ndarray | None
     error_power: np.ndarray
     forward_power: np.ndarray | None = None
     cross_power: np.ndarray | None = None
@@ -194,14 +193,14 @@ def wwra(blocks, order: int, sample_terms: int | None = None) -> ArModel2D:
         delta = blocks[m].copy()
         if m > 1:
             delta += np.einsum("lij,ljk->ik", coeffs[: m - 1], blocks[m - 1 : 0 : -1])
-        a_nn = -solve_hermitian_dense(power, delta, side="right")
+        a_nn = -solve_hermitian_dense(power.T, delta.T).T
         _extend_block(coeffs, m, a_nn)
         # Backward-power increment. Note the exchange-conjugate: the plain
         # forward increment A Delta^H updates the FORWARD power and only
         # coincides with this for scalar blocks; using it here breaks the
         # agreement with both the defining sum for P and the lattice route.
         power = power + exchange_conj(a_nn) @ delta
-        history.append(BlockStage(m, coeffs[:m].copy(), a_nn, power))
+        history.append(BlockStage(m, coeffs[:m].copy(), power))
     return _finish(coeffs, history, sample_terms)
 
 
@@ -257,7 +256,6 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
     history: list[BlockStage] = []
     lo, hi = 0, n1_len
     for m in range(order + 1):
-        a_nn = None
         if m:
             numer = pfb + exchange_transpose(pfb)
             # A zero cross moment already minimizes the criterion at A = 0; do
@@ -265,7 +263,8 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
             if not np.any(numer):
                 a_nn = np.zeros((p, p), dtype=complex)
             else:
-                a_nn = -solve_hermitian_dense(pb + exchange_conj(pf), numer, side="right")
+                denom = pb + exchange_conj(pf)
+                a_nn = -solve_hermitian_dense(denom.T, numer.T).T
             _extend_block(coeffs, m, a_nn)
             np.multiply(np.conjugate(a_nn, out=pairs[:, 0]), 1j, out=pairs[:, 1])
             upd[1] = upd[0, ::-1, ::-1]
@@ -283,7 +282,7 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
             last = cur[2 * p :, hi * width : (hi + 1) * width]
             full = mom + _gram(np.concatenate((first, last)))
         criterion = float(full.trace().real)
-        stage = BlockStage(m, coeffs[:m].copy(), a_nn, full[p:, p:], full[:p, :p], pfb, criterion)
+        stage = BlockStage(m, coeffs[:m].copy(), full[p:, p:], full[:p, :p], pfb, criterion)
         history.append(stage)
     return _finish(coeffs, history, n1_len + order if padded else n1_len - order)
 

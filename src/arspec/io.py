@@ -254,7 +254,6 @@ def model2d_from_dict(obj: dict) -> ArModel2D:
         BlockStage(
             _count(st, "order"),
             empty,
-            None,
             _complex(st["error_power_matrix"], p),
             criterion=_criterion(st["criterion"]),
         )

@@ -8,8 +8,9 @@ adds only the pieces that carry domain meaning:
 
 * the exchange (anti-diagonal) transforms, applied as index reversals and
   never materialized as permutation matrices,
-* a partially pivoted LU solver with an explicit pivot floor, used as the
-  brute-force oracle against the order recursions.
+* the one solve of the 2D order recursions, ``A = -N D^{-1}`` for a
+  Hermitian denominator ``D``, through LAPACK, with a Cholesky verdict
+  against an explicit pivot floor.
 """
 
 import math
@@ -72,52 +73,34 @@ def max_rel_diff(a, b) -> float:
     return float(np.abs(a - b).max(initial=0.0) / scale)
 
 
-def solve_hermitian_dense(a, b, side: str = "left") -> np.ndarray:
-    """Solve ``a @ x = b`` (``side="left"``) or ``x @ a = b`` (``side="right"``).
+def solve_hermitian_dense(a, b) -> np.ndarray:
+    """Solve ``a @ x = b`` for a Hermitian positive definite ``a``.
 
-    ``a`` is expected Hermitian (the caller's promise; the factorization
-    itself is a general partially pivoted LU, which keeps near-singular
-    sample correlation matrices from silently producing garbage). A pivot
-    smaller than ``PIVOT_FLOOR_SCALE`` times the largest |diagonal| entry
-    of ``a`` raises :class:`SingularityError`; a non-finite entry of ``a``
-    raises :class:`NumericalError`.
+    ``b`` is one right-hand side (a vector) or several (the columns of a
+    matrix). The verdict comes from the Cholesky factor ``L`` of ``a``: its
+    pivots are ``|L_kk|^2``, and one at or below ``PIVOT_FLOOR_SCALE``
+    times the largest |diagonal| entry of ``a``, or an ``a`` that is not
+    positive definite, raises :class:`SingularityError`. The solution is
+    LAPACK's partially pivoted LU (``np.linalg.solve``); numpy exposes
+    neither the LU pivots nor a triangular solve, hence two factorizations.
+    ``a``'s symmetry is taken on trust. A non-finite entry of ``a`` raises
+    :class:`NumericalError`.
     """
     a = _square(a, "coefficient matrix")
     b = np.asarray(b, dtype=complex)
-    if side == "right":
-        # x a = b  <=>  a^T x^T = b^T; the transpose of a Hermitian matrix
-        # is still Hermitian.
-        return solve_hermitian_dense(a.T, b.T, side="left").T
-    if side != "left":
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if not np.isfinite(a).all():
         raise NumericalError(f"coefficient matrix {a.shape} holds a non-finite entry")
-
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b[:, None]
-    if b.ndim != 2 or b.shape[0] != a.shape[0]:
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs shape {b.shape} does not match matrix {a.shape}")
 
-    n = a.shape[0]
-    lu = a.copy()
-    x = b.copy()
-    floor = PIVOT_FLOOR_SCALE * np.abs(np.diag(a)).max(initial=0.0)
-
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        piv = lu[p, k]
-        if abs(piv) <= floor:
+    floor = PIVOT_FLOOR_SCALE * np.abs(a.diagonal()).max(initial=0.0)
+    try:
+        pivots = np.abs(np.linalg.cholesky(a).diagonal()) ** 2
+        if (low := pivots <= floor).any():
+            k = int(low.argmax())
             raise SingularityError(
-                f"pivot {abs(piv):.3e} at column {k} below floor {floor:.3e}"
+                f"pivot {pivots[k]:.3e} at column {k} below floor {floor:.3e}"
             )
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            x[[k, p]] = x[[p, k]]
-        factors = lu[k + 1 :, k] / piv
-        lu[k + 1 :, k + 1 :] -= np.outer(factors, lu[k, k + 1 :])
-        x[k + 1 :] -= np.outer(factors, x[k])
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
-
-    return x[:, 0] if vector_rhs else x
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError(f"coefficient matrix {a.shape}: {exc}") from exc

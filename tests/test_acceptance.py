@@ -164,12 +164,11 @@ def test_c04_moment_exchange_symmetries(corpus_2d):
             dev_p2 = max(dev_p2, max_rel_diff(st.error_power, exchange_conj(st.forward_power)))
             dev_p3 = max(dev_p3, max_rel_diff(st.cross_power, exchange_transpose(st.cross_power)))
             if np.any(st.cross_power):
-                plain = -solve_hermitian_dense(st.error_power, st.cross_power, side="right")
+                plain = -solve_hermitian_dense(st.error_power.T, st.cross_power.T).T
                 sym = -solve_hermitian_dense(
-                    st.error_power + exchange_conj(st.forward_power),
-                    st.cross_power + exchange_transpose(st.cross_power),
-                    side="right",
-                )
+                    (st.error_power + exchange_conj(st.forward_power)).T,
+                    (st.cross_power + exchange_transpose(st.cross_power)).T,
+                ).T
                 dev_update = max(dev_update, max_rel_diff(plain, sym))
     ok = dev_p2 <= 1e-10 and dev_p3 <= 1e-10 and dev_update <= 1e-10
     report(

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from conftest import crandn
@@ -84,7 +86,7 @@ class TestWwra:
         x = crandn(rng, 5, 4)
         blocks = estimate_block_autocorr_2d(x, 1, 1)
         model = wwra(blocks, 1)
-        expected = -solve_hermitian_dense(blocks[0], blocks[1], side="right")
+        expected = -solve_hermitian_dense(blocks[0].T, blocks[1].T).T
         assert max_rel_diff(model.coeffs[0], expected) <= 1e-13
 
     def test_matches_dense_block_solve(self):
@@ -153,7 +155,7 @@ class TestBurg2dClassic:
         ref = burg_classic(col, 6)
         for st2, st1 in zip(model.history[1:], ref.history):
             assert max_rel_diff(st2.coeffs[:, 0, 0], st1.coeffs) <= 1e-12
-            assert abs(st2.reflection[0, 0] - st1.reflection) <= 1e-12 * abs(
+            assert abs(st2.coeffs[-1, 0, 0] - st1.reflection) <= 1e-12 * abs(
                 st1.reflection
             )
 
@@ -171,7 +173,7 @@ class TestBurg2dClassic:
         pb = sum(bm @ bm.conj().T for bm in b)
         numer = pfb + exchange_transpose(pfb)
         denom = pb + exchange_conj(pf)
-        expected = -solve_hermitian_dense(denom, numer, side="right")
+        expected = -solve_hermitian_dense(denom.T, numer.T).T
         assert max_rel_diff(model.coeffs[0], expected) <= 1e-12
 
     def test_trace_criterion_nonincreasing(self):
@@ -211,8 +213,10 @@ class TestBurg2dClassic:
 
     @pytest.mark.parametrize("estimator", [burg2d_classic, burg2d_modified])
     def test_stage_powers_are_exactly_hermitian(self, estimator):
-        # solve_hermitian_dense takes its denominator's symmetry on trust;
-        # the lattices' powers keep it bit for bit, not only to rounding.
+        # solve_hermitian_dense takes its denominator's symmetry on trust: its
+        # Cholesky verdict reads one triangle and its LU solve the whole
+        # matrix. The lattices' powers keep it bit for bit, not only to
+        # rounding, so both see the same matrix.
         rng = np.random.default_rng(84)
         for rows, cols, order, n2 in [(8, 6, 3, 2), (40, 40, 6, 6), (7, 1, 3, 0)]:
             model = estimator(crandn(rng, rows, cols), order, n2)
@@ -277,14 +281,13 @@ class TestBurg2dModified:
         # recomputing both update forms from the stored moments, which are
         # the next stage's moments under zero padding
         for st, nxt in zip(plain.history[:-1], plain.history[1:]):
-            a_plain = -solve_hermitian_dense(st.error_power, st.cross_power, side="right")
+            a_plain = -solve_hermitian_dense(st.error_power.T, st.cross_power.T).T
             a_sym = -solve_hermitian_dense(
-                st.error_power + exchange_conj(st.forward_power),
-                st.cross_power + exchange_transpose(st.cross_power),
-                side="right",
-            )
+                (st.error_power + exchange_conj(st.forward_power)).T,
+                (st.cross_power + exchange_transpose(st.cross_power)).T,
+            ).T
             assert max_rel_diff(a_plain, a_sym) <= 1e-10
-            assert max_rel_diff(nxt.reflection, a_sym) <= 1e-12
+            assert max_rel_diff(nxt.coeffs[-1], a_sym) <= 1e-12
 
     def test_zero_grid_rejected(self):
         with pytest.raises(DegenerateSignalError):
@@ -423,8 +426,11 @@ SCALED_ESTIMATORS = {
 @pytest.mark.parametrize("method", SCALED_ESTIMATORS)
 def test_non_finite_estimate_raises(method, scale):
     # Lags beyond the double range (underflow or overflow) make the result
-    # non-finite; the estimator raises instead of returning it.
-    with pytest.raises(NumericalError), pytest.warns(RuntimeWarning):
+    # non-finite; the estimator raises instead of returning it. Under 1e-160
+    # the 2D estimators overflow inside LAPACK's solve, which numpy does not
+    # report, so no warning may escape there; everywhere else numpy warns.
+    quiet = method in ("wwra", "burg2d_classic", "burg2d_modified") and scale < 1.0
+    with pytest.raises(NumericalError), nullcontext() if quiet else pytest.warns(RuntimeWarning):
         SCALED_ESTIMATORS[method](scale)
 
 
@@ -441,8 +447,9 @@ def test_energy_that_rounds_to_zero_is_degenerate(lattice, scale):
 
 @pytest.mark.parametrize("method", ["wwra", "burg2d_classic", "burg2d_modified"])
 def test_subnormal_energy_gives_non_finite_result(method):
-    # At 1e-158 the moments are subnormal: the order-1 solve overflows, and
-    # the final check names the non-finite result.
+    # At 1e-158 the moments are subnormal: the order-1 solve overflows inside
+    # LAPACK, with no warning, and the final check names the non-finite
+    # result.
     x = 1e-158 * crandn(np.random.default_rng(79), 5, 5)
     fit = {
         "wwra": lambda: wwra(estimate_block_autocorr_2d(x, 1, 1), 1),
@@ -450,5 +457,5 @@ def test_subnormal_energy_gives_non_finite_result(method):
         "burg2d_modified": lambda: burg2d_modified(x, 1, 1),
     }[method]
     message = "non-finite coefficients or error power at order 1"
-    with pytest.raises(NumericalError, match=message), pytest.warns(RuntimeWarning):
+    with pytest.raises(NumericalError, match=message):
         fit()

@@ -319,6 +319,21 @@ class TestEst2d:
             assert capsys.readouterr().err == f"error: numerical: {message}\n"
             assert not out.exists()
 
+    def test_singular_denominator_is_numerical_error(self, tmp_path, capsys):
+        # On a constant grid the classic lattice's order-2 denominator is
+        # rounding noise with no Cholesky factor. numpy's LinAlgError is a
+        # ValueError, which the CLI would report as a usage error (exit 2).
+        grid = tmp_path / "grid.csv"
+        write_signal_2d_csv(grid, np.ones((5, 5)))
+        out = tmp_path / "model.json"
+        rc = run("est2d", "--method", "burg2d", "--n1", "2", "--n2", "2",
+                 "--in", str(grid), "--out", str(out))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("n1", [0, 6])
     @pytest.mark.parametrize("method", ["burg2d", "burg2d-mod", "wwra"])
     def test_order_outside_the_grid_is_usage_error(self, tmp_path, capsys, method, n1):

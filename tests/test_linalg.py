@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import crandn, hermitian_pd
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import is_hermitian, is_toeplitz
 
 from arspec.errors import SingularityError
@@ -111,10 +113,6 @@ class TestSolveHermitianDense:
         bound = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
         assert residual <= bound
 
-    def test_unknown_side_rejected(self):
-        with pytest.raises(ValueError, match=r"^side must be 'left' or 'right', got 'up'$"):
-            solve_hermitian_dense(np.eye(2), np.ones(2), side="up")
-
     def test_sizes_up_to_32(self):
         rng = np.random.default_rng(8)
         for n in (2, 5, 13, 32):
@@ -127,17 +125,29 @@ class TestSolveHermitianDense:
         rng = np.random.default_rng(9)
         a = hermitian_pd(rng, 5)
         b = crandn(rng, 3, 5)
-        x = solve_hermitian_dense(a, b, side="right")
+        x = solve_hermitian_dense(a.T, b.T).T
         assert np.linalg.norm(x @ a - b) <= 1e-10 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_small_leading_pivot_swaps_rows(self, side):
-        # |a[1, 0]| > |a[0, 0]|, so column 0 pivots on row 1.
-        a = np.array([[1e-3, 1.0], [1.0, 1.0]], dtype=complex)
+        # Positive definite (det 0.0075), but |a[1, 0]| > |a[0, 0]|, so the
+        # LU solve pivots column 0 on row 1. A right solve x a = b is the
+        # left solve on transposes; a.T is Hermitian and pivots the same way.
+        a = np.array([[0.01, 0.03 - 0.04j], [0.03 + 0.04j, 1.0]])
         b = np.array([[1.0, 2j], [3.0, -1.0]])
-        x = solve_hermitian_dense(a, b, side=side)
-        ref = np.linalg.solve(a, b) if side == "left" else np.linalg.solve(a.T, b.T).T
+        if side == "left":
+            x = solve_hermitian_dense(a, b)
+            ref = np.linalg.solve(a, b)
+        else:
+            x = solve_hermitian_dense(a.T, b.T).T
+            ref = np.linalg.solve(a.T, b.T).T
         assert np.allclose(x, ref, rtol=1e-14, atol=0)
+
+    def test_indefinite_matrix_raises(self):
+        # Hermitian with det < 0: no Cholesky factor, so no verdict to pass.
+        a = np.array([[1e-3, 1.0], [1.0, 1.0]], dtype=complex)
+        with pytest.raises(SingularityError, match="not positive definite"):
+            solve_hermitian_dense(a, np.array([1.0, 0.0], dtype=complex))
 
     def test_singular_raises(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -152,6 +162,47 @@ class TestSolveHermitianDense:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             solve_hermitian_dense(np.eye(3, dtype=complex), np.ones(4, dtype=complex))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 17),
+        rhs=st.integers(0, 3),
+        e=st.integers(-400, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=17, rhs=3, e=-400, seed=0)
+    @example(n=17, rhs=0, e=400, seed=1)
+    def test_power_of_two_scale_gives_the_same_bits(self, n, rhs, e, seed):
+        # LU with partial pivoting only compares, divides and subtracts
+        # products of a scaled and an unscaled factor: a power-of-two scale
+        # of both sides, kept inside the normal range, cancels exactly.
+        rng = np.random.default_rng(seed)
+        a = hermitian_pd(rng, n)
+        b = crandn(rng, n) if rhs == 0 else crandn(rng, n, rhs)
+        x = solve_hermitian_dense(a, b)
+        scaled = solve_hermitian_dense(2.0**e * a, 2.0**e * b)
+        assert np.array_equal(scaled.view(np.uint64), x.view(np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 17),
+        col=st.integers(0, 16),
+        e=st.integers(-400, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=17, col=16, e=-400, seed=0)
+    @example(n=2, col=0, e=400, seed=1)
+    def test_pivot_under_the_floor_raises_at_every_scale(self, n, col, e, seed):
+        # a = L D L^H with a well-conditioned unit lower L and one pivot
+        # D[col] = 1e-14, a hundredth of the floor relative to max|diag a|.
+        rng = np.random.default_rng(seed)
+        col %= n
+        low = np.eye(n) + np.tril(crandn(rng, n, n), -1) / (2 * n)
+        d = np.ones(n)
+        d[col] = 1e-14
+        a = (low * d) @ low.conj().T
+        with pytest.raises(SingularityError, match=f"at column {col} below floor"):
+            solve_hermitian_dense(2.0**e * a, 2.0**e * crandn(rng, n))
 
 
 class TestDenseOperatorIdentities:
