@@ -35,8 +35,8 @@ take an order ``n1`` in ``[1, N1-1]``.
 
 A quarter-plane scalar prediction filter is recovered from any of the
 models by :func:`extract_quarter_plane_filter`; the extraction is pinned by
-a self-validating contract (the scalar filter must reproduce component 0 of
-the forward error block exactly).
+a self-validating contract: the scalar filter reproduces component 0 of
+the forward error block, to rounding.
 """
 
 from dataclasses import dataclass
@@ -246,8 +246,9 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
         raise DegenerateSignalError("grid has zero energy")
 
     cur, nxt = np.zeros((2, 4 * p, (n1_len + 1 + (order if padded else 0)) * width))
-    parts = data.view(float).reshape(n1_len, p, width, 2).transpose(1, 3, 0, 2)
-    cur[: 2 * p, : n1_len * width] = parts.reshape(2 * p, -1)
+    cur[: 2 * p, : n1_len * width].reshape(p, 2, n1_len, width)[:] = (
+        data.view(float).reshape(n1_len, p, width, 2).transpose(1, 3, 0, 2))
+    del data  # the stage loop's peak memory is its two buffers, no more
     cur[2 * p :, width : (n1_len + 1) * width] = cur[: 2 * p, : n1_len * width]
     # Real forms of A on D (rows 2i, 2i+1: conj(A[i]), 1j conj(A[i])) and, reversed, of J A^* J.
     upd = np.empty((2, 2 * p, 2 * p))
@@ -331,7 +332,7 @@ def extract_quarter_plane_filter(model: ArModel2D) -> QuarterPlaneFilter:
     entry of the stacked channel vector); ``c(0, 0) = 1`` and the rest of
     row 0 is zero. The choice is pinned by a validation contract: applying
     the scalar filter to the zero-padded signal reproduces component 0 of
-    the forward error block at every sample (see
+    the forward error block at every sample, to rounding (see
     :func:`quarter_plane_residual`).
 
     ``noise_power`` is ``Re P_b[0, 0]`` divided by the model's
@@ -346,14 +347,11 @@ def extract_quarter_plane_filter(model: ArModel2D) -> QuarterPlaneFilter:
 
 def quarter_plane_residual(x, filt: QuarterPlaneFilter) -> np.ndarray:
     """Residual ``sum_{l1,l2} c(l1,l2) x(k-l1, t-l2)`` over the zero-padded
-    plane, shape ``(N1+n1, N2+n2)``."""
+    plane: the full linear convolution, shape ``(N1+n1, N2+n2)``, by one FFT."""
     x = as_grid_2d(x)
     c = filt.coeffs
-    rows, cols = x.shape
-    out = np.zeros((rows + c.shape[0] - 1, cols + c.shape[1] - 1), dtype=complex)
-    for (l1, l2), tap in np.ndenumerate(c):
-        out[l1 : l1 + rows, l2 : l2 + cols] += tap * x
-    return out
+    shape = np.add(x.shape, c.shape) - 1
+    return np.fft.ifft2(np.fft.fft2(x, shape) * np.fft.fft2(c, shape))
 
 
 def residual_mse_2d(x, filt: QuarterPlaneFilter) -> float:

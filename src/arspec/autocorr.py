@@ -9,8 +9,8 @@ route to machine precision. Unbiased and covariance-method variants are
 deliberately not provided.
 
 For 2D signals the channel embedding stacks each signal row into shifted,
-zero-filled copies (:func:`build_data_matrices`); the resulting lag blocks
-form a Hermitian Toeplitz-block-Toeplitz correlation structure.
+zero-filled copies (:func:`build_data_matrices`); its lag blocks, Hermitian
+Toeplitz-block-Toeplitz, come from one zero-padded 2D FFT correlation.
 """
 
 import numpy as np
@@ -91,13 +91,14 @@ def estimate_block_autocorr_2d(x, n1: int, n2: int) -> np.ndarray:
     Equals ``R_k = sum_m X(m+k) X(m)^H`` with ``X(m) = 0`` outside
     ``[0, N1-1]`` (zero padding along the row dimension, matching the
     extended error supports of the zero-padded lattice estimators), but is
-    computed from the direct lag formula
+    computed from the lag formula
 
         ``R_k[i, j] = sum_{m,u} x(m+k, u-i) conj(x(m, u-j))``
 
-    which depends on ``(k, i-j)`` only, so every block is exactly Toeplitz.
-    Returns shape ``(n1+1, n2+1, n2+1)``; negative lags are implied by
-    ``R_{-k} = R_k^H``.
+    which depends on ``(k, i-j)`` only: one FFT correlation over a
+    ``(N1+n1, N2+n2)`` grid, where no lag up to ``(n1, n2)`` wraps, gives
+    them all, and each block is gathered from it by ``i-j``, so it is exactly
+    Toeplitz. Shape ``(n1+1, n2+1, n2+1)``; ``R_{-k} = R_k^H`` gives the rest.
     """
     x = as_grid_2d(x)
     rows, cols = x.shape
@@ -106,14 +107,11 @@ def estimate_block_autocorr_2d(x, n1: int, n2: int) -> np.ndarray:
     if not 0 <= n2 <= cols - 1:
         raise ValueError(f"n2 must be in [0, {cols - 1}], got {n2}")
 
-    # rho[k, d] = sum_{m,v} x(m+k, v-d) conj(x(m, v)), d = i - j
-    rho = np.empty((n1 + 1, 2 * n2 + 1), dtype=complex)
-    for k in range(n1 + 1):
-        for d in range(-n2, n2 + 1):
-            lo, hi = max(-d, 0), cols - max(d, 0)
-            rho[k, d + n2] = np.sum(x[k:, lo:hi] * x[: rows - k, lo + d : hi + d].conj())
+    # rho[k, d + n2] = sum_{m,v} x(m+k, v-d) conj(x(m, v)), d = i - j
+    spec = np.fft.fft2(x, (rows + n1, cols + n2))
+    lags = (n2 - np.arange(2 * n2 + 1)) % (cols + n2)
+    rho = np.fft.ifft2(spec * spec.conj())[: n1 + 1, lags]
 
     p = n2 + 1
     diff = np.arange(p)[:, None] - np.arange(p)[None, :]
-    blocks = rho[:, diff + n2]
-    return np.ascontiguousarray(blocks)
+    return rho[:, diff + n2]

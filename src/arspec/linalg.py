@@ -58,11 +58,13 @@ def max_rel_diff(a, b) -> float:
     """Largest entrywise deviation between ``a`` and ``b``, relative to the
     larger of the two magnitudes (0.0 when both are exactly zero).
 
-    ``inf`` when either input holds a non-finite entry, so that a running
-    ``max`` over many comparisons cannot swallow a NaN.
+    ``inf`` when the shapes differ or an entry is not finite, so that a
+    running ``max`` cannot swallow a truncated history or a NaN.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        return math.inf
     # max propagates NaN, and |z| is infinite when a part of z is.
     peaks = (np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
     if not all(map(math.isfinite, peaks)):

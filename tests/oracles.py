@@ -2,12 +2,14 @@
 
 The library never assembles the normal equations, tests a matrix for
 structure or evaluates a backward prediction error; these helpers do all
-three, for the tests only.
+three, for the tests only. They also hold the direct-sum forms of the two
+2D correlations the library takes by FFT: the lag blocks and the
+quarter-plane residual.
 """
 
 import numpy as np
 
-from arspec.autocorr import as_signal_1d
+from arspec.autocorr import as_grid_2d, as_signal_1d
 
 
 def _square(m) -> np.ndarray:
@@ -80,3 +82,32 @@ def backward_prediction_residual(x, coeffs) -> np.ndarray:
     x = as_signal_1d(x)
     filt = np.concatenate([[1.0 + 0.0j], np.asarray(coeffs, dtype=complex)])
     return np.convolve(filt[::-1].conj(), x)
+
+
+def block_autocorr_direct(x, n1: int, n2: int) -> np.ndarray:
+    """Lag blocks of :func:`arspec.autocorr.estimate_block_autocorr_2d`, one
+    direct lag sum per ``(k, i - j)``."""
+    x = as_grid_2d(x)
+    rows, cols = x.shape
+    # rho[k, d] = sum_{m,v} x(m+k, v-d) conj(x(m, v)), d = i - j
+    rho = np.empty((n1 + 1, 2 * n2 + 1), dtype=complex)
+    for k in range(n1 + 1):
+        for d in range(-n2, n2 + 1):
+            lo, hi = max(-d, 0), cols - max(d, 0)
+            rho[k, d + n2] = np.sum(x[k:, lo:hi] * x[: rows - k, lo + d : hi + d].conj())
+
+    p = n2 + 1
+    diff = np.arange(p)[:, None] - np.arange(p)[None, :]
+    return rho[:, diff + n2]
+
+
+def quarter_plane_residual_direct(x, c) -> np.ndarray:
+    """:func:`arspec.ar2d.quarter_plane_residual` of the filter taps ``c``,
+    one shifted add per tap."""
+    x = as_grid_2d(x)
+    c = np.asarray(c, dtype=complex)
+    rows, cols = x.shape
+    out = np.zeros((rows + c.shape[0] - 1, cols + c.shape[1] - 1), dtype=complex)
+    for (l1, l2), tap in np.ndenumerate(c):
+        out[l1 : l1 + rows, l2 : l2 + cols] += tap * x
+    return out

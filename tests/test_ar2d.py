@@ -3,7 +3,9 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 from conftest import crandn
-from oracles import block_toeplitz_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import block_toeplitz_matrix, quarter_plane_residual_direct
 
 from arspec.ar1d import burg_classic, burg_modified, levinson
 from arspec.ar2d import (
@@ -205,7 +207,9 @@ class TestBurg2dClassic:
                         ef, eb = ef[st.order : rows], eb[st.order : rows]
                     pf = sum(f @ f.conj().T for f in ef)
                     pb = sum(b @ b.conj().T for b in eb)
-                    pfb = sum(f @ b.conj().T for f, b in zip(ef[1:], eb[:-1]))
+                    # Empty on a one-row classic support: start from a zero block.
+                    start = np.zeros((n2 + 1, n2 + 1), dtype=complex)
+                    pfb = sum((f @ b.conj().T for f, b in zip(ef[1:], eb[:-1])), start)
                     assert max_rel_diff(st.forward_power, pf) <= 1e-13
                     assert max_rel_diff(st.error_power, pb) <= 1e-13
                     assert max_rel_diff(st.cross_power, pfb) <= 1e-13
@@ -326,6 +330,22 @@ class TestQuarterPlaneFilter:
         scale = np.abs(x).max()
         for k in range(res.shape[0]):
             assert np.abs(res[k] - forward[k][0]).max() <= 1e-10 * scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 9), cols=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_residual_matches_tap_sums_up_to_the_wrap_boundary(self, rows, cols, seed, data):
+        # Filters up to N1 x N2 taps, where a transform one row or column
+        # short would wrap.
+        n1 = data.draw(st.integers(0, rows - 1), label="n1")
+        n2 = data.draw(st.integers(0, cols - 1), label="n2")
+        rng = np.random.default_rng(seed)
+        x = crandn(rng, rows, cols)
+        c = crandn(rng, n1 + 1, n2 + 1)
+        res = quarter_plane_residual(x, QuarterPlaneFilter(c, 1.0))
+        ref = quarter_plane_residual_direct(x, c)
+        assert res.shape == ref.shape == (rows + n1, cols + n2)
+        assert np.abs(res - ref).max() <= 1e-13 * np.abs(x).max() * np.abs(c).sum()
 
     def test_filter_contract_holds_for_wwra_models(self):
         # same contract, coefficients straight from the lag-block recursion

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 from conftest import crandn
-from oracles import block_toeplitz_matrix, is_hermitian, is_toeplitz, toeplitz_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    block_autocorr_direct,
+    block_toeplitz_matrix,
+    is_hermitian,
+    is_toeplitz,
+    toeplitz_matrix,
+)
 
 from arspec.autocorr import (
     build_data_matrices,
@@ -180,7 +188,23 @@ class TestBlockAutocorr2D:
         x = crandn(rng, 5, 5)
         blocks = estimate_block_autocorr_2d(x, 2, 2)
         for k in range(3):
-            assert is_toeplitz(blocks[k], tol=1e-12 * np.abs(blocks).max())
+            for d in range(-2, 3):
+                diag = np.diagonal(blocks[k], offset=d)
+                assert np.array_equal(diag, np.full_like(diag, diag[0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 9), cols=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_matches_direct_sums_up_to_the_wrap_boundary(self, rows, cols, seed, data):
+        # Every lag up to (N1-1, N2-1), where a transform one row or column
+        # short would wrap.
+        n1 = data.draw(st.integers(0, rows - 1), label="n1")
+        n2 = data.draw(st.integers(0, cols - 1), label="n2")
+        x = crandn(np.random.default_rng(seed), rows, cols)
+        blocks = estimate_block_autocorr_2d(x, n1, n2)
+        ref = block_autocorr_direct(x, n1, n2)
+        assert blocks.shape == ref.shape
+        assert np.abs(blocks - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_stacked_matrix_hermitian_block_toeplitz(self):
         rng = np.random.default_rng(11)

@@ -235,6 +235,11 @@ class TestMaxRelDiff:
     def test_both_zero(self):
         assert max_rel_diff(np.zeros(2), np.zeros(2)) == 0.0
 
+    def test_unequal_shapes_are_inf(self):
+        # A truncated history must never pass: no broadcasting.
+        assert max_rel_diff(np.ones((3, 2, 2)), np.ones((1, 2, 2))) == np.inf
+        assert max_rel_diff([1.0, 1.0, 1.0], [1.0]) == np.inf
+
     def test_scale_invariant(self):
         a = np.array([1.0, 2.0])
         assert abs(max_rel_diff(a, a * (1 + 1e-8)) - 1e-8) < 1e-12
