@@ -135,10 +135,14 @@ def _extend_block(coeffs: np.ndarray, m: int, a_nn: np.ndarray) -> None:
 
 
 def _finish(coeffs: np.ndarray, history: list[BlockStage], sample_terms: int | None) -> ArModel2D:
-    """The model ending in the last stage, unless it is not finite."""
+    """The model ending in the last stage, unless it is not finite or its
+    error power has a diagonal entry below the smallest normal double, where
+    the stages' sums have lost their precision."""
     power = history[-1].error_power
     if not (np.isfinite(coeffs).all() and np.isfinite(power).all()):
         raise NumericalError(f"non-finite coefficients or error power at order {len(coeffs)}")
+    if np.diagonal(power).real.min() < np.finfo(float).tiny:
+        raise NumericalError(f"error power below the normal double range at order {len(coeffs)}")
     return ArModel2D(len(coeffs), coeffs.shape[1] - 1, coeffs, power, history, sample_terms)
 
 

@@ -109,8 +109,16 @@ def estimate_block_autocorr_2d(x, n1: int, n2: int) -> np.ndarray:
 
     # rho[k, d + n2] = sum_{m,v} x(m+k, v-d) conj(x(m, v)), d = i - j
     spec = np.fft.fft2(x, (rows + n1, cols + n2))
+    # |spec|^2 overflows long before the lags do: square the spectrum scaled
+    # by 2^-e, its largest component's binary exponent, and scale the lags
+    # back by 2^(2e). Powers of two are exact, so normal values keep their bits.
+    parts = spec.view(float)
+    e = int(np.frexp(max(parts.max(), -parts.min()))[1])
+    np.ldexp(parts, -e, out=parts)
     lags = (n2 - np.arange(2 * n2 + 1)) % (cols + n2)
     rho = np.fft.ifft2(spec * spec.conj())[: n1 + 1, lags]
+    for part in (rho.real, rho.imag):
+        np.ldexp(part, 2 * e, out=part)
 
     p = n2 + 1
     diff = np.arange(p)[:, None] - np.arange(p)[None, :]

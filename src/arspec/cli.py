@@ -101,7 +101,7 @@ _METHODS_2D = {
 _BATCH_COEFFS = 2**15
 
 #: Parsed-argument attributes that are plumbing, not run parameters.
-_NOT_PARAMETERS = ("func", "command", "experiment", "manifest", "effective_argv")
+_NOT_PARAMETERS = ("func", "command", "experiment", "manifest")
 
 
 def _default_seed() -> int:
@@ -124,8 +124,8 @@ def _early_stops(args, last_orders: dict) -> dict:
     return {"early_stop": {m: n for m, n in last_orders.items() if n < args.max_order}}
 
 
-def _write_manifest(args, outputs: list, start: float, **fields) -> None:
-    """Write the run's manifest; the parameters are the parsed arguments.
+def _write_manifest(args, argv: list, outputs: list, start: float, **fields) -> None:
+    """Write the manifest of the run of ``argv``; its parameters are the parsed arguments.
 
     ``fields`` adds entries that only some subcommands record.
     """
@@ -138,7 +138,7 @@ def _write_manifest(args, outputs: list, start: float, **fields) -> None:
         {
             "subcommand": subcommand,
             "parameters": params,
-            "argv": list(args.effective_argv),
+            "argv": argv,
             "seed": params.get("seed"),
             "version": __version__,
             "outputs": [str(p) for p in outputs],
@@ -306,23 +306,18 @@ def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
         for a, b in zip(ww.history, mod.history[1:]):
             dev2 = max(dev2, max_rel_diff(a.coeffs, b.coeffs))
 
-    tol1, tol2 = 1e-9, 1e-8
+    suites = (("equivalence_1d", trials_1d, dev1, 1e-9), ("equivalence_2d", trials_2d, dev2, 1e-8))
     # A non-finite deviation is written as null: strict JSON has no Infinity.
     report = {
-        "equivalence_1d": {
-            "trials": trials_1d,
-            "max_rel_deviation": dev1 if math.isfinite(dev1) else None,
-            "tolerance": tol1,
-            "pass": dev1 <= tol1,
-        },
-        "equivalence_2d": {
-            "trials": trials_2d,
-            "max_rel_deviation": dev2 if math.isfinite(dev2) else None,
-            "tolerance": tol2,
-            "pass": dev2 <= tol2,
-        },
+        suite: {
+            "trials": trials,
+            "max_rel_deviation": dev if math.isfinite(dev) else None,
+            "tolerance": tol,
+            "pass": dev <= tol,
+        }
+        for suite, trials, dev, tol in suites
     }
-    report["pass"] = report["equivalence_1d"]["pass"] and report["equivalence_2d"]["pass"]
+    report["pass"] = all(block["pass"] for block in report.values())
     return report
 
 
@@ -332,86 +327,79 @@ def _cmd_equivalence(args):
     return (0 if report["pass"] else 1), [args.out], {}
 
 
-def _add_manifest_arg(p) -> None:
-    p.add_argument(
-        "--manifest", default=None, help="manifest path (default <out>.manifest.json)"
-    )
-
-
-def _add_synth_args(p, with_phase: bool) -> None:
-    p.add_argument("--n", type=int, default=20, help="record length")
-    p.add_argument("--freq", type=float, default=0.25, help="normalized frequency")
-    if with_phase:
-        p.add_argument("--phase", type=float, default=0.0, help="phase in radians")
-    p.add_argument("--snr-db", type=float, default=30.0, help="exact SNR in dB")
-    p.add_argument("--noiseless", action="store_true", help="disable noise entirely")
-    p.add_argument("--seed", type=int, default=None, help="noise seed")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="arspec", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"arspec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="synthesize a noisy-sinusoid signal CSV")
-    _add_synth_args(p, with_phase=True)
+    # Each option that several subcommands share is declared once, here.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", required=True, help="output path")
+    output.add_argument("--manifest", help="manifest path (default <out>.manifest.json)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, help="seed (default $ARSPEC_SEED, else 1)")
+    synth = argparse.ArgumentParser(add_help=False)
+    synth.add_argument("--n", type=int, default=20, help="record length")
+    synth.add_argument("--freq", type=float, default=0.25, help="normalized frequency")
+    synth.add_argument("--snr-db", type=float, default=30.0, help="exact SNR in dB")
+    synth.add_argument("--noiseless", action="store_true", help="disable noise entirely")
+    phase = argparse.ArgumentParser(add_help=False)
+    phase.add_argument("--phase", type=float, default=0.0, help="phase in radians")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--method", choices=_METHODS_1D, default="levinson")
+    sweep.add_argument("--nfreq", type=int, default=1024, help="frequency bins")
+    sweep.add_argument("--log10", action="store_true", help="emit log10 power")
+
+    p = sub.add_parser(
+        "gen", parents=[output, seed, synth, phase], help="synthesize a noisy-sinusoid signal CSV"
+    )
     p.add_argument("--substream", type=int, default=0, help="noise substream index")
-    p.add_argument("--out", required=True, help="signal CSV path")
-    _add_manifest_arg(p)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("est1d", help="estimate a 1D AR model from a signal CSV")
+    p = sub.add_parser("est1d", parents=[output], help="estimate a 1D AR model from a signal CSV")
     p.add_argument("--method", choices=_METHODS_1D, required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--in", dest="input", required=True, help="signal CSV path")
-    p.add_argument("--out", required=True, help="model JSON path")
-    _add_manifest_arg(p)
     p.set_defaults(func=_cmd_est1d)
 
-    p = sub.add_parser("est2d", help="estimate a 2D AR model from a grid CSV")
+    p = sub.add_parser("est2d", parents=[output], help="estimate a 2D AR model from a grid CSV")
     p.add_argument("--method", choices=_METHODS_2D, required=True)
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--in", dest="input", required=True, help="2D signal CSV path")
-    p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--filter-out", default=None, help="filter JSON path")
-    _add_manifest_arg(p)
     p.set_defaults(func=_cmd_est2d)
 
-    p = sub.add_parser("spectrum", help="evaluate an AR spectrum from model JSON")
+    p = sub.add_parser("spectrum", parents=[output], help="evaluate an AR spectrum from model JSON")
     p.add_argument("--in", dest="input", required=True, help="model/filter JSON path")
     p.add_argument("--nfreq", type=int, default=1024, help="1D frequency bins")
     p.add_argument("--nf1", type=int, default=128, help="2D bins, first axis")
     p.add_argument("--nf2", type=int, default=128, help="2D bins, second axis")
-    p.add_argument("--out", required=True, help="spectrum CSV path")
-    _add_manifest_arg(p)
     p.set_defaults(func=_cmd_spectrum)
 
     pexp = sub.add_parser("experiment", help="batch experiment recipes")
     esub = pexp.add_subparsers(dest="experiment", required=True)
 
-    p = esub.add_parser("phase-sweep", help="spectrum per swept phase")
-    p.add_argument("--method", choices=_METHODS_1D, default="levinson")
+    p = esub.add_parser(
+        "phase-sweep", parents=[output, seed, synth, sweep], help="spectrum per swept phase"
+    )
     p.add_argument("--order", type=int, default=15)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--nfreq", type=int, default=1024)
-    _add_synth_args(p, with_phase=False)
-    p.add_argument("--log10", action="store_true", help="emit log10 power")
-    p.add_argument("--out", required=True)
-    _add_manifest_arg(p)
     p.set_defaults(func=_cmd_phase_sweep)
 
-    p = esub.add_parser("order-sweep", help="spectrum per order on one record")
-    p.add_argument("--method", choices=_METHODS_1D, default="levinson")
+    p = esub.add_parser(
+        "order-sweep",
+        parents=[output, seed, synth, phase, sweep],
+        help="spectrum per order on one record",
+    )
     p.add_argument("--max-order", type=int, default=19)
-    p.add_argument("--nfreq", type=int, default=1024)
-    _add_synth_args(p, with_phase=True)
-    p.add_argument("--log10", action="store_true", help="emit log10 power")
-    p.add_argument("--out", required=True)
-    _add_manifest_arg(p)
     p.set_defaults(func=_cmd_order_sweep)
 
-    p = esub.add_parser("mse-vs-order", help="residual MSE per order per method")
+    p = esub.add_parser(
+        "mse-vs-order",
+        parents=[output, seed, synth, phase],
+        help="residual MSE per order per method",
+    )
     p.add_argument("--methods", default="burg,burg-mod,levinson")
     p.add_argument("--max-order", type=int, default=19)
     p.add_argument(
@@ -421,17 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="residual support: full zero-padded (monotone for burg-mod) "
         "or the bare data window",
     )
-    _add_synth_args(p, with_phase=True)
-    p.add_argument("--out", required=True)
-    _add_manifest_arg(p)
     p.set_defaults(func=_cmd_mse_vs_order)
 
-    p = esub.add_parser("equivalence", help="lattice-vs-recursion oracle suites")
+    p = esub.add_parser(
+        "equivalence", parents=[output, seed], help="lattice-vs-recursion oracle suites"
+    )
     p.add_argument("--trials", type=int, default=200, help="1D suite size")
     p.add_argument("--trials-2d", type=int, default=50, help="2D suite size")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True, help="verdict JSON path")
-    _add_manifest_arg(p)
     p.set_defaults(func=_cmd_equivalence)
 
     return parser
@@ -443,7 +427,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(effective)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.effective_argv = effective
     if getattr(args, "noiseless", False):
         args.snr_db = None
     start = time.perf_counter()
@@ -454,12 +437,12 @@ def main(argv=None) -> int:
         # No float warnings on stderr: a non-finite estimate raises instead.
         with np.errstate(all="ignore"):
             code, outputs, fields = args.func(args)
-        _write_manifest(args, outputs, start, **fields)
+        _write_manifest(args, effective, outputs, start, **fields)
         return code
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
 

@@ -236,6 +236,11 @@ class TestBurgClassic:
         with pytest.raises(DegenerateSignalError):
             burg_classic(np.zeros(6, dtype=complex), 2)
 
+    def test_error_energy_that_runs_out_is_degenerate(self):
+        # The shrinking window at order 3 holds only the zero samples.
+        with pytest.raises(DegenerateSignalError, match="zero error energy at order 3"):
+            burg_classic([0, 1, 0, 0], 3)
+
     def test_order_range(self):
         x = np.ones(5, dtype=complex)
         with pytest.raises(ValueError):

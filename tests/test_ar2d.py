@@ -479,3 +479,25 @@ def test_subnormal_energy_gives_non_finite_result(method):
     message = "non-finite coefficients or error power at order 1"
     with pytest.raises(NumericalError, match=message):
         fit()
+
+
+
+#: A 6x6 grid whose order-(3, 2) fits reach both ends of the double range.
+_RANGE_GRID = Lcg32(2, substream=3).complex_normal(36).reshape(6, 6)
+
+
+def test_wwra_agrees_near_the_top_of_the_double_range():
+    # |fft2(x)|^2 overflows at 1e153 where the lag sums do not; the lags
+    # square a power-of-two-scaled spectrum, so wwra keeps its answer.
+    big, unit = (wwra(estimate_block_autocorr_2d(s * _RANGE_GRID, 3, 2), 3) for s in (1e153, 1.0))
+    assert max_rel_diff(big.coeffs, unit.coeffs) <= 1e-14
+
+
+def test_subnormal_final_error_power_raises():
+    # At 1e-155 the final error power's smallest diagonal entry is 3.7e-309,
+    # subnormal, and the coefficients are 26% off; at 3e-155 it is normal and
+    # the model agrees with the unscaled one.
+    with pytest.raises(NumericalError, match="below the normal double range at order 3"):
+        burg2d_modified(1e-155 * _RANGE_GRID, 3, 2)
+    small, unit = (burg2d_modified(s * _RANGE_GRID, 3, 2) for s in (3e-155, 1.0))
+    assert max_rel_diff(small.coeffs, unit.coeffs) <= 1e-13

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import time
@@ -176,6 +177,15 @@ class TestEst1d:
                  "--in", str(zeros), "--out", str(tmp_path / "x.json"))
         assert rc == 3
         assert capsys.readouterr().err.startswith("error: numerical:")
+
+    def test_error_energy_that_runs_out_is_numerical_error(self, tmp_path, capsys):
+        sig = tmp_path / "sig.csv"
+        write_signal_csv(sig, np.array([0, 1, 0, 0], dtype=complex))
+        out = tmp_path / "x.json"
+        rc = run("est1d", "--method", "burg", "--order", "3", "--in", str(sig), "--out", str(out))
+        assert rc == 3
+        assert capsys.readouterr().err == "error: numerical: zero error energy at order 3\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("scale", [1e-160, 1e155])
     def test_out_of_range_scale_is_numerical_error(self, tmp_path, capsys, scale):
@@ -869,6 +879,130 @@ class TestManifests:
         assert manifest["parameters"]["methods"] == ["burg", "levinson"]
         assert manifest["parameters"]["snr_db"] == 30.0
         assert manifest["early_stop"] == {}
+
+
+def _commands(parser, prefix=()):
+    """``(command, parser)`` for every leaf subcommand under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+def _option_table(parser) -> dict:
+    """Per subcommand, each option's ``(dest, default, type, choices,
+    required, nargs)`` under its long option string."""
+    return {
+        command: {
+            a.option_strings[-1]: (
+                a.dest,
+                a.default,
+                getattr(a.type, "__name__", a.type),
+                None if a.choices is None else list(a.choices),
+                a.required,
+                a.nargs,
+            )
+            for a in sub._actions
+            if a.option_strings
+        }
+        for command, sub in _commands(parser)
+    }
+
+
+HELP = ("help", argparse.SUPPRESS, None, None, False, 0)
+OUT = ("out", None, None, None, True, None)
+MANIFEST = ("manifest", None, None, None, False, None)
+SEED = ("seed", None, "int", None, False, None)
+IN = ("input", None, None, None, True, None)
+SYNTH = {
+    "--n": ("n", 20, "int", None, False, None),
+    "--freq": ("freq", 0.25, "float", None, False, None),
+    "--snr-db": ("snr_db", 30.0, "float", None, False, None),
+    "--noiseless": ("noiseless", False, None, None, False, 0),
+}
+PHASE = ("phase", 0.0, "float", None, False, None)
+METHODS_1D = ["levinson", "burg", "burg-mod"]
+SWEEP = {
+    "--method": ("method", "levinson", None, METHODS_1D, False, None),
+    "--nfreq": ("nfreq", 1024, "int", None, False, None),
+    "--log10": ("log10", False, None, None, False, 0),
+}
+MAX_ORDER = ("max_order", 19, "int", None, False, None)
+
+#: Every subcommand's options as the parser declares them.
+OPTION_TABLE = {
+    "gen": {
+        "--help": HELP, "--out": OUT, "--manifest": MANIFEST, "--seed": SEED,
+        **SYNTH, "--phase": PHASE,
+        "--substream": ("substream", 0, "int", None, False, None),
+    },
+    "est1d": {
+        "--help": HELP, "--out": OUT, "--manifest": MANIFEST, "--in": IN,
+        "--method": ("method", None, None, METHODS_1D, True, None),
+        "--order": ("order", None, "int", None, True, None),
+    },
+    "est2d": {
+        "--help": HELP, "--out": OUT, "--manifest": MANIFEST, "--in": IN,
+        "--method": ("method", None, None, ["wwra", "burg2d", "burg2d-mod"], True, None),
+        "--n1": ("n1", None, "int", None, True, None),
+        "--n2": ("n2", None, "int", None, True, None),
+        "--filter-out": ("filter_out", None, None, None, False, None),
+    },
+    "spectrum": {
+        "--help": HELP, "--out": OUT, "--manifest": MANIFEST, "--in": IN,
+        "--nfreq": ("nfreq", 1024, "int", None, False, None),
+        "--nf1": ("nf1", 128, "int", None, False, None),
+        "--nf2": ("nf2", 128, "int", None, False, None),
+    },
+    "experiment phase-sweep": {
+        "--help": HELP, "--out": OUT, "--manifest": MANIFEST, "--seed": SEED,
+        **SYNTH, **SWEEP,
+        "--order": ("order", 15, "int", None, False, None),
+        "--steps": ("steps", 100, "int", None, False, None),
+    },
+    "experiment order-sweep": {
+        "--help": HELP, "--out": OUT, "--manifest": MANIFEST, "--seed": SEED,
+        **SYNTH, "--phase": PHASE, **SWEEP, "--max-order": MAX_ORDER,
+    },
+    "experiment mse-vs-order": {
+        "--help": HELP, "--out": OUT, "--manifest": MANIFEST, "--seed": SEED,
+        **SYNTH, "--phase": PHASE, "--max-order": MAX_ORDER,
+        "--methods": ("methods", "burg,burg-mod,levinson", None, None, False, None),
+        "--support": ("support", "full", None, ["full", "window"], False, None),
+    },
+    "experiment equivalence": {
+        "--help": HELP, "--out": OUT, "--manifest": MANIFEST, "--seed": SEED,
+        "--trials": ("trials", 200, "int", None, False, None),
+        "--trials-2d": ("trials_2d", 50, "int", None, False, None),
+    },
+}
+
+
+class TestOptionTable:
+    def test_every_subcommand_keeps_its_options(self):
+        assert _option_table(arspec.cli.build_parser()) == OPTION_TABLE
+
+
+class TestResources:
+    def test_array_beyond_the_address_space_is_usage_error(self, tmp_path, capsys, sig_csv):
+        # 10^17 samples need more bytes than a 57-bit address space holds, so
+        # numpy refuses them at once on any machine, overcommitting or not.
+        model = tmp_path / "m.json"
+        assert run("est1d", "--method", "burg", "--order", "2",
+                   "--in", str(sig_csv), "--out", str(model)) == 0
+        capsys.readouterr()
+        for argv in (
+            ["gen", "--n", str(10**17)],
+            ["spectrum", "--in", str(model), "--nfreq", str(10**17)],
+        ):
+            out = tmp_path / "x.csv"
+            assert run(*argv, "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: usage: Unable to allocate"), argv
+            assert err.count("\n") == 1
+            assert not out.exists()
 
 
 class TestEnvironment:
