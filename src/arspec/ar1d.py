@@ -207,15 +207,24 @@ def _stops(batch: LatticeBatch, m: int, k: np.ndarray, live: np.ndarray) -> np.n
     return live
 
 
-def _finish(batch: LatticeBatch) -> LatticeBatch:
+def _finish(batch: LatticeBatch, live: np.ndarray) -> LatticeBatch:
     """Raise :class:`NumericalError` for a record whose final error power
-    is not finite (a non-finite k makes it so)."""
+    is not finite (a non-finite k makes it so), or, unless the record
+    stopped at the unit circle, is below the normal double range, where
+    the recursion's rounding no longer tracks its scale."""
     final = batch.powers[np.arange(len(batch.stages)), batch.stages]
     bad = ~np.isfinite(final)
     if np.count_nonzero(bad):
         b = int(np.argmax(bad))
         raise NumericalError(
             f"non-finite prediction-error power {final[b]} at order {batch.stages[b]}"
+        )
+    subnormal = live & (0.0 < final) & (final < np.finfo(float).tiny)
+    if np.count_nonzero(subnormal):
+        b = int(np.argmax(subnormal))
+        raise NumericalError(
+            f"prediction-error power {final[b]:.3e} below the normal double range "
+            f"at order {batch.stages[b]}"
         )
     return batch
 
@@ -244,7 +253,9 @@ def levinson_batch(r, order: int) -> LatticeBatch:
         If the error power falls below ``1e-14 r_0`` (perfectly predictable
         input) before a unit-circle reflection is seen.
     NumericalError
-        If the final error power is not finite (a non-finite k makes it so).
+        If the final error power is not finite (a non-finite k makes it so),
+        or is below the normal double range in a record that did not stop at
+        the unit circle.
     """
     r = np.asarray(r, dtype=complex)
     if order < 1:
@@ -274,7 +285,7 @@ def levinson_batch(r, order: int) -> LatticeBatch:
                 f"prediction-error power {powers[m, np.argmax(vanished)]:.3e} "
                 f"vanished at order {m + 1}"
             )
-    return _finish(batch)
+    return _finish(batch, live)
 
 
 def levinson(r, order: int) -> ArModel1D:
@@ -333,7 +344,7 @@ def _burg_lattice(x: np.ndarray, order: int, padded: bool) -> LatticeBatch:
         live = _stops(batch, m, kcol[:, 0], live)
         if not np.count_nonzero(live):
             break
-    return _finish(batch)
+    return _finish(batch, live)
 
 
 def burg_classic_batch(x, order: int) -> LatticeBatch:

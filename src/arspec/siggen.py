@@ -23,13 +23,31 @@ initial state for a (seed, substream) pair is
 
     state0 = (seed + 0x9E3779B9 * substream) mod 2**32.
 
-Substreams separate the noise draws of sweep steps. A uniform is at most
+Substreams separate the noise draws of sweep steps. ``seed`` and
+``substream`` are integers.
+
+``uniform``, ``normal_pair`` and ``complex_normal`` walk one and the same
+stream. ``complex_normal`` draws a block of up to 4096 samples at once:
+with ``a = 1664525`` and ``c = 1013904223``, the ``i``-th state after the
+block's start state ``s_0`` is
+
+    s_i = a^i s_0 + c (a^i - 1) / (a - 1)  mod 2**32,
+
+from tables of ``a^i`` and ``c (a^(i-1) + ... + 1)`` in ``uint64``, whose
+wrapping mod 2**64 is exact mod 2**32. The uniforms are exact doubles, and
+sqrt, products and quotients round correctly in numpy as in ``math``. But
+``log``, ``cos`` and ``sin`` are not correctly rounded, and numpy's may
+differ from ``math``'s in the last bit, so they stay on ``math``: every
+sample has the bits of the scalar definition above.
+
+A uniform is at most
 ``1 - 2**-33``, so every complex sample has ``|z|**2 = -ln u1 >= 2**-33``
 and every noise record has positive energy: the SNR rescaling never
 divides by zero.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,11 +64,19 @@ _LCG_INC = 1013904223
 _LCG_MOD = 2**32
 _SUBSTREAM_STEP = 0x9E3779B9
 
+#: Most samples :meth:`Lcg32.complex_normal` draws at once; bounds its working set.
+_BLOCK = 4096
+
 
 class Lcg32:
-    """The documented 32-bit LCG with Box-Muller normal sampling."""
+    """The documented 32-bit LCG with Box-Muller normal sampling.
+
+    ``seed`` and ``substream`` are integers (anything ``operator.index``
+    takes); any other type raises ``TypeError``.
+    """
 
     def __init__(self, seed: int, substream: int = 0):
+        seed, substream = operator.index(seed), operator.index(substream)
         self._state = (seed + _SUBSTREAM_STEP * substream) % _LCG_MOD
 
     def uniform(self) -> float:
@@ -67,11 +93,38 @@ class Lcg32:
         )
 
     def complex_normal(self, count: int) -> np.ndarray:
-        """``count`` i.i.d. unit-variance complex normal samples."""
+        """``count`` i.i.d. unit-variance complex normal samples.
+
+        Sample ``i`` is ``complex(*normal_pair()) / sqrt(2)`` of the
+        ``i``-th call, bit for bit, and the state ends where ``2 count``
+        calls to :meth:`uniform` leave it. The samples come in blocks of
+        at most ``_BLOCK``, whose states follow from the block's start
+        state by the jump-ahead form of the module docstring.
+        """
         out = np.empty(count, dtype=complex)
-        for i in range(count):
-            re, im = self.normal_pair()
-            out[i] = complex(re, im) / math.sqrt(2.0)
+        steps = 2 * min(count, _BLOCK)
+        # power[i] = a^i, inc[i] = c (a^i + ... + 1) and mult[i] = a^(i+1)
+        # in uint64, which wraps mod 2**64, a multiple of 2**32. A signed or
+        # float array operand would turn the tables into float64.
+        power = np.full(steps, _LCG_MULT, dtype=np.uint64)
+        power[:1] = 1
+        np.cumprod(power, out=power)
+        inc = np.cumsum(power) * np.uint64(_LCG_INC)
+        mult = power * np.uint64(_LCG_MULT)
+        for lo in range(0, count, _BLOCK):
+            hi = min(lo + _BLOCK, count)
+            states = mult[: 2 * (hi - lo)] * np.uint64(self._state)
+            states += inc[: 2 * (hi - lo)]
+            states &= np.uint64(_LCG_MOD - 1)
+            self._state = int(states[-1])
+            u = (states + 0.5) / _LCG_MOD
+            # log, cos and sin on math, whose last bit numpy's need not match.
+            radius = np.sqrt(-2.0 * np.array(list(map(math.log, u[0::2].tolist())), dtype=float))
+            angle = (2.0 * math.pi * u[1::2]).tolist()
+            trig = np.array([list(map(math.cos, angle)), list(map(math.sin, angle))], dtype=float)
+            trig *= radius
+            trig /= math.sqrt(2.0)
+            out.real[lo:hi], out.imag[lo:hi] = trig
         return out
 
 
@@ -99,6 +152,10 @@ class SynthConfig:
             raise ValueError(f"phase must be finite, got {self.phase}")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite or None (noiseless)")
+        try:
+            operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
 
 
 def gen_noisy_sinusoid(cfg: SynthConfig, substream: int = 0) -> np.ndarray:

@@ -21,9 +21,9 @@ from arspec.ar1d import (
 )
 from arspec.autocorr import estimate_autocorr_1d
 from arspec import ar1d
-from arspec.errors import DegenerateSignalError, SingularityError
+from arspec.errors import DegenerateSignalError, NumericalError, SingularityError
 from arspec.linalg import max_rel_diff, solve_hermitian_dense
-from arspec.siggen import SynthConfig, gen_noisy_sinusoid
+from arspec.siggen import Lcg32, SynthConfig, gen_noisy_sinusoid
 
 
 def forward_error_def(x, coeffs, k):
@@ -296,6 +296,32 @@ class TestBurgModified:
     def test_zero_signal_rejected(self):
         with pytest.raises(DegenerateSignalError):
             burg_modified(np.zeros(5, dtype=complex), 2)
+
+
+SUBNORMAL_FITS = {
+    "levinson": lambda x: levinson(estimate_autocorr_1d(x, 20), 20),
+    "burg-mod": lambda x: burg_modified(x, 20),
+}
+
+
+@pytest.mark.parametrize("method", SUBNORMAL_FITS)
+def test_subnormal_final_error_power_raises(method):
+    # At 1e-155 the order-20 power of this record is 5.6e-309, a subnormal,
+    # and both models used to drift by 3e-14 to 6e-14 without a word.
+    fit = SUBNORMAL_FITS[method]
+    x = Lcg32(1, substream=7).complex_normal(64)
+    message = "5.594e-309 below the normal double range at order 20"
+    with pytest.raises(NumericalError, match=message):
+        fit(1e-155 * x)
+    assert max_rel_diff(fit(3e-155 * x).coeffs, fit(x).coeffs) <= 1e-13
+
+
+def test_stopped_record_may_end_subnormal():
+    # k_1 is within 1e-14 of the unit circle: the recursion stops there,
+    # and its final power, 2e-310, is the stop's and not a drift.
+    model = levinson(1e-295 * np.array([1.0, 1.0 - 1e-15, 0.5]), 2)
+    assert model.early_stop and model.order == 1
+    assert 0.0 < model.error_power < np.finfo(float).tiny
 
 
 class TestResidualMse:

@@ -215,6 +215,18 @@ class TestEst1d:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_subnormal_final_error_power_is_numerical_error(self, tmp_path, capsys):
+        sig = tmp_path / "sig.csv"
+        write_signal_csv(sig, 1e-155 * Lcg32(1, substream=7).complex_normal(64))
+        out = tmp_path / "x.json"
+        rc = run("est1d", "--method", "burg-mod", "--order", "20",
+                 "--in", str(sig), "--out", str(out))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical: prediction-error power 5.594e-309 below")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_levinson_stays_exact_near_the_double_range(self, tmp_path):
         x = Lcg32(1, substream=7).complex_normal(64)
         coeffs = []

@@ -1,8 +1,11 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from arspec.cli import main
 from arspec.linalg import max_rel_diff
 from arspec.siggen import Lcg32, SynthConfig, gen_noisy_sinusoid, phase_sweep
 
@@ -44,6 +47,52 @@ class TestLcg32:
         a = Lcg32(5, substream=0).complex_normal(8)
         b = Lcg32(5, substream=1).complex_normal(8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
+    @pytest.mark.parametrize("substream", [0, 3, 2**20])
+    def test_complex_normal_is_the_scalar_stream(self, seed, substream):
+        # Counts on both sides of the 4096-sample block boundaries.
+        oracle = Lcg32(seed, substream)
+        want = np.array([complex(*oracle.normal_pair()) / math.sqrt(2.0) for _ in range(8195)])
+        for n in (0, 1, 2, 4095, 4096, 4097, 8195):
+            rng = Lcg32(seed, substream)
+            got = rng.complex_normal(n)
+            assert np.array_equal(got.view(np.uint64), want[:n].view(np.uint64))
+            after = Lcg32(seed, substream)
+            for _ in range(2 * n):
+                after.uniform()
+            assert rng.uniform() == after.uniform()
+
+    def test_stream_bytes_are_frozen(self):
+        digest = hashlib.sha256(Lcg32(1).complex_normal(4096).tobytes()).hexdigest()
+        assert digest == "ea9dc765026f45ef4d45fbec79d84fc25d27b2d3b5d0c1a91b37fad63cdee1a7"
+
+    def test_gen_csv_is_frozen(self, tmp_path):
+        out = tmp_path / "sig.csv"
+        assert main(["gen", "--n", "20", "--seed", "1", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "d415db74d9d74c9646d1b7ac92f25523fafecaa890669d030b0199036f678ff9"
+
+    def test_working_set_is_bounded(self):
+        # 16 blocks: drawn at once, these samples would take 8 MiB besides
+        # the 1 MiB output. Tracing every Python float the draw makes slows
+        # it about 30 times, so the draw stays this small.
+        tracemalloc.start()
+        try:
+            out = Lcg32(1).complex_normal(2**16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 4 * 2**20
+
+    @pytest.mark.parametrize("seed, substream", [(1.5, 0), (1.0, 0), (1, 2.0), ("1", 0), (None, 0)])
+    def test_non_integer_seed_or_substream_raises(self, seed, substream):
+        with pytest.raises(TypeError):
+            Lcg32(seed, substream)
+
+    def test_integer_likes_give_the_int_stream(self):
+        got = Lcg32(np.int64(5), np.uint32(3)).complex_normal(3)
+        assert np.array_equal(got, Lcg32(5, 3).complex_normal(3))
 
 
 class TestGenNoisySinusoid:
@@ -112,6 +161,9 @@ class TestGenNoisySinusoid:
         for phase in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="phase"):
                 gen_noisy_sinusoid(SynthConfig(8, 0.25, phase=phase))
+        for seed in (1.5, 1.0, "1"):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                gen_noisy_sinusoid(SynthConfig(8, 0.25, seed=seed))
 
     @pytest.mark.parametrize("snr_db", [3100.0, -4000.0, 3080.0])
     def test_noise_scale_outside_the_double_range_raises(self, snr_db):
