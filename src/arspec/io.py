@@ -45,7 +45,6 @@ __all__ = [
     "write_csv",
     "write_json",
     "write_signal_csv",
-    "write_signal_2d_csv",
     "write_spectrum_csv",
 ]
 
@@ -120,10 +119,6 @@ def write_signal_csv(path, x) -> None:
 
 def read_signal_csv(path) -> np.ndarray:
     return _read_signal(path, ["index", "re", "im"])
-
-
-def write_signal_2d_csv(path, x) -> None:
-    _write_signal(path, ["k", "t", "re", "im"], x)
 
 
 def read_signal_2d_csv(path) -> np.ndarray:

@@ -34,8 +34,10 @@ block's start state ``s_0`` is
     s_i = a^i s_0 + c (a^i - 1) / (a - 1)  mod 2**32,
 
 from tables of ``a^i`` and ``c (a^(i-1) + ... + 1)`` in ``uint64``, whose
-wrapping mod 2**64 is exact mod 2**32. The uniforms are exact doubles, and
-sqrt, products and quotients round correctly in numpy as in ``math``. But
+wrapping mod 2**64 is exact mod 2**32. The tables for one full block are
+built once, at import, and shared read-only by every draw. The uniforms
+are exact doubles, and sqrt, products and quotients round correctly in
+numpy as in ``math``. But
 ``log``, ``cos`` and ``sin`` are not correctly rounded, and numpy's may
 differ from ``math``'s in the last bit, so they stay on ``math``: every
 sample has the bits of the scalar definition above.
@@ -66,6 +68,24 @@ _SUBSTREAM_STEP = 0x9E3779B9
 
 #: Most samples :meth:`Lcg32.complex_normal` draws at once; bounds its working set.
 _BLOCK = 4096
+
+
+def _jump_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``mult[i] = a^(i+1)`` and ``inc[i] = c (a^i + ... + 1)``
+    for the ``2 _BLOCK`` states of one block, in ``uint64``, which wraps mod
+    2**64, a multiple of 2**32. A signed or float array operand would turn
+    them into float64."""
+    power = np.full(2 * _BLOCK, _LCG_MULT, dtype=np.uint64)
+    power[:1] = 1
+    np.cumprod(power, out=power)
+    inc = np.cumsum(power) * np.uint64(_LCG_INC)
+    mult = power * np.uint64(_LCG_MULT)
+    mult.flags.writeable = inc.flags.writeable = False
+    return mult, inc
+
+
+#: The jump-ahead tables of every block, built once.
+_JUMP_MULT, _JUMP_INC = _jump_tables()
 
 
 class Lcg32:
@@ -102,19 +122,10 @@ class Lcg32:
         state by the jump-ahead form of the module docstring.
         """
         out = np.empty(count, dtype=complex)
-        steps = 2 * min(count, _BLOCK)
-        # power[i] = a^i, inc[i] = c (a^i + ... + 1) and mult[i] = a^(i+1)
-        # in uint64, which wraps mod 2**64, a multiple of 2**32. A signed or
-        # float array operand would turn the tables into float64.
-        power = np.full(steps, _LCG_MULT, dtype=np.uint64)
-        power[:1] = 1
-        np.cumprod(power, out=power)
-        inc = np.cumsum(power) * np.uint64(_LCG_INC)
-        mult = power * np.uint64(_LCG_MULT)
         for lo in range(0, count, _BLOCK):
             hi = min(lo + _BLOCK, count)
-            states = mult[: 2 * (hi - lo)] * np.uint64(self._state)
-            states += inc[: 2 * (hi - lo)]
+            states = _JUMP_MULT[: 2 * (hi - lo)] * np.uint64(self._state)
+            states += _JUMP_INC[: 2 * (hi - lo)]
             states &= np.uint64(_LCG_MOD - 1)
             self._state = int(states[-1])
             u = (states + 0.5) / _LCG_MOD

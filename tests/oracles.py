@@ -4,12 +4,14 @@ The library never assembles the normal equations, tests a matrix for
 structure or evaluates a backward prediction error; these helpers do all
 three, for the tests only. They also hold the direct-sum forms of the two
 2D correlations the library takes by FFT: the lag blocks and the
-quarter-plane residual.
+quarter-plane residual, and the writer of the 2D signal CSV that the CLI
+only reads.
 """
 
 import numpy as np
 
 from arspec.autocorr import as_grid_2d, as_signal_1d
+from arspec.io import write_csv
 
 
 def _square(m) -> np.ndarray:
@@ -111,3 +113,13 @@ def quarter_plane_residual_direct(x, c) -> np.ndarray:
     for (l1, l2), tap in np.ndenumerate(c):
         out[l1 : l1 + rows, l2 : l2 + cols] += tap * x
     return out
+
+
+def write_signal_2d_csv(path, x) -> None:
+    """Write the grid ``x`` as the 2D signal CSV that
+    :func:`arspec.io.read_signal_2d_csv` reads: header ``k,t,re,im``, one row
+    per sample, each number as its ``repr``."""
+    x = np.asarray(x, dtype=complex)
+    index = np.indices(x.shape).reshape(2, -1).T.tolist()
+    rows = ([*i, z.real, z.imag] for i, z in zip(index, x.reshape(-1).tolist()))
+    write_csv(path, ["k", "t", "re", "im"], rows)

@@ -236,6 +236,17 @@ class TestBurgClassic:
         with pytest.raises(DegenerateSignalError):
             burg_classic(np.zeros(6, dtype=complex), 2)
 
+    def test_subnormal_window_energy_raises_before_dividing(self):
+        # This record's energy at 1e-155, 7.7e-309, is subnormal. The lattice
+        # used to divide by ever smaller window energies, warn five times and
+        # end in a power of -inf at order 11.
+        x = 1e-155 * Lcg32(1, substream=7).complex_normal(64)
+        message = "error energy 7.616e-309 below the normal double range at order 1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                burg_classic(x, 20)
+
     def test_error_energy_that_runs_out_is_degenerate(self):
         # The shrinking window at order 3 holds only the zero samples.
         with pytest.raises(DegenerateSignalError, match="zero error energy at order 3"):

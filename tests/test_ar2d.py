@@ -1,12 +1,14 @@
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from conftest import crandn
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import block_toeplitz_matrix, quarter_plane_residual_direct
 
+from arspec import ar2d
 from arspec.ar1d import burg_classic, burg_modified, levinson
 from arspec.ar2d import (
     QuarterPlaneFilter,
@@ -244,6 +246,129 @@ class TestBurg2dClassic:
             burg2d_classic(x, 3, 1)
 
 
+def _plane_waves(rng, rows: int, cols: int, noise: float) -> np.ndarray:
+    """Two unit plane waves at random frequencies and phases plus white
+    noise of standard deviation ``noise``."""
+    k, t = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    x = noise * crandn(rng, rows, cols)
+    for _ in range(2):
+        f1, f2, phase = rng.uniform(-0.5, 0.5, 3)
+        x += np.exp(2j * np.pi * (f1 * k + f2 * t + phase))
+    return x
+
+
+def _grid_lattice_spy(monkeypatch) -> list:
+    """Route ``ar2d._burg2d_lattice`` through a spy; returns the list that
+    collects the ``padded`` flag of each call."""
+    seen = []
+    lattice = ar2d._burg2d_lattice
+
+    def spy(x, order, channel_order, padded):
+        seen.append(padded)
+        return lattice(x, order, channel_order, padded)
+
+    monkeypatch.setattr(ar2d, "_burg2d_lattice", spy)
+    return seen
+
+
+def _assert_same_stages(model, ref, tol: float) -> None:
+    assert len(model.history) == len(ref.history)
+    assert model.sample_terms == ref.sample_terms
+    for got, want in zip(model.history, ref.history):
+        assert got.order == want.order
+        for field in ("coeffs", "forward_power", "error_power", "cross_power"):
+            assert max_rel_diff(getattr(got, field), getattr(want, field)) <= tol, field
+        assert abs(got.criterion - want.criterion) <= tol * want.criterion
+
+
+class TestFastClassic:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(2, 20),
+        cols=st.integers(1, 8),
+        order=st.integers(1, 19),
+        n2=st.integers(0, 7),
+        waves=st.booleans(),
+        noise=st.sampled_from([0.0] + [10.0**e for e in range(-15, 1)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=8, cols=8, order=3, n2=2, waves=True, noise=0.0, seed=1)
+    @example(rows=12, cols=8, order=4, n2=3, waves=True, noise=1.0, seed=2)
+    def test_matches_the_lattice(self, rows, cols, order, n2, waves, noise, seed):
+        # Without waves the grid is complex noise of unit variance.
+        order, n2 = min(order, rows - 1), min(n2, cols - 1)
+        rng = np.random.default_rng(seed)
+        x = _plane_waves(rng, rows, cols, noise) if waves else crandn(rng, rows, cols)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                ref = ar2d._burg2d_lattice(x, order, n2, padded=False)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    burg2d_classic(x, order, n2)
+                return
+            model = burg2d_classic(x, order, n2)
+        _assert_same_stages(model, ref, 1e-12)
+        assert max_rel_diff(model.coeffs, ref.coeffs) <= 1e-12
+        assert max_rel_diff(model.error_power, ref.error_power) <= 1e-12
+
+    def test_a_tripped_grid_gets_the_lattice_bits(self, monkeypatch):
+        # The noiseless 8x8 plane wave is perfectly predictable at order 1:
+        # its denominators fall to rounding level, far below the guard.
+        k, t = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
+        x = np.exp(2j * np.pi * (0.2 * k + 0.1 * t))
+        seen = _grid_lattice_spy(monkeypatch)
+        model = burg2d_classic(x, 3, 1)
+        assert seen == [False]
+        ref = ar2d._burg2d_lattice(x, 3, 1, padded=False)
+        assert np.array_equal(model.coeffs, ref.coeffs)
+        assert np.array_equal(model.error_power, ref.error_power)
+        for got, want in zip(model.history, ref.history, strict=True):
+            for field in ("coeffs", "forward_power", "error_power", "cross_power"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert got.criterion == want.criterion
+
+    def test_overflowing_sums_leave_quietly(self, monkeypatch):
+        # At an energy of 0.49 * max the recorded criterion, near 2 tr R_0,
+        # overflows for two channels: the grid leaves, and the route warns
+        # of nothing. (The lattice then records that criterion as inf, with
+        # numpy's overflow warning, so the spy stops short of it.)
+        x = crandn(np.random.default_rng(97), 6, 6)
+        x *= np.sqrt(0.49 * np.finfo(float).max / np.vdot(x, x).real)
+        left = []
+
+        def lattice(*args, **kwargs):
+            left.append(args)
+            return "lattice"
+
+        monkeypatch.setattr(ar2d, "_burg2d_lattice", lattice)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert burg2d_classic(x, 3, 1) == "lattice"
+        assert len(left) == 1
+
+    def test_top_of_the_range_stays_quiet_on_one_channel(self, monkeypatch):
+        # With one channel nothing overflows at 0.49 * max: the route keeps
+        # the grid and agrees with the lattice, and neither warns.
+        x = crandn(np.random.default_rng(97), 6, 6)
+        x *= np.sqrt(0.49 * np.finfo(float).max / np.vdot(x, x).real)
+        seen = _grid_lattice_spy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = burg2d_classic(x, 3, 0)
+            assert seen == []
+            ref = ar2d._burg2d_lattice(x, 3, 0, padded=False)
+        _assert_same_stages(model, ref, 1e-12)
+
+    def test_fast_route_is_taken(self, monkeypatch):
+        # A reduced lattice_2d grid: two unit plane waves in unit noise.
+        x = _plane_waves(np.random.default_rng(98), 48, 40, 1.0)
+        seen = _grid_lattice_spy(monkeypatch)
+        model = burg2d_classic(x, 8, 6)
+        assert seen == []
+        assert len(model.history) == 9 and model.sample_terms == 40
+
+
 class TestBurg2dModified:
     def test_single_column_reduces_to_burg_modified(self):
         rng = np.random.default_rng(48)
@@ -448,8 +573,10 @@ def test_non_finite_estimate_raises(method, scale):
     # Lags beyond the double range (underflow or overflow) make the result
     # non-finite; the estimator raises instead of returning it. Under 1e-160
     # the 2D estimators overflow inside LAPACK's solve, which numpy does not
-    # report, so no warning may escape there; everywhere else numpy warns.
-    quiet = method in ("wwra", "burg2d_classic", "burg2d_modified") and scale < 1.0
+    # report, and the classic 1D lattice stops at its first window energy
+    # below the normal range, before it divides, so no warning may escape
+    # there; everywhere else numpy warns.
+    quiet = method in ("burg_classic", "wwra", "burg2d_classic", "burg2d_modified") and scale < 1.0
     with pytest.raises(NumericalError), nullcontext() if quiet else pytest.warns(RuntimeWarning):
         SCALED_ESTIMATORS[method](scale)
 

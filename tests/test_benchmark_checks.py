@@ -38,3 +38,25 @@ def test_every_output_check_holds(name, sizes, passes, tmp_path):
         checks = workload.checks(pass_id)
         failed = [op for op, _ in ops if not checks[op](results)]
         assert not failed, f"pass {pass_id}: output checks failed for {failed}"
+
+
+def test_paper_size_2d_grid_keeps_the_classic_lag_route(monkeypatch, tmp_path):
+    # burg2d_classic takes its moments from the lag blocks; a grid that
+    # leaves that route is recomputed on the error-block lattice, which
+    # would cost the workload its gain without failing a check. Only
+    # burg2d_modified, the zero-padded support, may run the lattice here.
+    ar2d = workloads.ar2d
+    lattice = ar2d._burg2d_lattice
+    padded_flags = []
+
+    def spy(x, order, channel_order, padded):
+        padded_flags.append(padded)
+        return lattice(x, order, channel_order, padded)
+
+    monkeypatch.setattr(ar2d, "_burg2d_lattice", spy)
+    workload = workloads.make("lattice_2d", 1, workloads.PAPER_SIZES["lattice_2d"], tmp_path)
+    workload.before_pass(0)
+    results = {}
+    for op, call in workload.ops(0):
+        results[op] = call(results)
+    assert padded_flags == [True]

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 from conftest import crandn
+from oracles import write_signal_2d_csv
 
 import arspec.cli
 from arspec.ar1d import burg_classic, burg_modified, levinson
@@ -22,7 +23,6 @@ from arspec.io import (
     read_signal_2d_csv,
     read_signal_csv,
     write_json,
-    write_signal_2d_csv,
     write_signal_csv,
 )
 from arspec.linalg import max_rel_diff

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from arspec import siggen
 from arspec.cli import main
 from arspec.linalg import max_rel_diff
 from arspec.siggen import Lcg32, SynthConfig, gen_noisy_sinusoid, phase_sweep
@@ -211,3 +212,13 @@ class TestPhaseSweep:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             phase_sweep(SynthConfig(8, 0.1), 0)
+
+
+def test_jump_tables_are_built_once_and_read_only():
+    # Every draw shares the one-block tables; a draw that wrote into them
+    # would change every later stream.
+    for table in (siggen._JUMP_MULT, siggen._JUMP_INC):
+        assert table.size == 2 * siggen._BLOCK and table.dtype == np.uint64
+        assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        siggen._JUMP_MULT[0] = 1
