@@ -318,7 +318,12 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
             first = cur[: 2 * p, (lo - 1) * width : lo * width]
             last = cur[2 * p :, hi * width : (hi + 1) * width]
             full = mom + _gram(np.concatenate((first, last)))
-        criterion = float(full.trace().real)
+        # The trace sums 2p entries near the grid's energy, and can overflow
+        # where none of them does.
+        with np.errstate(over="ignore"):
+            criterion = float(full.trace().real)
+        if np.isinf(criterion) and np.isfinite(full.diagonal()).all():
+            raise NumericalError(f"criterion (the error-power trace) overflows at order {m}")
         stage = BlockStage(m, coeffs[:m].copy(), full[p:, p:], full[:p, :p], pfb, criterion)
         history.append(stage)
     return _finish(coeffs, history, n1_len + order if padded else n1_len - order)

@@ -4,13 +4,16 @@ The library never assembles the normal equations, tests a matrix for
 structure or evaluates a backward prediction error; these helpers do all
 three, for the tests only. They also hold the direct-sum forms of the two
 2D correlations the library takes by FFT: the lag blocks and the
-quarter-plane residual, and the writer of the 2D signal CSV that the CLI
-only reads.
+quarter-plane residual, the writer of the 2D signal CSV that the CLI
+only reads, and the 1D Burg lattice as it was before its stages were fused
+into one chunked sweep.
 """
 
 import numpy as np
 
+from arspec.ar1d import LatticeBatch, _finish, _stage, _stops
 from arspec.autocorr import as_grid_2d, as_signal_1d
+from arspec.errors import DegenerateSignalError, NumericalError
 from arspec.io import write_csv
 
 
@@ -123,3 +126,50 @@ def write_signal_2d_csv(path, x) -> None:
     index = np.indices(x.shape).reshape(2, -1).T.tolist()
     rows = ([*i, z.real, z.imag] for i, z in zip(index, x.reshape(-1).tolist()))
     write_csv(path, ["k", "t", "re", "im"], rows)
+
+
+def burg_lattice_unfused(x: np.ndarray, order: int, padded: bool) -> LatticeBatch:
+    """:func:`arspec.ar1d._burg_lattice` with whole-window sums: per stage,
+    one ``np.vecdot`` per moment over the stage's window, then four passes
+    of the update over the errors, the last stage's included."""
+    n_rec, n = x.shape
+    power = np.vecdot(x, x).real
+    if np.count_nonzero(power) < n_rec:
+        raise DegenerateSignalError("signal has zero energy")
+    overflow = ~(power <= 0.5 * np.finfo(float).max)
+    if np.count_nonzero(overflow):
+        raise NumericalError(
+            f"signal energy {power[np.argmax(overflow)]:.3e} overflows the lattice sums"
+        )
+
+    span = n + order if padded else n
+    ef = np.zeros((n_rec, span + 1), dtype=complex)
+    ef[:, 1 : n + 1] = x
+    eb = ef.copy()
+    eb_next = np.zeros_like(ef)
+    batch = LatticeBatch.start(power, order)
+    conj = batch.coeffs[:, :0]
+    live = np.ones(n_rec, dtype=bool)
+    for m in range(1, order + 1):
+        lo, hi = (1, n + m + 1) if padded else (m + 1, n + 1)
+        f = ef[:, lo:hi]
+        b = eb[:, lo - 1 : hi - 1]
+        denom = 0.5 * (np.vecdot(f, f).real + np.vecdot(b, b).real)
+        denom[~live] = 1.0
+        if np.count_nonzero(denom) < n_rec:
+            raise DegenerateSignalError(f"zero error energy at order {m}")
+        low = denom < np.finfo(float).tiny
+        if not padded and np.count_nonzero(low):
+            r = int(np.argmax(low))
+            raise NumericalError(
+                f"error energy {denom[r]:.3e} below the normal double range at order {m}"
+            )
+        kcol, conj = _stage(batch, m, -np.vecdot(b, f), denom, conj, live)
+        new_b = np.multiply(kcol.conj(), f, out=eb_next[:, lo:hi])
+        new_b += b
+        f += np.multiply(kcol, b, out=b)
+        eb, eb_next = eb_next, eb
+        live = _stops(batch, m, kcol[:, 0], live)
+        if not np.count_nonzero(live):
+            break
+    return _finish(batch, live)

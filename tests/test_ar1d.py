@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import warnings
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import crandn
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import backward_prediction_residual, toeplitz_matrix
+from oracles import backward_prediction_residual, burg_lattice_unfused, toeplitz_matrix
 
 from arspec.ar1d import (
     ArModel1D,
@@ -621,3 +626,115 @@ class TestFastClassic:
         assert model.order == 64 and not model.early_stop
         assert len(model.history) == 64
         assert all(abs(st.reflection) < 1.0 for st in model.history)
+
+
+def _sweep_batch(rng, n: int, n_rec: int, first: str, scale: float) -> np.ndarray:
+    """``n_rec`` records of complex noise times ``scale``, the first replaced
+    by a noiseless sinusoid, a zero record or a unit impulse at ``k = 1``."""
+    x = crandn(rng, n_rec, n)
+    if first == "sinusoid":
+        x[0] = _sinusoid(rng, n, 0.0, False)
+    elif first in ("zero", "impulse"):
+        x[0] = 0.0
+        x[0, 1] = first == "impulse"
+    return scale * x
+
+
+#: Over 6000 random batches of the property below, the chunked sums moved
+#: a stage's coefficients by at most 4.3e-14 relative to the larger of
+#: them, and its error power by at most 1.1e-13 of the stage's input power.
+CHUNKED_SUM_BOUND = 1e-12
+
+
+def _chunked_lattice(x: np.ndarray, order: int, padded: bool, chunk: int):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ar1d, "CHUNK", chunk)
+        return _burg_lattice(x, order, padded)
+
+
+class TestChunkedSweep:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        chunk=st.sampled_from([1, 3, 7, 64]),
+        padded=st.booleans(),
+        n=st.integers(2, 40),
+        order=st.integers(1, 39),
+        n_rec=st.integers(1, 3),
+        first=st.sampled_from(["noise", "sinusoid", "zero", "impulse"]),
+        scale=st.sampled_from([1.0, 1e-155]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # The impulse's error energy runs out at order 3 on the shrinking support.
+    @example(chunk=1, padded=False, n=4, order=3, n_rec=1, first="impulse", scale=1.0, seed=0)
+    # A noiseless sinusoid stops at order 1 on the shrinking support, alone.
+    @example(chunk=3, padded=False, n=30, order=12, n_rec=3, first="sinusoid", scale=1.0, seed=1)
+    def test_matches_the_unfused_lattice(self, chunk, padded, n, order, n_rec, first, scale, seed):
+        x = _sweep_batch(np.random.default_rng(seed), n, n_rec, first, scale)
+        order = min(order, n - 1)
+        try:
+            want = burg_lattice_unfused(x, order, padded)
+        # Near the bottom of the range the zero-padded lattice may warn
+        # first, which the suite turns into an error.
+        except (NumericalError, RuntimeWarning) as exc:
+            with pytest.raises(type(exc)) as raised:
+                _chunked_lattice(x, order, padded, chunk)
+            assert str(raised.value) == str(exc)
+            return
+        got = _chunked_lattice(x, order, padded, chunk)
+        assert np.array_equal(got.stages, want.stages)
+        if (n + order if padded else n) <= chunk:
+            # Every window is one chunk: the same dots, the same bits.
+            assert np.array_equal(got.coeffs, want.coeffs)
+            assert np.array_equal(got.powers, want.powers)
+            return
+        for b, stages in enumerate(want.stages):
+            for m in range(1, stages + 1):
+                stage = slice(m * (m - 1) // 2, m * (m + 1) // 2)
+                deviation = max_rel_diff(got.coeffs[b, stage], want.coeffs[b, stage])
+                assert deviation <= CHUNKED_SUM_BOUND
+                drift = abs(got.powers[b, m] - want.powers[b, m])
+                assert drift <= CHUNKED_SUM_BOUND * want.powers[b, m - 1]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
+    @pytest.mark.parametrize(
+        "padded, message",
+        [
+            (True, "prediction-error power 5.594e-309 below the normal double range at order 20"),
+            (False, "error energy 7.616e-309 below the normal double range at order 1"),
+        ],
+    )
+    def test_subnormal_record_raises_the_same_error(self, chunk, padded, message):
+        x = 1e-155 * Lcg32(1, substream=7).complex_normal(64)[None]
+        for lattice in (burg_lattice_unfused, partial(_chunked_lattice, chunk=chunk)):
+            with pytest.raises(NumericalError) as raised:
+                lattice(x, 20, padded)
+            assert str(raised.value) == message
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a dot of more than 10000 samples across threads;
+        # the lattice's dots are at most CHUNK samples. The tone leaves
+        # burg_classic_batch's lag route for the shrinking lattice.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from arspec import ar1d\n"
+            "from arspec.siggen import Lcg32\n"
+            "x = Lcg32(3).complex_normal(20000)\n"
+            "tone = np.exp(2j * np.pi * 0.1 * np.arange(20000)) + 1e-3 * x\n"
+            "for batch in (ar1d.burg_modified_batch(x[None], 8),\n"
+            "              ar1d.burg_classic_batch(tone[None], 8),\n"
+            "              ar1d._burg_lattice(tone[None], 8, padded=False)):\n"
+            "    data = batch.coeffs.tobytes() + batch.powers.tobytes() + batch.stages.tobytes()\n"
+            "    print(hashlib.sha256(data).hexdigest())\n"
+        )
+        src = str(Path(ar1d.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+            )
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.split())
+        _, classic, lattice = digests[0]
+        assert classic == lattice
+        assert digests[0] == digests[1]

@@ -331,8 +331,8 @@ class TestFastClassic:
     def test_overflowing_sums_leave_quietly(self, monkeypatch):
         # At an energy of 0.49 * max the recorded criterion, near 2 tr R_0,
         # overflows for two channels: the grid leaves, and the route warns
-        # of nothing. (The lattice then records that criterion as inf, with
-        # numpy's overflow warning, so the spy stops short of it.)
+        # of nothing. (The lattice then raises NumericalError for that
+        # criterion, so the spy stops short of it.)
         x = crandn(np.random.default_rng(97), 6, 6)
         x *= np.sqrt(0.49 * np.finfo(float).max / np.vdot(x, x).real)
         left = []
@@ -579,6 +579,31 @@ def test_non_finite_estimate_raises(method, scale):
     quiet = method in ("burg_classic", "wwra", "burg2d_classic", "burg2d_modified") and scale < 1.0
     with pytest.raises(NumericalError), nullcontext() if quiet else pytest.warns(RuntimeWarning):
         SCALED_ESTIMATORS[method](scale)
+
+
+def _top_of_the_range_grid() -> np.ndarray:
+    """A 6x6 noise grid whose energy is 0.49 times the largest double."""
+    x = crandn(np.random.default_rng(97), 6, 6)
+    return x * np.sqrt(0.49 * np.finfo(float).max / np.vdot(x, x).real)
+
+
+@pytest.mark.parametrize("n2", [1, 2])
+@pytest.mark.parametrize("lattice", [burg2d_classic, burg2d_modified])
+def test_criterion_overflow_raises_quietly(lattice, n2):
+    # Each of the 2p diagonal entries of the criterion's trace is near the
+    # energy, so with two or more channels the trace overflows.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"criterion \(the error-power trace\) overflows"):
+            lattice(_top_of_the_range_grid(), 3, n2)
+
+
+def test_one_channel_at_the_top_of_the_range_is_returned_quietly():
+    # TestFastClassic covers burg2d_classic on this grid.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = burg2d_modified(_top_of_the_range_grid(), 3, 0)
+    assert all(np.isfinite(stage.criterion) for stage in model.history)
 
 
 @pytest.mark.parametrize("scale", [1e-165, 1e-200])

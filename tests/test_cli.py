@@ -326,6 +326,19 @@ class TestEst2d:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["burg2d", "burg2d-mod"])
+    def test_criterion_overflow_is_numerical_error(self, tmp_path, capsys, method):
+        x = crandn(np.random.default_rng(97), 6, 6)
+        grid = tmp_path / "grid.csv"
+        write_signal_2d_csv(grid, x * np.sqrt(0.49 * np.finfo(float).max / np.vdot(x, x).real))
+        out = tmp_path / "model.json"
+        rc = run("est2d", "--method", method, "--n1", "3", "--n2", "1",
+                 "--in", str(grid), "--out", str(out))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "error: numerical: criterion (the error-power trace) overflows at order 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["burg2d", "burg2d-mod", "wwra"])
     def test_energy_that_rounds_to_zero_is_numerical_error(self, tmp_path, capsys, method):
         message = {"wwra": "R_0 diagonal must be positive, got 0.0"}.get(
