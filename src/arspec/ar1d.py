@@ -462,25 +462,25 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
     Each window sum is a difference of sums of size ``r_0``, so its
     relative error grows like ``r_0 / D_m`` for the half-sum denominator
     ``D_m``, which lies in ``(0, r_0]`` in exact arithmetic. A record stays
-    on this route while ``r_0`` and ``2 r_0`` are normal doubles and
-    ``r_0 / FAST_BURG_BOUND <= D_m <= r_0``; it also leaves once
+    on this route while ``r_0 / FAST_BURG_BOUND`` and ``2 r_0`` are normal
+    doubles and ``r_0 / FAST_BURG_BOUND <= D_m <= r_0``; it also leaves once
     ``D_m (1 - |k_m|^2)``, the bound on the next denominator, falls below
     ``r_0 / FAST_BURG_BOUND``, which a reflection near the unit circle
-    does. A record that leaves is recomputed in full by
-    :func:`_burg_lattice`, so every stop, error and degenerate record gets
-    the lattice's handling and bits. On the others the coefficients match
-    the lattice's within 1e-12 relative on records of up to 200 samples
-    (3.8e-12 to 4.0e-12 at N=1e5, order 400, on the benchmark's two-tone
-    records of seeds 1-5, where the lattice is 1.5e-14 to 1.6e-13 from a
-    long-double lattice).
+    does. A record that leaves is recomputed in full by :func:`_burg_lattice`,
+    so every stop, error and degenerate record gets the lattice's handling
+    and bits; :func:`_finish` checks the records that stay, as the lattice
+    checks its own. Their coefficients match the lattice's within 1e-12
+    relative on records of up to 200 samples (3.8e-12 to 4.0e-12 at N=1e5,
+    order 400, on the benchmark's two-tone records of seeds 1-5, where the
+    lattice is 1.5e-14 to 1.6e-13 from a long-double lattice).
     """
     x = stack_for_order(x, order)
     n_rec, n = x.shape
     r = estimate_autocorr_1d(x, order)
     r0 = r[:, 0].real
     batch = LatticeBatch.start(r0, order)
-    fast = (r0 >= np.finfo(float).tiny) & (r0 <= 0.5 * np.finfo(float).max)
     floor = r0 / FAST_BURG_BOUND
+    fast = (floor >= np.finfo(float).tiny) & (r0 <= 0.5 * np.finfo(float).max)
     # g[:, i + 1] holds g_i, from g_{-1} on.
     g = np.zeros((n_rec, order + 2), dtype=complex)
     g[:, 1] = r0
@@ -525,7 +525,7 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
         batch.coeffs[slow] = lattice.coeffs
         batch.powers[slow] = lattice.powers
         batch.stages[slow] = lattice.stages
-    return batch
+    return _finish(batch, fast)
 
 
 def burg_classic(x, order: int) -> ArModel1D:

@@ -139,23 +139,16 @@ def _extend_block(coeffs: np.ndarray, m: int, a_nn: np.ndarray) -> None:
     coeffs[m - 1] = a_nn
 
 
-def _fault(coeffs: np.ndarray, power: np.ndarray) -> str | None:
-    """What is wrong with a model whose coefficients or final error power are
-    not finite, or whose error power has a diagonal entry below the smallest
-    normal double, where the stages' sums have lost their precision."""
-    if not (np.isfinite(coeffs).all() and np.isfinite(power).all()):
-        return f"non-finite coefficients or error power at order {len(coeffs)}"
-    if np.diagonal(power).real.min() < np.finfo(float).tiny:
-        return f"error power below the normal double range at order {len(coeffs)}"
-    return None
-
-
 def _finish(coeffs: np.ndarray, history: list[BlockStage], sample_terms: int | None) -> ArModel2D:
-    """The model ending in the last stage; :class:`NumericalError` if it has
-    a :func:`_fault`."""
+    """The model ending in the last stage; :class:`NumericalError` if its
+    coefficients or final error power are not finite, or its error power has
+    a diagonal entry below the smallest normal double, where the stages'
+    sums have lost their precision."""
     power = history[-1].error_power
-    if fault := _fault(coeffs, power):
-        raise NumericalError(fault)
+    if not (np.isfinite(coeffs).all() and np.isfinite(power).all()):
+        raise NumericalError(f"non-finite coefficients or error power at order {len(coeffs)}")
+    if np.diagonal(power).real.min() < np.finfo(float).tiny:
+        raise NumericalError(f"error power below the normal double range at order {len(coeffs)}")
     return ArModel2D(len(coeffs), coeffs.shape[1] - 1, coeffs, power, history, sample_terms)
 
 
@@ -329,9 +322,10 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
     return _finish(coeffs, history, n1_len + order if padded else n1_len - order)
 
 
-def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2D | None:
-    """The stages of the shrinking-support lattice from the lag blocks, or
-    ``None`` when the grid leaves this route (see :func:`burg2d_classic`).
+def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2D:
+    """The model of the shrinking-support lattice from the lag blocks; raises
+    :class:`NumericalError` with the reason the grid leaves this route, or a
+    failed Cholesky's ``LinAlgError`` (see :func:`burg2d_classic`).
 
     Stage ``m`` takes the moments of its order-``m`` errors over the
     zero-padded support as forms of ``Ar = [I, A_1 .. A_m]`` and
@@ -345,10 +339,9 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
     next order, which needs one new block per edge from the data:
     ``e_f(m)`` at the head and ``e_b(N1-1)`` at the tail.
     """
-    # At order N1-1 the last window is empty, and so the denominator after
-    # the last stage is zero.
+    # The denominator after the last stage is then zero.
     if order == len(x) - 1:
-        return None
+        raise NumericalError(f"the last window is empty at order {order}")
     n1_len, p, width = len(x), channel_order + 1, x.shape[1] + channel_order
     # The new edge blocks read only the first and the last order + 1 data
     # matrices, stacked as X(order) .. X(0) and X(N1-1) .. X(N1-1-order).
@@ -358,7 +351,7 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
     r0 = lags[0, 0, 0].real
     floor = 2.0 * r0 / FAST_BURG_BOUND
     if not (floor >= np.finfo(float).tiny and r0 <= 0.5 * np.finfo(float).max):
-        return None
+        raise NumericalError(f"R_0[0,0] = {r0:.3e} is out of the lag route's range")
     # toeplitz[i, j] = R_{j-i} over block rows [0, order] and block columns [0, order + 1].
     both = np.concatenate((lags[:0:-1].conj().transpose(0, 2, 1), lags))
     shift = np.arange(order + 2) - np.arange(order + 1)[:, None] + order + 1
@@ -398,21 +391,16 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
         full = mom + _gram(np.concatenate((first, tail[2 * p :, :width])))
         criterion = float(full.trace().real)
         if not (np.isfinite(full).all() and np.isfinite(criterion)):
-            return None
+            raise NumericalError(f"non-finite moments at order {m}")
         # The next stage's denominator, also after the last stage: it bounds
         # the window moments this stage records.
-        try:
-            pivots = np.abs(np.linalg.cholesky(pb + exchange_conj(pf)).diagonal()) ** 2
-        except np.linalg.LinAlgError:
-            return None
+        pivots = np.abs(np.linalg.cholesky(pb + exchange_conj(pf)).diagonal()) ** 2
         if not pivots.min() >= floor:
-            return None
+            raise NumericalError(f"pivot {pivots.min():.3e} under floor {floor:.3e} at order {m}")
         history.append(BlockStage(m, coeffs[:m].copy(), full[p:, p:], full[:p, :p], pfb, criterion))
         if m < order:
             _extend_block(coeffs, m + 1, _coefficient(pf, pb, pfb))
-    if _fault(coeffs, history[-1].error_power):
-        return None
-    return ArModel2D(order, p - 1, coeffs.copy(), history[-1].error_power, history, n1_len - order)
+    return _finish(coeffs.copy(), history, n1_len - order)
 
 
 def burg2d_classic(x, order: int, channel_order: int) -> ArModel2D:
@@ -440,21 +428,22 @@ def burg2d_classic(x, order: int, channel_order: int) -> ArModel2D:
     ``Pb + J Pf^* J`` has its smallest Cholesky pivot at or above
     ``2 R_0[0,0] / FAST_BURG_BOUND``. That includes the denominator after
     the last stage, which bounds the moments the last stage records, and
-    which is zero at ``n1 = N1 - 1``. Any other grid is recomputed in full
-    on the error-block lattice and gets its bits and errors. On a 128x128
-    grid of two plane waves in noise at ``n1 = n2 = 16`` the coefficients
-    match the lattice's within 3e-13 relative, ``Pf`` and ``Pb`` within
-    4e-14 and ``Pfb`` within 2e-12, in under a third of its time.
+    which is zero at ``n1 = N1 - 1``. The route raises to hand any other
+    grid to the error-block lattice, which recomputes it in full and gives
+    it its bits and errors. On a 128x128 grid of two plane waves in noise
+    at ``n1 = n2 = 16`` the coefficients match the lattice's within 3e-13
+    relative, ``Pf`` and ``Pb`` within 4e-14 and ``Pfb`` within 2e-12, in
+    under a third of its time.
     """
     x = grid_for_order(x, order)
     # Near the ends of the double range the forms may overflow or lose
-    # their scale; the guard then hands the grid to the lattice, so a
-    # warning would be noise.
-    with np.errstate(all="ignore"):
-        model = _burg2d_from_lags(x, order, channel_order)
-    if model is None:
-        model = _burg2d_lattice(x, order, channel_order, padded=False)
-    return model
+    # their scale; the route then raises to hand the grid to the lattice,
+    # so a warning would be noise.
+    try:
+        with np.errstate(all="ignore"):
+            return _burg2d_from_lags(x, order, channel_order)
+    except (NumericalError, np.linalg.LinAlgError):
+        return _burg2d_lattice(x, order, channel_order, padded=False)
 
 
 def burg2d_modified(x, order: int, channel_order: int) -> ArModel2D:

@@ -24,13 +24,13 @@ so the stages held at once stay bounded; the module imports only public
 names. A recipe returns ``(exit code, outputs, manifest fields)``, and
 :func:`main` times it and writes exactly one manifest JSON (default ``<out>.manifest.json``)
 recording the subcommand, the parsed arguments as parameters, the effective
-argv, the seed, the library version, the output paths and the wall-clock
-duration; ``order-sweep`` and ``mse-vs-order`` also record the methods that
-stopped before ``--max-order`` as ``early_stop``. Re-running the recorded
-argv reproduces the data outputs byte-for-byte; all randomness flows from
-the explicit seed. A command that takes ``--seed`` and is not given it
-reads the ``ARSPEC_SEED`` environment default (1 when unset); other
-commands never read it.
+argv, the seed, the library, python and numpy versions, the output paths and
+the wall-clock duration; ``est1d``, ``order-sweep`` and ``mse-vs-order`` also
+record the methods that stopped before the requested order as
+``early_stop``. Re-running the recorded argv reproduces the data outputs
+byte-for-byte; all randomness flows from the explicit seed. A command that
+takes ``--seed`` and is not given it reads the ``ARSPEC_SEED`` environment
+default (1 when unset); other commands never read it.
 
 Exit codes: 0 success, 1 failed equivalence verdict, 2 usage error,
 3 numerical error. Errors are single machine-parsable lines on stderr:
@@ -40,6 +40,7 @@ Exit codes: 0 success, 1 failed equivalence verdict, 2 usage error,
 import argparse
 import math
 import os
+import platform
 import sys
 import time
 from itertools import islice, zip_longest
@@ -118,10 +119,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _early_stops(args, last_orders: dict) -> dict:
+def _early_stops(order: int, last_orders: dict) -> dict:
     """The manifest's ``early_stop``: ``{method: last order}`` for the methods
-    that stopped before ``--max-order``."""
-    return {"early_stop": {m: n for m, n in last_orders.items() if n < args.max_order}}
+    that stopped before the requested ``order``."""
+    return {"early_stop": {m: n for m, n in last_orders.items() if n < order}}
 
 
 def _write_manifest(args, argv: list, outputs: list, start: float, **fields) -> None:
@@ -141,6 +142,8 @@ def _write_manifest(args, argv: list, outputs: list, start: float, **fields) -> 
             "argv": argv,
             "seed": params.get("seed"),
             "version": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
             "outputs": [str(p) for p in outputs],
             "duration_seconds": time.perf_counter() - start,
             **fields,
@@ -179,7 +182,7 @@ def _cmd_gen(args):
 def _cmd_est1d(args):
     model = _model(args.method, read_signal_csv(args.input), args.order)
     write_json(args.out, model1d_to_dict(model, args.method))
-    return 0, [args.out], {}
+    return 0, [args.out], _early_stops(args.order, {args.method: model.order})
 
 
 def _cmd_est2d(args):
@@ -220,7 +223,7 @@ def _cmd_order_sweep(args):
     history = _model(args.method, gen_noisy_sinusoid(cfg), args.max_order).history
     powers = [ar_spectrum_1d(st, args.nfreq).power for st in history]
     _write_spectra(args, "order", [st.order for st in history], powers)
-    return 0, [args.out], _early_stops(args, {args.method: len(history)})
+    return 0, [args.out], _early_stops(args.max_order, {args.method: len(history)})
 
 
 def _cmd_mse_vs_order(args):
@@ -244,7 +247,7 @@ def _cmd_mse_vs_order(args):
     # A method that stopped early leaves its cells past its last order empty.
     rows = ([i, *row] for i, row in enumerate(zip_longest(*table.values()), 1))
     write_csv(args.out, ["order", *(f"mse_{m}" for m in table)], rows)
-    return 0, [args.out], _early_stops(args, {m: len(col) for m, col in table.items()})
+    return 0, [args.out], _early_stops(args.max_order, {m: len(col) for m, col in table.items()})
 
 
 def _stage_deviation(ref, est) -> float:

@@ -6,8 +6,13 @@ three, for the tests only. They also hold the direct-sum forms of the two
 2D correlations the library takes by FFT: the lag blocks and the
 quarter-plane residual, the writer of the 2D signal CSV that the CLI
 only reads, and the 1D Burg lattice as it was before its stages were fused
-into one chunked sweep.
+into one chunked sweep. :func:`exact_levinson` solves the normal
+equations with no rounding at all, so a route's distance from it is its
+own error.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -173,3 +178,53 @@ def burg_lattice_unfused(x: np.ndarray, order: int, padded: bool) -> LatticeBatc
         if not np.count_nonzero(live):
             break
     return _finish(batch, live)
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """The product of two Gaussian rationals, ``(re, im)`` pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def exact_levinson(x, order: int) -> list[list[tuple]]:
+    """Levinson's recursion in exact arithmetic: the coefficients
+    ``a_1 .. a_m`` of every stage ``m`` in ``[1, order]``, each an
+    ``(re, im)`` pair of :class:`fractions.Fraction`.
+
+    The lags are the exact biased lags ``r_t = sum_k x(k+t) conj(x(k))`` of
+    the record's binary samples, so the stages solve the normal equations
+    that the floating-point routes approximate. Raises
+    ``ZeroDivisionError`` where an error power is exactly zero.
+    """
+    x = [(Fraction(z.real), Fraction(z.imag)) for z in as_signal_1d(x).tolist()]
+    if not 1 <= order <= len(x) - 1:
+        raise ValueError(f"order must be in [1, {len(x) - 1}], got {order}")
+    lags = []
+    for t in range(order + 1):
+        r = (Fraction(0), Fraction(0))
+        for k in range(len(x) - t):
+            r = _add(r, _mul(x[k + t], (x[k][0], -x[k][1])))
+        lags.append(r)
+    power, a, stages = lags[0][0], [], []
+    for m in range(1, order + 1):
+        delta = lags[m]
+        for j, coeff in enumerate(a, 1):
+            delta = _add(delta, _mul(coeff, lags[m - j]))
+        k = (-delta[0] / power, -delta[1] / power)
+        a = [_add(c, _mul(k, (d[0], -d[1]))) for c, d in zip(a, a[::-1])] + [k]
+        power *= 1 - k[0] ** 2 - k[1] ** 2
+        stages.append(a)
+    return stages
+
+
+def exact_deviation(coeffs, exact: list[tuple]) -> float:
+    """``max |coeffs - exact| / max |exact|`` for one stage, computed exactly
+    and rounded once."""
+    gap = max(
+        (Fraction(c.real) - e[0]) ** 2 + (Fraction(c.imag) - e[1]) ** 2
+        for c, e in zip(np.asarray(coeffs).tolist(), exact, strict=True)
+    )
+    return math.sqrt(gap / max(e[0] ** 2 + e[1] ** 2 for e in exact))

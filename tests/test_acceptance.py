@@ -12,7 +12,13 @@ import time
 import numpy as np
 import pytest
 from conftest import crandn
-from oracles import backward_prediction_residual, block_toeplitz_matrix, toeplitz_matrix
+from oracles import (
+    backward_prediction_residual,
+    block_toeplitz_matrix,
+    exact_deviation,
+    exact_levinson,
+    toeplitz_matrix,
+)
 
 from arspec.ar1d import (
     ArModel1D,
@@ -398,4 +404,36 @@ def test_c11_mse_vs_order_replication_2d():
         f"modified nonincreasing={nonincreasing}, classic increases at orders "
         f"{classic_increases}, classic@7={mse_cls[7]:.3e} > modified@7={mse_mod[7]:.3e}, "
         f"{elapsed:.2f}s < 1s",
+    )
+
+
+def test_c12_exact_oracle_1d():
+    # Each route against the exact solution of the normal equations on the
+    # paper record (N=20, p=15, 30 dB), relative to each stage's max|a|:
+    # the zero-padded lattice erred by 2.1e-16 and Levinson by 4.9e-15. A
+    # second record of complex noise (N=64, p=20) is reported alongside.
+    records = {
+        "paper record": (gen_noisy_sinusoid(SynthConfig(20, 0.25, 0.0, 30.0, 1)), 15),
+        "noise N=64": (Lcg32(1, substream=7).complex_normal(64), 20),
+    }
+    details, worst = [], {}
+    for name, (x, order) in records.items():
+        exact = exact_levinson(x, order)
+        routes = {
+            "levinson": levinson(estimate_autocorr_1d(x, order), order),
+            "burg-mod": burg_modified(x, order),
+        }
+        for route, model in routes.items():
+            assert len(model.history) == order
+            worst[name, route] = max(
+                exact_deviation(st.coeffs, ex) for st, ex in zip(model.history, exact)
+            )
+        details.append(f"{name}: " + ", ".join(f"{r} {worst[name, r]:.1e}" for r in routes))
+    paper = worst["paper record", "burg-mod"] < worst["paper record", "levinson"]
+    ok = max(worst.values()) <= 1e-13 and paper
+    report(
+        "C12",
+        "EXACT ORACLE 1D (worst stage vs exact Levinson, relative to max|a|)",
+        ok,
+        "; ".join(details) + f"; all <= 1e-13, burg-mod closer on the paper record={paper}",
     )

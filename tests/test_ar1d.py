@@ -252,6 +252,17 @@ class TestBurgClassic:
             with pytest.raises(NumericalError, match=message):
                 burg_classic(x, 20)
 
+    def test_subnormal_floor_hands_the_record_to_the_lattice(self):
+        # r_0 = 3.1e-308 is normal but r_0 / 30 is not. The lag route used
+        # to keep this record and return a subnormal power of 1.9e-308, with
+        # coefficients 2.3e-14 off the unscaled model.
+        x = 2e-155 * Lcg32(1, substream=7).complex_normal(64)
+        with pytest.raises(NumericalError) as raised:
+            burg_classic(x, 20)
+        assert str(raised.value) == (
+            "error energy 2.221e-308 below the normal double range at order 11"
+        )
+
     def test_error_energy_that_runs_out_is_degenerate(self):
         # The shrinking window at order 3 holds only the zero samples.
         with pytest.raises(DegenerateSignalError, match="zero error energy at order 3"):

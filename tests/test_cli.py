@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import platform
 import time
 
 import numpy as np
@@ -225,6 +226,17 @@ class TestEst1d:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical: prediction-error power 5.594e-309 below")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_record_whose_lag_floor_is_subnormal_is_numerical_error(self, tmp_path, capsys):
+        sig = tmp_path / "sig.csv"
+        write_signal_csv(sig, 2e-155 * Lcg32(1, substream=7).complex_normal(64))
+        out = tmp_path / "x.json"
+        rc = run("est1d", "--method", "burg", "--order", "20", "--in", str(sig), "--out", str(out))
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: numerical: error energy 2.221e-308 below the normal double range at order 11\n"
+        )
         assert not out.exists()
 
     def test_levinson_stays_exact_near_the_double_range(self, tmp_path):
@@ -872,6 +884,23 @@ class TestManifests:
         assert set(manifest["outputs"]) == {str(model), f"{model}.filter.json"}
         assert manifest["parameters"]["method"] == "burg2d"
         assert manifest["duration_seconds"] >= 0.0
+
+    def test_manifest_records_the_library_versions(self, tmp_path):
+        out = tmp_path / "sig.csv"
+        assert run("gen", "--n", "8", "--out", str(out)) == 0
+        manifest = read_json(f"{out}.manifest.json")
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+
+    @pytest.mark.parametrize("noiseless, early_stop", [(True, {"burg": 1}), (False, {})])
+    def test_est1d_records_early_stop(self, tmp_path, noiseless, early_stop):
+        sig = tmp_path / "sig.csv"
+        assert run("gen", "--n", "20", *(["--noiseless"] if noiseless else []),
+                   "--out", str(sig)) == 0
+        model = tmp_path / "m.json"
+        assert run("est1d", "--method", "burg", "--order", "3",
+                   "--in", str(sig), "--out", str(model)) == 0
+        assert read_json(f"{model}.manifest.json")["early_stop"] == early_stop
 
     def test_explicit_manifest_path(self, tmp_path):
         out = tmp_path / "sig.csv"
