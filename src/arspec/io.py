@@ -16,9 +16,10 @@ Formats (UTF-8, '.' decimal, no locale dependence):
 * Table CSV (the experiments): a header row, then one row per phase or
   order; an empty cell marks an order a stopped method did not reach.
 
-Every CSV goes through :func:`write_csv`, which writes each number with
-``repr``, i.e. the shortest round-tripping decimal, so reruns are
-byte-identical.
+Every CSV is opened and written in one place, and every number in it is
+written with ``repr``, i.e. the shortest round-tripping decimal, so reruns
+are byte-identical. A spectrum CSV formats each grid frequency once and
+reuses that text on every row it labels.
 """
 
 import csv
@@ -49,13 +50,18 @@ __all__ = [
 ]
 
 
+def _write_lines(path, header, lines) -> None:
+    """Write ``header``, then each text of ``lines`` as it comes."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(map(str, header)) + "\n")
+        fh.writelines(lines)
+
+
 def write_csv(path, header, rows) -> None:
     """Write ``header``, then each row of Python numbers as their ``repr``;
     ``None`` is an empty cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(map(str, header)) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")
+    lines = (",".join("" if v is None else repr(v) for v in row) + "\n" for row in rows)
+    _write_lines(path, header, lines)
 
 
 def _write_signal(path, header: list[str], x) -> None:
@@ -317,10 +323,14 @@ def read_json(path) -> dict:
 
 
 def write_spectrum_csv(path, grid: SpectrumGrid) -> None:
-    axes = [f for f in (grid.frequencies, grid.frequencies2) if f is not None]
-    names = ["frequency"] if len(axes) == 1 else ["f1", "f2"]
-    columns = [*np.meshgrid(*axes, indexing="ij"), grid.power, log10_power(grid.power)]
+    one_d = grid.frequencies2 is None
+    names = ["frequency"] if one_d else ["f1", "f2"]
+    firsts = [""] if one_d else [f"{f!r}," for f in grid.frequencies.tolist()]
+    lasts = [f"{f!r}," for f in (grid.frequencies if one_d else grid.frequencies2).tolist()]
+    power = grid.power.reshape(len(firsts), len(lasts))
     # Python floats for one line of the last axis at a time, not the grid.
-    lines = zip(*(c.reshape(-1, grid.power.shape[-1]) for c in columns))
-    rows = (row for line in lines for row in zip(*(c.tolist() for c in line)))
-    write_csv(path, [*names, "power", "log10_power"], rows)
+    lines = (
+        "".join(f"{f1}{f2}{p!r},{lp!r}\n" for f2, p, lp in zip(lasts, ps.tolist(), lps.tolist()))
+        for f1, ps, lps in zip(firsts, power, log10_power(power))
+    )
+    _write_lines(path, [*names, "power", "log10_power"], lines)

@@ -5,10 +5,10 @@ structure or evaluates a backward prediction error; these helpers do all
 three, for the tests only. They also hold the direct-sum forms of the two
 2D correlations the library takes by FFT: the lag blocks and the
 quarter-plane residual, the writer of the 2D signal CSV that the CLI
-only reads, and the 1D Burg lattice as it was before its stages were fused
-into one chunked sweep. :func:`exact_levinson` solves the normal
-equations with no rounding at all, so a route's distance from it is its
-own error.
+only reads, the spectrum CSV written one ``repr`` per cell, and the 1D
+Burg lattice as it was before its stages were fused into one chunked
+sweep. :func:`exact_levinson` solves the normal equations with no
+rounding at all, so a route's distance from it is its own error.
 """
 
 import math
@@ -20,6 +20,7 @@ from arspec.ar1d import LatticeBatch, _finish, _stage, _stops
 from arspec.autocorr import as_grid_2d, as_signal_1d
 from arspec.errors import DegenerateSignalError, NumericalError
 from arspec.io import write_csv
+from arspec.spectrum import SpectrumGrid, log10_power
 
 
 def _square(m) -> np.ndarray:
@@ -131,6 +132,17 @@ def write_signal_2d_csv(path, x) -> None:
     index = np.indices(x.shape).reshape(2, -1).T.tolist()
     rows = ([*i, z.real, z.imag] for i, z in zip(index, x.reshape(-1).tolist()))
     write_csv(path, ["k", "t", "re", "im"], rows)
+
+
+def write_spectrum_csv_per_cell(path, grid: SpectrumGrid) -> None:
+    """The spectrum CSV that :func:`arspec.io.write_spectrum_csv` writes, as
+    one ``repr`` per cell: the frequency columns from ``np.meshgrid``, then
+    every row through :func:`arspec.io.write_csv`."""
+    axes = [f for f in (grid.frequencies, grid.frequencies2) if f is not None]
+    names = ["frequency"] if len(axes) == 1 else ["f1", "f2"]
+    columns = [*np.meshgrid(*axes, indexing="ij"), grid.power, log10_power(grid.power)]
+    rows = zip(*(c.reshape(-1).tolist() for c in columns))
+    write_csv(path, [*names, "power", "log10_power"], rows)
 
 
 def burg_lattice_unfused(x: np.ndarray, order: int, padded: bool) -> LatticeBatch:

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import crandn
+from oracles import write_spectrum_csv_per_cell
 
 from arspec.ar1d import ArModel1D, levinson
 from arspec.ar2d import QuarterPlaneFilter, burg2d_modified, extract_quarter_plane_filter
+from arspec.io import write_spectrum_csv
 from arspec.linalg import max_rel_diff
 from arspec.siggen import Lcg32
 from arspec.spectrum import ar_spectrum_1d, ar_spectrum_2d, frequency_grid, log10_power
@@ -192,3 +196,60 @@ class TestDft:
         kernel = np.exp(-2j * np.pi * np.outer(k, k) / n)
         assert max_rel_diff(np.fft.fft(x), kernel @ x) <= 1e-12
         assert max_rel_diff(np.fft.ifft(x), (kernel.conj() @ x) / n) <= 1e-12
+
+
+def _model_1d(order: int, seed: int, power: float = 1.3) -> ArModel1D:
+    return ArModel1D(order, 0.2 * crandn(np.random.default_rng(seed), order), power, [])
+
+
+def _filter_2d(seed: int) -> QuarterPlaneFilter:
+    coeffs = 0.2 * crandn(np.random.default_rng(seed), 3, 2)
+    coeffs[0, 0] = 1.0
+    return QuarterPlaneFilter(coeffs, 0.8)
+
+
+class TestSpectrumCsv:
+    @pytest.mark.parametrize(
+        "grid, cells",
+        [
+            pytest.param(ar_spectrum_1d(_model_1d(3, 70), 2), b"", id="1d-2"),
+            pytest.param(ar_spectrum_1d(_model_1d(3, 71), 3), b"", id="1d-3"),
+            pytest.param(ar_spectrum_1d(_model_1d(15, 72), 1024), b"", id="1d-1024"),
+            pytest.param(ar_spectrum_2d(_filter_2d(73), 128, 128), b"", id="2d-128x128"),
+            # non-square grids: swapped axes would label the rows wrongly
+            pytest.param(ar_spectrum_2d(_filter_2d(74), 5, 8), b"", id="2d-5x8"),
+            pytest.param(ar_spectrum_2d(_filter_2d(75), 8, 5), b"", id="2d-8x5"),
+            # taps [1, -1] put a pole at f = 0: inf in power and log10_power
+            pytest.param(
+                ar_spectrum_1d(ArModel1D(1, np.array([-1.0 + 0.0j]), 1.0, []), 7),
+                b",inf,inf\n",
+                id="1d-pole",
+            ),
+            pytest.param(
+                ar_spectrum_2d(QuarterPlaneFilter(np.array([[1.0, -1.0 + 0.0j]]), 1.0), 5, 8),
+                b",inf,inf\n",
+                id="2d-pole",
+            ),
+            pytest.param(
+                ar_spectrum_1d(_model_1d(2, 76, power=0.0), 6), b",0.0,-inf\n", id="zero-power"
+            ),
+        ],
+    )
+    def test_bytes_match_one_repr_per_cell(self, tmp_path, grid, cells):
+        write_spectrum_csv(tmp_path / "got.csv", grid)
+        write_spectrum_csv_per_cell(tmp_path / "want.csv", grid)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert cells in got
+
+    def test_working_set_is_bounded(self, tmp_path):
+        # log10_power peaks near 2 * power.nbytes. Two frequency planes as
+        # large as the grid, or the grid as Python floats, would pass 3.
+        grid = ar_spectrum_2d(_filter_2d(77), 512, 512)
+        tracemalloc.start()
+        try:
+            write_spectrum_csv(tmp_path / "s.csv", grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * grid.power.nbytes
