@@ -21,13 +21,14 @@ w(k)``:
 
 :func:`burg_classic` computes the classic lattice's reflections from the
 biased lags instead of the error signals (Andersen 1974, *Geophysics*;
-Vos, "A Fast Implementation of Burg's Method", 2013): one lag sum per
-order plus O(m) work at stage ``m``, where the lattice makes several passes
-over its error signals per stage. Its window sums are differences of sums
-of size ``r_0``, so a record stays on that route only while every half-sum
-denominator stays above ``r_0 / FAST_BURG_BOUND`` (30), and then carries up
-to about that bound times the lattice's rounding error; any other record is
-recomputed on the error-signal lattice and gets its bits, stops and errors.
+Vos, "A Fast Implementation of Burg's Method", 2013): one FFT correlation
+for all the lags plus O(m) work at stage ``m``, where the lattice makes
+several passes over its error signals per stage. Its window sums are
+differences of sums of size ``r_0``, so a record stays on that route only
+while every half-sum denominator stays above ``r_0 / FAST_BURG_BOUND``
+(30), and then carries up to about that bound times the lattice's
+rounding error; any other record is recomputed on the error-signal
+lattice and gets its bits, stops and errors.
 
 All three populate a per-order history so a single run at order ``n``
 yields the models of every intermediate order. A stage keeps its
@@ -454,8 +455,9 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
     ``e_b(N-1..N+m-2)`` at the tail. The lattice recursion carries these
     edge errors to the next order, which needs one new sample per edge, and
     persymmetry carries ``g``: ``g'_i = g_i + conj(k) conj(g_{m-i})``, where
-    two new lag sums give ``g_{-1}`` and ``g_{m+1}``. So a stage costs a few
-    O(m) products after the O(N order) lags. That pays on long records only:
+    two new O(m) sums over the lags give ``g_{-1}`` and ``g_{m+1}``. So a
+    stage costs a few O(m) products after the lags, which take one FFT
+    correlation of the record. That pays on long records only:
     on complex noise it took 1.3-2.5x the lattice's time at N <= 4096, broke
     even at N=8192-16384 and took a seventh at N=1e5, order 400 (2 vCPUs).
 
@@ -470,7 +472,7 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
     so every stop, error and degenerate record gets the lattice's handling
     and bits; :func:`_finish` checks the records that stay, as the lattice
     checks its own. Their coefficients match the lattice's within 1e-12
-    relative on records of up to 200 samples (3.8e-12 to 4.0e-12 at N=1e5,
+    relative on records of up to 200 samples (1.7e-12 to 2.7e-12 at N=1e5,
     order 400, on the benchmark's two-tone records of seeds 1-5, where the
     lattice is 1.5e-14 to 1.6e-13 from a long-double lattice).
     """

@@ -8,9 +8,14 @@ makes the zero-padded lattice estimators agree with the autocorrelation
 route to machine precision. Unbiased and covariance-method variants are
 deliberately not provided.
 
-For 2D signals the channel embedding stacks each signal row into shifted,
-zero-filled copies (:func:`build_data_matrices`); its lag blocks, Hermitian
-Toeplitz-block-Toeplitz, come from one zero-padded 2D FFT correlation.
+Every lag, 1D and 2D, comes from one zero-padded FFT correlation: each
+transformed axis is padded to the 5-smooth length at or above the signal's
+length plus its largest lag, so no lag wraps. Its error is about
+``eps * r_0`` in absolute terms, not relative to each lag, and it takes no
+BLAS dot, so its bits do not depend on the BLAS thread count. For 2D
+signals the channel embedding stacks each signal row into shifted,
+zero-filled copies (:func:`build_data_matrices`); its lag blocks are
+Hermitian Toeplitz-block-Toeplitz.
 """
 
 import numpy as np
@@ -48,6 +53,42 @@ def as_grid_2d(x) -> np.ndarray:
     return x
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest 5-smooth length ``2^a 3^b 5^c`` at or above ``n``."""
+    best, five = 1 << (n - 1).bit_length(), 1
+    while five < best:
+        odd = five
+        while odd < best:
+            # the least power of two that takes ``odd`` to ``n`` or above
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
+def _correlation(x: np.ndarray, lengths: tuple) -> np.ndarray:
+    """Circular lag table ``c(t) = sum_k x(k+t) conj(x(k))`` over the last
+    ``len(lengths)`` axes of ``x``, each zero-padded to the 5-smooth length
+    at or above its entry of ``lengths``: lag ``t`` sits at index ``t`` and
+    lag ``-t`` at that length minus ``t``. Leading axes are separate records.
+    """
+    axes = tuple(range(-len(lengths), 0))
+    shape = [_smooth_length(n) for n in lengths]
+    spec = np.fft.fftn(x, shape, axes)
+    # |spec|^2 overflows long before the lags do: square each record's
+    # spectrum scaled by 2^-e, its largest component's binary exponent, and
+    # scale its lags back by 2^(2e). Powers of two are exact, so normal
+    # values keep their bits.
+    parts = spec.view(float)
+    peak = np.maximum(parts.max(axes, keepdims=True), -parts.min(axes, keepdims=True))
+    e = np.frexp(peak)[1]
+    np.ldexp(parts, -e, out=parts)
+    table = np.fft.ifftn(spec * spec.conj(), shape, axes)
+    parts = table.view(float)
+    np.ldexp(parts, 2 * e, out=parts)
+    return table
+
+
 def estimate_autocorr_1d(x, max_lag: int) -> np.ndarray:
     """Lags ``r_0 .. r_max_lag`` of the biased, unnormalized autocorrelation.
 
@@ -60,9 +101,7 @@ def estimate_autocorr_1d(x, max_lag: int) -> np.ndarray:
     n = stack.shape[1]
     if not 0 <= max_lag <= n - 1:
         raise ValueError(f"max_lag must be in [0, {n - 1}], got {max_lag}")
-    r = np.empty((len(stack), max_lag + 1), dtype=complex)
-    for t in range(max_lag + 1):
-        np.vecdot(stack[:, : n - t], stack[:, t:], out=r[:, t])
+    r = _correlation(stack, (n + max_lag,))[:, : max_lag + 1].copy()
     r[:, 0] = r[:, 0].real
     return r if x.ndim == 2 else r[0]
 
@@ -108,17 +147,8 @@ def estimate_block_autocorr_2d(x, n1: int, n2: int) -> np.ndarray:
         raise ValueError(f"n2 must be in [0, {cols - 1}], got {n2}")
 
     # rho[k, d + n2] = sum_{m,v} x(m+k, v-d) conj(x(m, v)), d = i - j
-    spec = np.fft.fft2(x, (rows + n1, cols + n2))
-    # |spec|^2 overflows long before the lags do: square the spectrum scaled
-    # by 2^-e, its largest component's binary exponent, and scale the lags
-    # back by 2^(2e). Powers of two are exact, so normal values keep their bits.
-    parts = spec.view(float)
-    e = int(np.frexp(max(parts.max(), -parts.min()))[1])
-    np.ldexp(parts, -e, out=parts)
-    lags = (n2 - np.arange(2 * n2 + 1)) % (cols + n2)
-    rho = np.fft.ifft2(spec * spec.conj())[: n1 + 1, lags]
-    for part in (rho.real, rho.imag):
-        np.ldexp(part, 2 * e, out=part)
+    table = _correlation(x, (rows + n1, cols + n2))
+    rho = table[: n1 + 1, (n2 - np.arange(2 * n2 + 1)) % table.shape[1]]
 
     p = n2 + 1
     diff = np.arange(p)[:, None] - np.arange(p)[None, :]

@@ -2,9 +2,9 @@
 
 The library never assembles the normal equations, tests a matrix for
 structure or evaluates a backward prediction error; these helpers do all
-three, for the tests only. They also hold the direct-sum forms of the two
-2D correlations the library takes by FFT: the lag blocks and the
-quarter-plane residual, the writer of the 2D signal CSV that the CLI
+three, for the tests only. They also hold the direct-sum forms of the
+correlations the library takes by FFT: the 1D lags, the 2D lag blocks and
+the quarter-plane residual, the writer of the 2D signal CSV that the CLI
 only reads, the spectrum CSV written one ``repr`` per cell, and the 1D
 Burg lattice as it was before its stages were fused into one chunked
 sweep. :func:`exact_levinson` solves the normal equations with no
@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from arspec.ar1d import LatticeBatch, _finish, _stage, _stops
-from arspec.autocorr import as_grid_2d, as_signal_1d
+from arspec.autocorr import as_grid_2d, as_signal_1d, as_signals_1d
 from arspec.errors import DegenerateSignalError, NumericalError
 from arspec.io import write_csv
 from arspec.spectrum import SpectrumGrid, log10_power
@@ -93,6 +93,19 @@ def backward_prediction_residual(x, coeffs) -> np.ndarray:
     x = as_signal_1d(x)
     filt = np.concatenate([[1.0 + 0.0j], np.asarray(coeffs, dtype=complex)])
     return np.convolve(filt[::-1].conj(), x)
+
+
+def autocorr_direct(x, max_lag: int) -> np.ndarray:
+    """Lags of :func:`arspec.autocorr.estimate_autocorr_1d`, one whole-record
+    ``np.vecdot`` per lag, of one record or of a ``(B, N)`` stack."""
+    x = np.asarray(x)
+    stack = as_signals_1d(x) if x.ndim == 2 else as_signal_1d(x)[None]
+    n = stack.shape[1]
+    r = np.empty((len(stack), max_lag + 1), dtype=complex)
+    for t in range(max_lag + 1):
+        np.vecdot(stack[:, : n - t], stack[:, t:], out=r[:, t])
+    r[:, 0] = r[:, 0].real
+    return r if x.ndim == 2 else r[0]
 
 
 def block_autocorr_direct(x, n1: int, n2: int) -> np.ndarray:

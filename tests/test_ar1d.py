@@ -721,31 +721,45 @@ class TestChunkedSweep:
                 lattice(x, 20, padded)
             assert str(raised.value) == message
 
-    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path, monkeypatch):
         # OpenBLAS splits a dot of more than 10000 samples across threads;
-        # the lattice's dots are at most CHUNK samples. The tone leaves
-        # burg_classic_batch's lag route for the shrinking lattice.
+        # the lattice's dots are at most CHUNK samples and the lags take no
+        # dot at all. The tone leaves burg_classic_batch's lag route for the
+        # shrinking lattice; the noise stays on it.
         script = (
-            "import hashlib, numpy as np\n"
-            "from arspec import ar1d\n"
+            "import hashlib, sys, numpy as np\n"
+            "from arspec import ar1d, cli, io\n"
+            "from arspec.autocorr import estimate_autocorr_1d\n"
             "from arspec.siggen import Lcg32\n"
             "x = Lcg32(3).complex_normal(20000)\n"
             "tone = np.exp(2j * np.pi * 0.1 * np.arange(20000)) + 1e-3 * x\n"
             "for batch in (ar1d.burg_modified_batch(x[None], 8),\n"
             "              ar1d.burg_classic_batch(tone[None], 8),\n"
-            "              ar1d._burg_lattice(tone[None], 8, padded=False)):\n"
+            "              ar1d._burg_lattice(tone[None], 8, padded=False),\n"
+            "              ar1d.levinson_batch(estimate_autocorr_1d(x[None], 8), 8),\n"
+            "              ar1d.burg_classic_batch(x[None], 8)):\n"
             "    data = batch.coeffs.tobytes() + batch.powers.tobytes() + batch.stages.tobytes()\n"
             "    print(hashlib.sha256(data).hexdigest())\n"
+            "signal, model = sys.argv[1] + '.csv', sys.argv[1] + '.json'\n"
+            "io.write_signal_csv(signal, x)\n"
+            "assert cli.main(['est1d', '--method', 'levinson', '--order', '8',\n"
+            "                 '--in', signal, '--out', model]) == 0\n"
+            "with open(model, 'rb') as f:\n"
+            "    print(hashlib.sha256(f.read()).hexdigest())\n"
         )
         src = str(Path(ar1d.__file__).parents[1])
         digests = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
             run = subprocess.run(
-                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+                [sys.executable, "-c", script, str(tmp_path / threads)],
+                env=env, capture_output=True, text=True, timeout=60,
             )
             assert run.returncode == 0, run.stderr
             digests.append(run.stdout.split())
-        _, classic, lattice = digests[0]
+        _, classic, lattice, *_ = digests[0]
         assert classic == lattice
         assert digests[0] == digests[1]
+        # The noise record never reaches the lattice.
+        monkeypatch.setattr(ar1d, "_burg_lattice", None)
+        burg_classic_batch(Lcg32(3).complex_normal(20000)[None], 8)
