@@ -22,7 +22,7 @@ w(k)``:
 :func:`burg_classic` computes the classic lattice's reflections from the
 biased lags instead of the error signals (Andersen 1974, *Geophysics*;
 Vos, "A Fast Implementation of Burg's Method", 2013): one FFT correlation
-for all the lags plus O(m) work at stage ``m``, where the lattice makes
+for all the lags plus O(order) work per stage, where the lattice makes
 several passes over its error signals per stage. Its window sums are
 differences of sums of size ``r_0``, so a record stays on that route only
 while every half-sum denominator stays above ``r_0 / FAST_BURG_BOUND``
@@ -441,8 +441,8 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
     ``P_m = P_{m-1} (1 - |k_m|^2)`` recursion from ``P_0 = sum |x|^2``,
     stopping at 0 where ``|k_m|^2`` rounds past 1.
 
-    The sums come from the biased lags ``r_0 .. r_order`` and O(m) work at
-    stage ``m`` (Andersen 1974, *Geophysics*; Vos, "A Fast Implementation
+    The sums come from the biased lags ``r_0 .. r_order`` and O(order) work
+    per stage (Andersen 1974, *Geophysics*; Vos, "A Fast Implementation
     of Burg's Method", 2013), not from several passes over the error
     signals per stage. Stage ``m`` needs the energies and the cross term
     of the order-``m-1`` errors, whose coefficients are ``A = [1, a_1 ..
@@ -454,12 +454,12 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
     and ``e_b(-1..m-2)`` at the head, ``e_f(N..N+m-1)`` and
     ``e_b(N-1..N+m-2)`` at the tail. The lattice recursion carries these
     edge errors to the next order, which needs one new sample per edge, and
-    persymmetry carries ``g``: ``g'_i = g_i + conj(k) conj(g_{m-i})``, where
-    two new O(m) sums over the lags give ``g_{-1}`` and ``g_{m+1}``. So a
-    stage costs a few O(m) products after the lags, which take one FFT
-    correlation of the record. That pays on long records only:
-    on complex noise it took 1.3-2.5x the lattice's time at N <= 4096, broke
-    even at N=8192-16384 and took a seventh at N=1e5, order 400 (2 vCPUs).
+    persymmetry carries ``g``, one table over ``[-order, order]`` built from
+    the lags: ``g'_i = g_i + conj(k) conj(g_{m-i})`` on the ``i`` whose
+    mirror is in it, all a later stage reads. So a stage costs a few
+    O(order) products after one FFT correlation for the lags. That pays on
+    long records only: on complex noise it took 1.1-1.7x the lattice's time
+    at N <= 4096, 0.7x at N=16384 and an eighth at N=1e5, order 400 (2 vCPUs).
 
     Each window sum is a difference of sums of size ``r_0``, so its
     relative error grows like ``r_0 / D_m`` for the half-sum denominator
@@ -472,7 +472,7 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
     so every stop, error and degenerate record gets the lattice's handling
     and bits; :func:`_finish` checks the records that stay, as the lattice
     checks its own. Their coefficients match the lattice's within 1e-12
-    relative on records of up to 200 samples (1.7e-12 to 2.7e-12 at N=1e5,
+    relative on records of up to 200 samples (1.2e-12 to 3.2e-12 at N=1e5,
     order 400, on the benchmark's two-tone records of seeds 1-5, where the
     lattice is 1.5e-14 to 1.6e-13 from a long-double lattice).
     """
@@ -483,10 +483,8 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
     batch = LatticeBatch.start(r0, order)
     floor = r0 / FAST_BURG_BOUND
     fast = (floor >= np.finfo(float).tiny) & (r0 <= 0.5 * np.finfo(float).max)
-    # g[:, i + 1] holds g_i, from g_{-1} on.
-    g = np.zeros((n_rec, order + 2), dtype=complex)
-    g[:, 1] = r0
-    g[:, 2] = r[:, 1].conj()
+    # g[:, order + i] holds g_i for i in [-order, order]; A = [1] gives g_i = r_{-i}.
+    g = np.concatenate((r[:, :0:-1], r.conj()), axis=1)
     # The edge errors by direction and edge: edges[0, 0, :, i] = e_f(i),
     # edges[1, 0, :, i] = e_b(i-1), edges[0, 1, :, i] = e_f(N+i) and
     # edges[1, 1, :, i] = e_b(N-1+i). Each stage builds the next ones in a
@@ -500,8 +498,8 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
     with np.errstate(all="ignore"):
         for m in range(1, order + 1):
             f, b = edges
-            form = g[:, 1] + np.vecdot(conj, g[:, 2 : m + 1])
-            cross = (g[:, m + 1] + np.vecdot(a, g[:, m:1:-1])).conj()
+            form = g[:, order] + np.vecdot(conj, g[:, order + 1 : order + m])
+            cross = (g[:, order + m] + np.vecdot(a, g[:, order + m - 1 : order : -1])).conj()
             den = form.real - 0.5 * np.vecdot(edges, edges).real.sum((0, 1))
             fast &= (floor <= den) & (den <= r0)
             num = np.vecdot(b, f).sum(0) - cross
@@ -516,10 +514,8 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
             edges[1, ..., 1:] = b + kcol.conj() * f
             edges[0, 0, :, m] = x[:, m] + np.vecdot(new_conj, x[:, m - 1 :: -1])
             edges[1, 1, :, 0] = x[:, n - 1 - m] + np.vecdot(new_a, x[:, n - m :])
-            # g of the order-m coefficients: g_{-1} and g_{m+1}, then persymmetry.
-            g[:, 0] = r[:, 1] + np.vecdot(a, r[:, 2 : m + 1])
-            g[:, m + 2] = (r[:, m + 1] + np.vecdot(conj, r[:, m:1:-1])).conj()
-            g[:, 1 : m + 3] += kcol.conj() * g[:, m + 1 :: -1].conj()
+            # g of the order-m coefficients, where the mirror m - i is in the table.
+            g[:, m:] += kcol.conj() * g[:, : m - 1 : -1].conj()
             a, conj = new_a, new_conj
     slow = ~fast
     if np.count_nonzero(slow):

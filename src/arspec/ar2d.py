@@ -21,8 +21,8 @@ linear prediction into multichannel prediction with coefficient MATRICES
   ``Pf`` and ``Pb`` are exactly Hermitian. The classic lattice's supports
   shrink by one row per order; the products of the two blocks that drop
   out complete its recorded ``Pf`` and ``Pb``. :func:`burg2d_classic`
-  takes the same moments from the lag blocks instead, as block-Toeplitz
-  forms of each stage's coefficients minus the edge blocks its window
+  takes the same moments from the lag blocks instead, through a carried
+  table of block forms of its coefficients minus the edge blocks its window
   drops, and hands a grid to the lattice when a stage denominator's
   Cholesky pivots fall below ``2 R_0[0,0] / FAST_BURG_BOUND``. The modified lattice's
   supports grow over zero-padded rows; its coefficient matrices then equal
@@ -328,10 +328,14 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
     failed Cholesky's ``LinAlgError`` (see :func:`burg2d_classic`).
 
     Stage ``m`` takes the moments of its order-``m`` errors over the
-    zero-padded support as forms of ``Ar = [I, A_1 .. A_m]`` and
-    ``Cr = [C_0 .. C_m]``, ``C_j = J A_{m-j}^* J``, over the Hermitian
-    block-Toeplitz ``T[i, j] = R_{j-i}``: ``Pf = Ar T Ar^H``,
-    ``Pb = Cr T Cr^H = J Pf^* J`` and ``Pfb = sum_{i,j} A_i R_{j+1-i} C_j^H``.
+    zero-padded support from one table of block forms of its taps ``A_0 =
+    I, A_1 .. A_m``, ``G_i = sum_j R_{j-i} A_j^H`` for ``i`` in ``[-(n1+1),
+    n1+1]``: ``Pf = sum_i A_i G_i``, ``Pb = J Pf^* J`` and ``Pfb = sum_i A_i
+    J G_{m+1-i}^* J``, as ``R_t J = J R_t^T``. Built as ``G_i = R_{-i}``, the
+    table follows each order update by persymmetry, ``G'_i = G_i + J
+    G_{m+1-i}^* J A_nn^H``. Every complex product, the per-tap ones of the
+    new edge blocks too, has inner dimension ``p``, so the route's bits do
+    not depend on the BLAS thread count.
     The window moments subtract the Gram of the edge errors, kept in the
     lattice's real layout: block ``k`` of the head holds ``e_f(k)`` over
     ``D(k) = e_b(k-1)`` for ``k`` in ``[0, m]``, and block ``k`` of the tail
@@ -345,45 +349,41 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
     n1_len, p, width = len(x), channel_order + 1, x.shape[1] + channel_order
     # The new edge blocks read only the first and the last order + 1 data
     # matrices, stacked as X(order) .. X(0) and X(N1-1) .. X(N1-1-order).
-    early, late = (build_data_matrices(rows, channel_order).reshape(-1, width)
+    early, late = (build_data_matrices(rows, channel_order)
                    for rows in (x[order::-1], x[::-1][: order + 1]))
     lags = estimate_block_autocorr_2d(x, order + 1, channel_order)
     r0 = lags[0, 0, 0].real
     floor = 2.0 * r0 / FAST_BURG_BOUND
     if not (floor >= np.finfo(float).tiny and r0 <= 0.5 * np.finfo(float).max):
         raise NumericalError(f"R_0[0,0] = {r0:.3e} is out of the lag route's range")
-    # toeplitz[i, j] = R_{j-i} over block rows [0, order] and block columns [0, order + 1].
-    both = np.concatenate((lags[:0:-1].conj().transpose(0, 2, 1), lags))
-    shift = np.arange(order + 2) - np.arange(order + 1)[:, None] + order + 1
-    toeplitz = both[shift].transpose(0, 2, 1, 3).reshape((order + 1) * p, (order + 2) * p)
+    # g[order + 1 + i] holds G_i for i in [-(order + 1), order + 1]; A = [I] gives G_i = R_{-i}.
+    g = np.concatenate((lags[::-1], lags[1:].conj().transpose(0, 2, 1)))
 
     # edges[0] and edges[1] swap as the lattice's buffers do; edges[:, 0] is the head.
     span = (order + 1) * width
     edges = np.zeros((2, 2, 4 * p, span))
-    _put_real(edges[0, 0, : 2 * p, :width], early[-p:][None])
-    _put_real(edges[0, 1, 2 * p :, :width], late[:p][None])
+    _put_real(edges[0, 0, : 2 * p, :width], early[-1:])
+    _put_real(edges[0, 1, 2 * p :, :width], late[:1])
     taps = np.zeros((order + 1, p, p), dtype=complex)  # I, A_1 .. A_order
     taps[0] = np.eye(p)
     coeffs = taps[1:]
     history: list[BlockStage] = []
     for m in range(order + 1):
-        ar = taps[: m + 1].transpose(1, 0, 2).reshape(p, -1)
-        cr = taps[m::-1, ::-1, ::-1].conj().transpose(1, 0, 2).reshape(p, -1)
+        ar, cr = taps[: m + 1], taps[m::-1, ::-1, ::-1].conj()
         if m:
             edges = edges[::-1]  # the order-(m-1) edges move to edges[1]
             _advance(coeffs[m - 1], edges[1], edges[0], slice(0, m), width)
             _put_real(edges[0, 0, : 2 * p, m * width : (m + 1) * width],
-                      (ar @ early[(order - m) * p :])[None])
-            _put_real(edges[0, 1, 2 * p :, :width], (cr @ late[: (m + 1) * p])[None])
+                      (ar @ early[order - m :]).sum(0)[None])
+            _put_real(edges[0, 1, 2 * p :, :width], (cr @ late[: m + 1]).sum(0)[None])
         head, tail = edges[0]
-        forms = ar @ toeplitz[: (m + 1) * p, : (m + 2) * p]
-        pf_pad = forms[:, : (m + 1) * p] @ ar.conj().T
+        pf_pad = (ar @ g[order + 1 : order + m + 2]).sum(0)
         mom = np.empty((2 * p, 2 * p), dtype=complex)
         # (Pf + Pf^H) / 2 is exactly Hermitian: an entry rounds the
         # conjugates of the terms of its mirror entry.
         mom[:p, :p] = (pf_pad + pf_pad.conj().T) * 0.5
         mom[p:, p:] = exchange_conj(mom[:p, :p])
-        mom[:p, p:] = forms[:, p:] @ cr.conj().T
+        mom[:p, p:] = (ar @ g[order + m + 2 : order + 1 : -1, ::-1, ::-1].conj()).sum(0)
         mom[p:, :p] = mom[:p, p:].conj().T
         mom -= _gram(head[:, : (m + 1) * width]) + _gram(tail[:, : (m + 1) * width])
         pf, pb, pfb = mom[:p, :p], mom[p:, p:], mom[:p, p:]
@@ -399,7 +399,10 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
             raise NumericalError(f"pivot {pivots.min():.3e} under floor {floor:.3e} at order {m}")
         history.append(BlockStage(m, coeffs[:m].copy(), full[p:, p:], full[:p, :p], pfb, criterion))
         if m < order:
-            _extend_block(coeffs, m + 1, _coefficient(pf, pb, pfb))
+            a_nn = _coefficient(pf, pb, pfb)
+            # G of the order-(m+1) taps, where the mirror m + 1 - i is in the table.
+            g[m + 1 :] += g[: m : -1, ::-1, ::-1].conj() @ a_nn.conj().T
+            _extend_block(coeffs, m + 1, a_nn)
     return _finish(coeffs.copy(), history, n1_len - order)
 
 
@@ -430,10 +433,10 @@ def burg2d_classic(x, order: int, channel_order: int) -> ArModel2D:
     the last stage, which bounds the moments the last stage records, and
     which is zero at ``n1 = N1 - 1``. The route raises to hand any other
     grid to the error-block lattice, which recomputes it in full and gives
-    it its bits and errors. On a 128x128 grid of two plane waves in noise
-    at ``n1 = n2 = 16`` the coefficients match the lattice's within 2.5e-13
-    relative, ``Pf`` and ``Pb`` within 4e-14 and ``Pfb`` within 1.3e-12, in
-    under a third of its time.
+    it its bits and errors. On 128x128 grids of two plane waves in noise
+    at ``n1 = n2 = 16`` the coefficients match the lattice's within 1.1e-13
+    relative, ``Pf`` and ``Pb`` within 1.4e-14 and ``Pfb`` within 7.6e-13, in
+    about a third of its time.
     """
     x = grid_for_order(x, order)
     # Near the ends of the double range the forms may overflow or lose

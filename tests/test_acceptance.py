@@ -410,7 +410,7 @@ def test_c11_mse_vs_order_replication_2d():
 def test_c12_exact_oracle_1d():
     # Each route against the exact solution of the normal equations on the
     # paper record (N=20, p=15, 30 dB), relative to each stage's max|a|:
-    # the zero-padded lattice erred by 2.1e-16 and Levinson by 4.9e-15. A
+    # the zero-padded lattice erred by 2.1e-16 and Levinson by 5.3e-15. A
     # second record of complex noise (N=64, p=20) is reported alongside.
     records = {
         "paper record": (gen_noisy_sinusoid(SynthConfig(20, 0.25, 0.0, 30.0, 1)), 15),

@@ -10,7 +10,12 @@ import pytest
 from conftest import crandn
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import backward_prediction_residual, burg_lattice_unfused, toeplitz_matrix
+from oracles import (
+    backward_prediction_residual,
+    burg_lattice_unfused,
+    toeplitz_matrix,
+    write_signal_2d_csv,
+)
 
 from arspec.ar1d import (
     ArModel1D,
@@ -25,8 +30,9 @@ from arspec.ar1d import (
     residual_mse,
 )
 from arspec.autocorr import estimate_autocorr_1d
-from arspec import ar1d
+from arspec import ar1d, ar2d
 from arspec.errors import DegenerateSignalError, NumericalError, SingularityError
+from arspec.io import write_signal_csv
 from arspec.linalg import max_rel_diff, solve_hermitian_dense
 from arspec.siggen import Lcg32, SynthConfig, gen_noisy_sinusoid
 
@@ -722,44 +728,71 @@ class TestChunkedSweep:
             assert str(raised.value) == message
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path, monkeypatch):
-        # OpenBLAS splits a dot of more than 10000 samples across threads;
-        # the lattice's dots are at most CHUNK samples and the lags take no
-        # dot at all. The tone leaves burg_classic_batch's lag route for the
-        # shrinking lattice; the noise stays on it.
+        # Every estimator, 1D and 2D, and est1d/est2d through the CLI. OpenBLAS
+        # splits a dot of more than 10000 samples, and a large complex matrix
+        # product, across threads; the 1D lattice's dots are at most CHUNK
+        # samples, the lags take no dot at all, and the complex products of
+        # the 2D lag route have inner dimension p. The tone leaves
+        # burg_classic_batch's lag route for the shrinking lattice; the noise
+        # record and the grid stay on theirs. The second run places
+        # allocations between the calls, which must not move a bit either.
         script = (
             "import hashlib, sys, numpy as np\n"
-            "from arspec import ar1d, cli, io\n"
-            "from arspec.autocorr import estimate_autocorr_1d\n"
+            "from arspec import ar1d, ar2d, cli\n"
+            "from arspec.autocorr import estimate_autocorr_1d, estimate_block_autocorr_2d\n"
             "from arspec.siggen import Lcg32\n"
+            "signal, grid_csv, out = sys.argv[1:]\n"
             "x = Lcg32(3).complex_normal(20000)\n"
             "tone = np.exp(2j * np.pi * 0.1 * np.arange(20000)) + 1e-3 * x\n"
-            "for batch in (ar1d.burg_modified_batch(x[None], 8),\n"
-            "              ar1d.burg_classic_batch(tone[None], 8),\n"
-            "              ar1d._burg_lattice(tone[None], 8, padded=False),\n"
-            "              ar1d.levinson_batch(estimate_autocorr_1d(x[None], 8), 8),\n"
-            "              ar1d.burg_classic_batch(x[None], 8)):\n"
-            "    data = batch.coeffs.tobytes() + batch.powers.tobytes() + batch.stages.tobytes()\n"
-            "    print(hashlib.sha256(data).hexdigest())\n"
-            "signal, model = sys.argv[1] + '.csv', sys.argv[1] + '.json'\n"
-            "io.write_signal_csv(signal, x)\n"
-            "assert cli.main(['est1d', '--method', 'levinson', '--order', '8',\n"
-            "                 '--in', signal, '--out', model]) == 0\n"
-            "with open(model, 'rb') as f:\n"
-            "    print(hashlib.sha256(f.read()).hexdigest())\n"
+            "grid = Lcg32(4).complex_normal(16384).reshape(128, 128)\n"
+            "def sha(*parts):\n"
+            "    return hashlib.sha256(b''.join(np.asarray(a).tobytes() for a in parts)).hexdigest()\n"
+            "def digests():\n"
+            "    for batch in (ar1d.burg_modified_batch(x[None], 8),\n"
+            "                  ar1d.burg_classic_batch(tone[None], 8),\n"
+            "                  ar1d._burg_lattice(tone[None], 8, padded=False),\n"
+            "                  ar1d.levinson_batch(estimate_autocorr_1d(x[None], 8), 8),\n"
+            "                  ar1d.burg_classic_batch(x[None], 8)):\n"
+            "        yield sha(batch.coeffs, batch.powers, batch.stages)\n"
+            "    for model in (ar2d.wwra(estimate_block_autocorr_2d(grid, 16, 16), 16),\n"
+            "                  ar2d.burg2d_classic(grid, 16, 16),\n"
+            "                  ar2d.burg2d_modified(grid, 16, 16)):\n"
+            "        yield sha(model.coeffs, model.error_power)\n"
+            "    for argv in (['est1d', '--method', 'levinson', '--order', '8', '--in', signal],\n"
+            "                 ['est1d', '--method', 'burg', '--order', '8', '--in', signal],\n"
+            "                 ['est2d', '--method', 'burg2d', '--n1', '16', '--n2', '16',\n"
+            "                  '--in', grid_csv]):\n"
+            "        assert cli.main([*argv, '--out', out]) == 0\n"
+            "        for path in (out, out + '.filter.json')[: 1 + (argv[0] == 'est2d')]:\n"
+            "            with open(path, 'rb') as f:\n"
+            "                yield hashlib.sha256(f.read()).hexdigest()\n"
+            "first, held = list(digests()), []\n"
+            "for n, digest in enumerate(digests()):\n"
+            "    held.append(np.empty(1 + 7919 * (n % 5)))\n"
+            "    print(digest, first[n])\n"
         )
+        signal, grid_csv = tmp_path / "signal.csv", tmp_path / "grid.csv"
+        write_signal_csv(signal, Lcg32(3).complex_normal(20000))
+        write_signal_2d_csv(grid_csv, Lcg32(4).complex_normal(16384).reshape(128, 128))
         src = str(Path(ar1d.__file__).parents[1])
         digests = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            argv = [str(signal), str(grid_csv), str(tmp_path / f"model{threads}.json")]
             run = subprocess.run(
-                [sys.executable, "-c", script, str(tmp_path / threads)],
+                [sys.executable, "-c", script, *argv],
                 env=env, capture_output=True, text=True, timeout=60,
             )
             assert run.returncode == 0, run.stderr
-            digests.append(run.stdout.split())
+            pairs = [line.split() for line in run.stdout.splitlines()]
+            assert len(pairs) == 12
+            assert all(again == first for again, first in pairs)
+            digests.append([first for _, first in pairs])
         _, classic, lattice, *_ = digests[0]
         assert classic == lattice
         assert digests[0] == digests[1]
-        # The noise record never reaches the lattice.
+        # The noise record and the grid never reach the lattices.
         monkeypatch.setattr(ar1d, "_burg_lattice", None)
         burg_classic_batch(Lcg32(3).complex_normal(20000)[None], 8)
+        monkeypatch.setattr(ar2d, "_burg2d_lattice", None)
+        ar2d.burg2d_classic(Lcg32(4).complex_normal(16384).reshape(128, 128), 16, 16)

@@ -2,7 +2,9 @@ import argparse
 import json
 import math
 import platform
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -933,6 +935,29 @@ class TestManifests:
         assert manifest["parameters"]["methods"] == ["burg", "levinson"]
         assert manifest["parameters"]["snr_db"] == 30.0
         assert manifest["early_stop"] == {}
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _readme_commands() -> list:
+    """The argv of every ``arspec`` line of the README's ``## Command line``
+    code block."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("arspec ")]
+
+
+class TestReadme:
+    def test_every_command_line_example_exits_zero(self, tmp_path, monkeypatch):
+        # grid.csv is the reader's own grid; every other input is written
+        # by an earlier line of the block.
+        write_signal_2d_csv(tmp_path / "grid.csv", crandn(np.random.default_rng(78), 6, 6))
+        monkeypatch.chdir(tmp_path)
+        commands = _readme_commands()
+        assert {argv[0] for argv in commands} == {"gen", "est1d", "spectrum", "est2d", "experiment"}
+        for argv in commands:
+            assert main(argv) == 0, argv
 
 
 def _commands(parser, prefix=()):
