@@ -42,10 +42,13 @@ The recursions run batch-first: :func:`levinson_batch`,
 :func:`burg_classic_batch` and :func:`burg_modified_batch` take a
 ``(B, N)`` stack of equal-length records (``(B, L)`` lag sequences for
 Levinson), validate it once, reduce along the last axis with ``np.vecdot``
-and return a :class:`LatticeBatch` of stacked stages. Each record stops on
-its own at the unit circle; from then on its reflection is 0, its
-denominators are masked and it gets no more stages, and the degenerate,
-singular and non-finite checks look at the records still running.
+and return a :class:`LatticeBatch` of stacked stages. Each takes a stage
+with one call of :func:`_stage`, the one stage rule: it records the
+reflection, coefficients and error power of every record, and stops each
+record whose ``|k|`` reaches ``1 - UNIT_CIRCLE_TOL``. A record stops on its
+own; from then on its reflection is 0, its denominators are masked and it
+gets no more stages, and the degenerate, singular and non-finite checks
+look at the records still running.
 :func:`levinson`, :func:`burg_classic` and :func:`burg_modified` run a
 batch of one and wrap its stages as :class:`LatticeStage` views. A stage's
 error power stops at 0 where ``|k|^2`` rounds past 1.
@@ -189,12 +192,15 @@ def stack_for_order(x, order: int) -> np.ndarray:
 
 
 def _stage(batch: LatticeBatch, m: int, num, den, conj: np.ndarray, live: np.ndarray) -> tuple:
-    """Record stage ``m`` of every record, whose reflection is ``num / den``.
+    """Record stage ``m`` of every record, whose reflection is ``num / den``,
+    and end at stage ``m`` every record whose ``|k|`` reaches ``1 -
+    UNIT_CIRCLE_TOL``.
 
     ``conj`` holds the conjugated stage ``m - 1`` coefficients. A record
     that ``live`` marks stopped keeps ``k = 0``, its slot's start value, so
     its coefficients and power stay unchanged. Returns the reflections as a
-    ``(B, 1)`` column and the conjugated stage ``m`` coefficients.
+    ``(B, 1)`` column, the conjugated stage ``m`` coefficients and the new
+    live mask.
     """
     lo = m * (m - 1) // 2
     row = batch.coeffs[:, lo : lo + m]
@@ -209,18 +215,12 @@ def _stage(batch: LatticeBatch, m: int, num, den, conj: np.ndarray, live: np.nda
     np.maximum(factor, 0.0, out=factor, where=factor > -np.inf)
     powers = batch.powers.T
     np.multiply(powers[m - 1], factor, out=powers[m])
-    return kcol, row.conj()
-
-
-def _stops(batch: LatticeBatch, m: int, k: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Stop every record whose stage-``m`` reflection reached the unit
-    circle; returns the new live mask."""
     # np.hypot rounds as abs() of a complex scalar does; np.abs need not.
-    hit = np.hypot(k.real, k.imag) >= 1.0 - UNIT_CIRCLE_TOL
+    hit = np.hypot(kcol.real, kcol.imag)[:, 0] >= 1.0 - UNIT_CIRCLE_TOL
     if np.count_nonzero(hit):
         batch.stages[hit] = m
         live = live & ~hit
-    return live
+    return kcol, row.conj(), live
 
 
 def _finish(batch: LatticeBatch, live: np.ndarray) -> LatticeBatch:
@@ -291,8 +291,7 @@ def levinson_batch(r, order: int) -> LatticeBatch:
     live = np.ones(len(r0), dtype=bool)
     for m in range(1, order + 1):
         delta = lags[m] + np.vecdot(conj, r[:, m - 1 : 0 : -1])
-        kcol, conj = _stage(batch, m, -delta, powers[m - 1], conj, live)
-        live = _stops(batch, m, kcol[:, 0], live)
+        kcol, conj, live = _stage(batch, m, -delta, powers[m - 1], conj, live)
         if m == order or not np.count_nonzero(live):
             break
         vanished = live & (powers[m] <= floor)
@@ -417,8 +416,7 @@ def _burg_lattice(x: np.ndarray, order: int, padded: bool) -> LatticeBatch:
             raise NumericalError(
                 f"error energy {denom[b]:.3e} below the normal double range at order {m}"
             )
-        kcol, conj = _stage(batch, m, -bf, denom, conj, live)
-        live = _stops(batch, m, kcol[:, 0], live)
+        kcol, conj, live = _stage(batch, m, -bf, denom, conj, live)
         if m == order or not np.count_nonzero(live):
             break
         ff, bb, bf = _sweep(ef, eb, eb_next, window(m + 1), kcol, window(m))
@@ -458,8 +456,8 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
     the lags: ``g'_i = g_i + conj(k) conj(g_{m-i})`` on the ``i`` whose
     mirror is in it, all a later stage reads. So a stage costs a few
     O(order) products after one FFT correlation for the lags. That pays on
-    long records only: on complex noise it took 1.1-1.7x the lattice's time
-    at N <= 4096, 0.7x at N=16384 and an eighth at N=1e5, order 400 (2 vCPUs).
+    long records only; the README's ``arspec.ar1d`` row gives the measured
+    times.
 
     Each window sum is a difference of sums of size ``r_0``, so its
     relative error grows like ``r_0 / D_m`` for the half-sum denominator
@@ -503,7 +501,11 @@ def burg_classic_batch(x, order: int) -> LatticeBatch:
             den = form.real - 0.5 * np.vecdot(edges, edges).real.sum((0, 1))
             fast &= (floor <= den) & (den <= r0)
             num = np.vecdot(b, f).sum(0) - cross
-            kcol, new_conj = _stage(batch, m, num, den, conj, fast)
+            # A kept record has floor <= den <= r_0, and a reflection at the
+            # unit circle has 1 - |k|^2 <= 2e-14, so the guard below drops
+            # the record, and the lattice that recomputes it overwrites its
+            # stop: the route ignores the stop mask.
+            kcol, new_conj, _ = _stage(batch, m, num, den, conj, fast)
             fast &= floor <= den * (1.0 - np.vecdot(kcol, kcol).real)
             if m == order or not np.count_nonzero(fast):
                 break

@@ -270,6 +270,24 @@ def _advance(a_nn: np.ndarray, cur: np.ndarray, nxt: np.ndarray, blocks: slice, 
     nxt[..., 2 * p :, ahead] += cur[..., 2 * p :, win]
 
 
+def _record(history: list, coeffs: np.ndarray, full: np.ndarray, pfb: np.ndarray) -> None:
+    """Append the lattice stage ``m = len(history)``: its coefficients
+    ``coeffs[:m]``, ``Pf`` and ``Pb`` from the diagonal blocks of ``full``,
+    the cross moment ``pfb`` and the criterion, the trace of ``full``.
+
+    Raises :class:`NumericalError` if the criterion overflows while every
+    diagonal entry is finite. A non-finite entry is left to :func:`_finish`.
+    """
+    m, p = len(history), len(pfb)
+    # The trace sums 2p entries near the grid's energy, and can overflow
+    # where none of them does.
+    with np.errstate(over="ignore"):
+        criterion = float(full.trace().real)
+    if np.isinf(criterion) and np.isfinite(full.diagonal()).all():
+        raise NumericalError(f"criterion (the error-power trace) overflows at order {m}")
+    history.append(BlockStage(m, coeffs[:m].copy(), full[p:, p:], full[:p, :p], pfb, criterion))
+
+
 def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2D:
     """The block Burg lattice of both 2D estimators, over either support.
 
@@ -311,14 +329,7 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
             first = cur[: 2 * p, (lo - 1) * width : lo * width]
             last = cur[2 * p :, hi * width : (hi + 1) * width]
             full = mom + _gram(np.concatenate((first, last)))
-        # The trace sums 2p entries near the grid's energy, and can overflow
-        # where none of them does.
-        with np.errstate(over="ignore"):
-            criterion = float(full.trace().real)
-        if np.isinf(criterion) and np.isfinite(full.diagonal()).all():
-            raise NumericalError(f"criterion (the error-power trace) overflows at order {m}")
-        stage = BlockStage(m, coeffs[:m].copy(), full[p:, p:], full[:p, :p], pfb, criterion)
-        history.append(stage)
+        _record(history, coeffs, full, pfb)
     return _finish(coeffs, history, n1_len + order if padded else n1_len - order)
 
 
@@ -389,15 +400,14 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
         pf, pb, pfb = mom[:p, :p], mom[p:, p:], mom[:p, p:]
         first = head[: 2 * p, m * width : (m + 1) * width]
         full = mom + _gram(np.concatenate((first, tail[2 * p :, :width])))
-        criterion = float(full.trace().real)
-        if not (np.isfinite(full).all() and np.isfinite(criterion)):
+        if not np.isfinite(full).all():
             raise NumericalError(f"non-finite moments at order {m}")
         # The next stage's denominator, also after the last stage: it bounds
         # the window moments this stage records.
         pivots = np.abs(np.linalg.cholesky(pb + exchange_conj(pf)).diagonal()) ** 2
         if not pivots.min() >= floor:
             raise NumericalError(f"pivot {pivots.min():.3e} under floor {floor:.3e} at order {m}")
-        history.append(BlockStage(m, coeffs[:m].copy(), full[p:, p:], full[:p, :p], pfb, criterion))
+        _record(history, coeffs, full, pfb)
         if m < order:
             a_nn = _coefficient(pf, pb, pfb)
             # G of the order-(m+1) taps, where the mirror m + 1 - i is in the table.

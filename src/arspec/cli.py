@@ -32,6 +32,11 @@ byte-for-byte; all randomness flows from the explicit seed. A command that
 takes ``--seed`` and is not given it reads the ``ARSPEC_SEED`` environment
 default (1 when unset); other commands never read it.
 
+Before a recipe runs, :func:`main` resolves ``--in``, ``--out``,
+``--filter-out`` and the manifest path, defaults included: an existing
+file by its inode, any other path with ``os.path.realpath``. Two of them
+naming one file is a usage error, and nothing is written.
+
 Exit codes: 0 success, 1 failed equivalence verdict, 2 usage error,
 3 numerical error. Errors are single machine-parsable lines on stderr:
 ``error: usage: ...`` or ``error: numerical: ...``.
@@ -125,6 +130,30 @@ def _early_stops(order: int, last_orders: dict) -> dict:
     return {"early_stop": {m: n for m, n in last_orders.items() if n < order}}
 
 
+def _resolve_paths(args) -> None:
+    """Fill in the default filter and manifest paths, then raise
+    ``ValueError`` if two of the run's paths name the same file: an output
+    must not overwrite the input or another output."""
+    if args.command == "est2d":
+        args.filter_out = args.filter_out or f"{args.out}.filter.json"
+    args.manifest = args.manifest or f"{args.out}.manifest.json"
+    paths = {"--in": getattr(args, "input", None), "--out": args.out,
+             "--filter-out": getattr(args, "filter_out", None), "--manifest": args.manifest}
+    seen = {}
+    for flag, path in paths.items():
+        if path is not None:
+            # An existing file is known by its inode, so that a hard link to
+            # it names it too; a file still to be written, by its real path.
+            try:
+                stat = os.stat(path)
+                key = stat.st_dev, stat.st_ino
+            except OSError:
+                key = os.path.realpath(path)
+            if key in seen:
+                raise ValueError(f"{seen[key]} and {flag} name the same file {path!r}")
+            seen[key] = flag
+
+
 def _write_manifest(args, argv: list, outputs: list, start: float, **fields) -> None:
     """Write the manifest of the run of ``argv``; its parameters are the parsed arguments.
 
@@ -135,7 +164,7 @@ def _write_manifest(args, argv: list, outputs: list, start: float, **fields) -> 
     if subcommand == "experiment":
         subcommand += " " + args.experiment
     write_json(
-        args.manifest or f"{outputs[0]}.manifest.json",
+        args.manifest,
         {
             "subcommand": subcommand,
             "parameters": params,
@@ -189,7 +218,6 @@ def _cmd_est2d(args):
     x = grid_for_order(read_signal_2d_csv(args.input), args.n1)
     model = _METHODS_2D[args.method](x, args.n1, args.n2)
     filt = extract_quarter_plane_filter(model)
-    args.filter_out = args.filter_out or f"{args.out}.filter.json"
     write_json(args.out, model2d_to_dict(model, args.method))
     write_json(args.filter_out, filter_to_dict(filt))
     return 0, [args.out, args.filter_out], {}
@@ -370,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--in", dest="input", required=True, help="2D signal CSV path")
-    p.add_argument("--filter-out", default=None, help="filter JSON path")
+    p.add_argument("--filter-out", help="filter JSON path (default <out>.filter.json)")
     p.set_defaults(func=_cmd_est2d)
 
     p = sub.add_parser("spectrum", parents=[output], help="evaluate an AR spectrum from model JSON")
@@ -437,6 +465,7 @@ def main(argv=None) -> int:
         # ``--seed`` beats ARSPEC_SEED, which only commands with a seed read.
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
+        _resolve_paths(args)
         # No float warnings on stderr: a non-finite estimate raises instead.
         with np.errstate(all="ignore"):
             code, outputs, fields = args.func(args)

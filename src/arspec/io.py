@@ -71,22 +71,33 @@ def _write_signal(path, header: list[str], x) -> None:
     write_csv(path, header, ([*i, z.real, z.imag] for i, z in zip(index, samples)))
 
 
+def _rows(reader, path):
+    """The rows of ``reader``, with the ``csv`` module's own error (a field
+    over its size limit) raised as a ``ValueError`` naming the file and line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
 def _read_samples(path, header: list[str]) -> dict:
     """``{index tuple: complex sample}`` from a signal CSV with this header.
 
     The leading columns are the indices, the last two the real and
     imaginary parts. A row with the wrong number of fields, a field that
-    does not parse as an integer index or a float part, a negative index
-    or an index seen before is rejected, naming the file and line.
+    does not parse as an integer index or a float part or is over the
+    ``csv`` module's size limit, a negative index or an index seen before
+    is rejected, naming the file and line.
     """
     n_index = len(header) - 2
     samples = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
+        rows = _rows(reader, path)
+        first = next(rows, None)
         if first is None or [h.strip() for h in first] != header:
             raise ValueError(f"{path}: expected header {','.join(header)!r}")
-        for r in reader:
+        for r in rows:
             if not r:
                 continue
             if len(r) != len(header):

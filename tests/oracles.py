@@ -7,8 +7,9 @@ correlations the library takes by FFT: the 1D lags, the 2D lag blocks and
 the quarter-plane residual, the writer of the 2D signal CSV that the CLI
 only reads, the spectrum CSV written one ``repr`` per cell, and the 1D
 Burg lattice as it was before its stages were fused into one chunked
-sweep. :func:`exact_levinson` solves the normal equations with no
-rounding at all, so a route's distance from it is its own error.
+sweep, with its own copy of the stage record and unit-circle stop.
+:func:`exact_levinson` solves the normal equations with no rounding at
+all, so a route's distance from it is its own error.
 """
 
 import math
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from arspec.ar1d import LatticeBatch, _finish, _stage, _stops
+from arspec.ar1d import UNIT_CIRCLE_TOL, LatticeBatch, _finish
 from arspec.autocorr import as_grid_2d, as_signal_1d, as_signals_1d
 from arspec.errors import DegenerateSignalError, NumericalError
 from arspec.io import write_csv
@@ -158,6 +159,33 @@ def write_spectrum_csv_per_cell(path, grid: SpectrumGrid) -> None:
     write_csv(path, [*names, "power", "log10_power"], rows)
 
 
+def _record_stage(batch: LatticeBatch, m: int, num, den, conj, live) -> tuple:
+    """Stage ``m`` of every record into ``batch``, reflection ``num / den``,
+    on its own: the oracle does not share :func:`arspec.ar1d._stage`.
+    Returns the reflections as a ``(B, 1)`` column and the conjugated stage
+    ``m`` coefficients; a record that ``live`` marks stopped keeps ``k = 0``."""
+    lo = m * (m - 1) // 2
+    row = batch.coeffs[:, lo : lo + m]
+    kcol = row[:, m - 1 :]
+    np.divide(num, den, out=kcol[:, 0], where=live)
+    np.add(batch.coeffs[:, lo - m + 1 : lo], kcol * conj[:, ::-1], out=row[:, :-1])
+    # The rounding the bitwise comparison needs: |k|^2 by vecdot, |k| by
+    # hypot, as complex scalars round them; the power stops at 0.
+    factor = 1.0 - np.vecdot(kcol, kcol).real
+    np.maximum(factor, 0.0, out=factor, where=factor > -np.inf)
+    powers = batch.powers.T
+    np.multiply(powers[m - 1], factor, out=powers[m])
+    return kcol, row.conj()
+
+
+def _stop_at_unit_circle(batch: LatticeBatch, m: int, k, live: np.ndarray) -> np.ndarray:
+    """End at stage ``m`` every record whose reflection ``k`` reached
+    ``1 - UNIT_CIRCLE_TOL``; returns the new live mask."""
+    hit = np.hypot(k.real, k.imag) >= 1.0 - UNIT_CIRCLE_TOL
+    batch.stages[hit] = m
+    return live & ~hit
+
+
 def burg_lattice_unfused(x: np.ndarray, order: int, padded: bool) -> LatticeBatch:
     """:func:`arspec.ar1d._burg_lattice` with whole-window sums: per stage,
     one ``np.vecdot`` per moment over the stage's window, then four passes
@@ -194,12 +222,12 @@ def burg_lattice_unfused(x: np.ndarray, order: int, padded: bool) -> LatticeBatc
             raise NumericalError(
                 f"error energy {denom[r]:.3e} below the normal double range at order {m}"
             )
-        kcol, conj = _stage(batch, m, -np.vecdot(b, f), denom, conj, live)
+        kcol, conj = _record_stage(batch, m, -np.vecdot(b, f), denom, conj, live)
         new_b = np.multiply(kcol.conj(), f, out=eb_next[:, lo:hi])
         new_b += b
         f += np.multiply(kcol, b, out=b)
         eb, eb_next = eb_next, eb
-        live = _stops(batch, m, kcol[:, 0], live)
+        live = _stop_at_unit_circle(batch, m, kcol[:, 0], live)
         if not np.count_nonzero(live):
             break
     return _finish(batch, live)

@@ -275,8 +275,10 @@ class TestEst1d:
             ([], "no samples"),
             (["0,1.0,0.0", "1e0,2.0,0.0"], "bad.csv, line 3: invalid literal for int()"),
             (["0,1.0,0.0", "1,abc,0.0"], "bad.csv, line 3: could not convert string to float"),
+            (["0," + "1" * 200_000 + ",0.0"], "bad.csv, line 2: field larger than field limit"),
         ],
-        ids=["negative", "duplicate", "short", "header-only", "index-1e0", "sample-abc"],
+        ids=["negative", "duplicate", "short", "header-only", "index-1e0", "sample-abc",
+             "field-over-the-csv-limit"],
     )
     def test_bad_signal_rows_are_usage_errors(self, tmp_path, capsys, rows, message):
         bad = tmp_path / "bad.csv"
@@ -935,6 +937,75 @@ class TestManifests:
         assert manifest["parameters"]["methods"] == ["burg", "levinson"]
         assert manifest["parameters"]["snr_db"] == 30.0
         assert manifest["early_stop"] == {}
+
+
+EST1D = ["est1d", "--method", "burg", "--order", "3"]
+EST2D = ["est2d", "--method", "burg2d", "--n1", "1", "--n2", "1"]
+
+#: Argv in which two of ``--in``, ``--out``, ``--filter-out`` and the
+#: manifest path, defaults included, name one file, also through ``..``, a
+#: symlink or a hard link; ``@name`` is a path in the test directory. Each
+#: would exit 0 without the check.
+COLLISIONS = {
+    "gen out=manifest": ["gen", "--n", "20", "--out", "@a.csv", "--manifest", "@a.csv"],
+    "est1d in=out": [*EST1D, "--in", "@sig.csv", "--out", "@sig.csv"],
+    "est1d in=manifest": [*EST1D, "--in", "@sig.csv", "--out", "@m.json", "--manifest", "@sig.csv"],
+    "est1d in=default manifest": [*EST1D, "--in", "@m.json.manifest.json", "--out", "@m.json"],
+    "est1d out=manifest": [*EST1D, "--in", "@sig.csv", "--out", "@m.json", "--manifest", "@m.json"],
+    "est1d in=out via ..": [*EST1D, "--in", "@sig.csv", "--out", "@sub/../sig.csv"],
+    "est1d in=out via symlink": [*EST1D, "--in", "@sig.csv", "--out", "@link.csv"],
+    "est1d in=out via hard link": [*EST1D, "--in", "@sig.csv", "--out", "@hard.csv"],
+    "est2d in=out": [*EST2D, "--in", "@g.csv", "--out", "@g.csv"],
+    "est2d in=filter": [*EST2D, "--in", "@g.csv", "--out", "@m.json", "--filter-out", "@g.csv"],
+    "est2d in=manifest": [*EST2D, "--in", "@g.csv", "--out", "@m.json", "--manifest", "@g.csv"],
+    "est2d in=default filter": [*EST2D, "--in", "@m.json.filter.json", "--out", "@m.json"],
+    "est2d out=filter": [*EST2D, "--in", "@g.csv", "--out", "@m.json", "--filter-out", "@m.json"],
+    "est2d out=manifest": [*EST2D, "--in", "@g.csv", "--out", "@m.json", "--manifest", "@m.json"],
+    "est2d filter=manifest": [*EST2D, "--in", "@g.csv", "--out", "@m.json",
+                              "--filter-out", "@f.json", "--manifest", "@f.json"],
+    "est2d filter=default manifest": [*EST2D, "--in", "@g.csv", "--out", "@m.json",
+                                      "--filter-out", "@m.json.manifest.json"],
+    "est2d default filter=manifest": [*EST2D, "--in", "@g.csv", "--out", "@m.json",
+                                      "--manifest", "@m.json.filter.json"],
+    "spectrum in=out": ["spectrum", "--in", "@model.json", "--out", "@model.json"],
+    "spectrum in=manifest": ["spectrum", "--in", "@model.json", "--out", "@s.csv",
+                             "--manifest", "@model.json"],
+    "equivalence out=manifest": ["experiment", "equivalence", "--trials", "3", "--trials-2d", "2",
+                                 "--out", "@v.json", "--manifest", "@v.json"],
+}
+
+
+def _tree(root: Path) -> dict:
+    """Every file under ``root``: its bytes and modification time."""
+    return {
+        p: (p.read_bytes(), p.stat().st_mtime_ns)
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+class TestPathCollisions:
+    @pytest.mark.parametrize("argv", COLLISIONS.values(), ids=COLLISIONS)
+    def test_two_paths_naming_one_file_are_usage_errors(self, tmp_path, capsys, argv):
+        sig, grid = tmp_path / "sig.csv", tmp_path / "g.csv"
+        assert run("gen", "--n", "20", "--out", str(sig)) == 0
+        write_signal_2d_csv(grid, crandn(np.random.default_rng(78), 5, 5))
+        assert run(*EST1D, "--in", str(sig), "--out", str(tmp_path / "model.json")) == 0
+        (tmp_path / "m.json.manifest.json").write_bytes(sig.read_bytes())
+        (tmp_path / "m.json.filter.json").write_bytes(grid.read_bytes())
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(sig)
+        (tmp_path / "hard.csv").hardlink_to(sig)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:")
+        assert "name the same file" in err
+        assert err.count("\n") == 1
+        assert _tree(tmp_path) == before
 
 
 README = Path(__file__).parents[1] / "README.md"
