@@ -21,21 +21,28 @@ estimators of :mod:`arspec.ar1d` (``levinson_batch`` on the stacked lags of
 :func:`~arspec.autocorr.estimate_autocorr_1d`, ``burg_classic_batch``,
 ``burg_modified_batch``), in batches of at most 2^15 stage coefficients,
 so the stages held at once stay bounded; the module imports only public
-names. A recipe returns ``(exit code, outputs, manifest fields)``, and
-:func:`main` times it and writes exactly one manifest JSON (default ``<out>.manifest.json``)
-recording the subcommand, the parsed arguments as parameters, the effective
-argv, the seed, the library, python and numpy versions, the output paths and
-the wall-clock duration; ``est1d``, ``order-sweep`` and ``mse-vs-order`` also
-record the methods that stopped before the requested order as
-``early_stop``. Re-running the recorded argv reproduces the data outputs
-byte-for-byte; all randomness flows from the explicit seed. A command that
-takes ``--seed`` and is not given it reads the ``ARSPEC_SEED`` environment
-default (1 when unset); other commands never read it.
+names. A recipe returns ``(exit code, extra manifest fields)``, and :func:`main`
+times it and writes exactly one manifest JSON recording the subcommand, the
+parsed arguments as parameters, the effective argv, the seed, the library,
+python and numpy versions, the input and output paths and the wall-clock
+duration; ``est1d``, ``order-sweep`` and ``mse-vs-order`` also record the
+methods that stopped before the requested order as ``early_stop``.
+Re-running the recorded argv reproduces the data outputs byte-for-byte; all
+randomness flows from the explicit seed. A command that takes ``--seed`` and
+is not given it reads the ``ARSPEC_SEED`` environment default (1 when
+unset); other commands never read it.
 
-Before a recipe runs, :func:`main` resolves ``--in``, ``--out``,
-``--filter-out`` and the manifest path, defaults included: an existing
-file by its inode, any other path with ``os.path.realpath``. Two of them
-naming one file is a usage error, and nothing is written.
+One path rule: each path option is declared once, by :func:`_path`, with
+its role and default: ``--in`` is an input, ``--out`` and ``--filter-out``
+(default ``<out>.filter.json``) are outputs, and ``--manifest`` (default
+``<out>.manifest.json``) is the manifest. The defaults, the checks and the
+manifest's path lists all come from that declaration. Before a recipe
+runs, :func:`main` fills in the defaults and checks every path: it must not
+be a directory, its parent must be one, and no two paths may name one file
+(an existing file is known by its inode, any other path by
+``os.path.realpath``). A path that fails is a usage error, and nothing is
+written. The manifest lists the inputs and the outputs, in declaration
+order.
 
 Exit codes: 0 success, 1 failed equivalence verdict, 2 usage error,
 3 numerical error. Errors are single machine-parsable lines on stderr:
@@ -107,7 +114,7 @@ _METHODS_2D = {
 _BATCH_COEFFS = 2**15
 
 #: Parsed-argument attributes that are plumbing, not run parameters.
-_NOT_PARAMETERS = ("func", "command", "experiment", "manifest")
+_NOT_PARAMETERS = ("func", "paths", "command", "experiment", "manifest")
 
 
 def _default_seed() -> int:
@@ -130,34 +137,50 @@ def _early_stops(order: int, last_orders: dict) -> dict:
     return {"early_stop": {m: n for m, n in last_orders.items() if n < order}}
 
 
-def _resolve_paths(args) -> None:
-    """Fill in the default filter and manifest paths, then raise
-    ``ValueError`` if two of the run's paths name the same file: an output
-    must not overwrite the input or another output."""
-    if args.command == "est2d":
-        args.filter_out = args.filter_out or f"{args.out}.filter.json"
-    args.manifest = args.manifest or f"{args.out}.manifest.json"
-    paths = {"--in": getattr(args, "input", None), "--out": args.out,
-             "--filter-out": getattr(args, "filter_out", None), "--manifest": args.manifest}
-    seen = {}
-    for flag, path in paths.items():
-        if path is not None:
-            # An existing file is known by its inode, so that a hard link to
-            # it names it too; a file still to be written, by its real path.
-            try:
-                stat = os.stat(path)
-                key = stat.st_dev, stat.st_ino
-            except OSError:
-                key = os.path.realpath(path)
-            if key in seen:
-                raise ValueError(f"{seen[key]} and {flag} name the same file {path!r}")
-            seen[key] = flag
+def _path(parser, flag: str, role: str, default: str = "", **kwargs) -> None:
+    """Add the path option ``flag``, declaring once a file that the run
+    reads (``role`` "inputs"), writes ("outputs") or records the run in
+    ("manifest"). ``default`` names the file when the option is not given,
+    as a format of the parsed arguments such as ``"{out}.filter.json"``,
+    and the help text shows it."""
+    kwargs["help"] += f" (default {default.format(out='<out>')})" if default else ""
+    dest = parser.add_argument(flag, **kwargs).dest
+    parser.set_defaults(paths={**(parser.get_default("paths") or {}), flag: (dest, role, default)})
 
 
-def _write_manifest(args, argv: list, outputs: list, start: float, **fields) -> None:
+def _resolve_paths(args) -> dict:
+    """Fill in the default paths, and return the manifest's ``inputs`` and
+    ``outputs``: the declared paths of those two roles.
+
+    Raise ``ValueError`` before anything is written if a path is a directory
+    or its parent is not, or if two paths name the same file: an output must
+    not overwrite the input or another output.
+    """
+    seen, listed = {}, {"inputs": [], "outputs": []}
+    for flag, (dest, role, default) in args.paths.items():
+        path = getattr(args, dest) or default.format_map(vars(args))
+        setattr(args, dest, path)
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} {path!r} is not a file in an existing directory")
+        # An existing file is known by its inode, so that a hard link to it
+        # names it too; a file still to be written, by its real path.
+        try:
+            key = (stat := os.stat(path)).st_dev, stat.st_ino
+        except OSError:
+            key = os.path.realpath(path)
+        if key in seen:
+            raise ValueError(f"{seen[key]} and {flag} name the same file {path!r}")
+        seen[key] = flag
+        if role in listed:
+            listed[role].append(path)
+    return listed
+
+
+def _write_manifest(args, argv: list, start: float, **fields) -> None:
     """Write the manifest of the run of ``argv``; its parameters are the parsed arguments.
 
-    ``fields`` adds entries that only some subcommands record.
+    ``fields`` adds the run's ``inputs`` and ``outputs``, and entries that
+    only some subcommands record.
     """
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     subcommand = args.command
@@ -173,7 +196,6 @@ def _write_manifest(args, argv: list, outputs: list, start: float, **fields) -> 
             "version": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "outputs": [str(p) for p in outputs],
             "duration_seconds": time.perf_counter() - start,
             **fields,
         },
@@ -205,13 +227,13 @@ def _model(method: str, x: np.ndarray, order: int) -> ArModel1D:
 def _cmd_gen(args):
     cfg = SynthConfig(args.n, args.freq, args.phase, args.snr_db, args.seed)
     write_signal_csv(args.out, gen_noisy_sinusoid(cfg, substream=args.substream))
-    return 0, [args.out], {}
+    return 0, {}
 
 
 def _cmd_est1d(args):
     model = _model(args.method, read_signal_csv(args.input), args.order)
     write_json(args.out, model1d_to_dict(model, args.method))
-    return 0, [args.out], _early_stops(args.order, {args.method: model.order})
+    return 0, _early_stops(args.order, {args.method: model.order})
 
 
 def _cmd_est2d(args):
@@ -220,7 +242,7 @@ def _cmd_est2d(args):
     filt = extract_quarter_plane_filter(model)
     write_json(args.out, model2d_to_dict(model, args.method))
     write_json(args.filter_out, filter_to_dict(filt))
-    return 0, [args.out, args.filter_out], {}
+    return 0, {}
 
 
 def _cmd_spectrum(args):
@@ -232,7 +254,7 @@ def _cmd_spectrum(args):
             model = extract_quarter_plane_filter(model)
         grid = ar_spectrum_2d(model, args.nf1, args.nf2)
     write_spectrum_csv(args.out, grid)
-    return 0, [args.out], {}
+    return 0, {}
 
 
 def _cmd_phase_sweep(args):
@@ -243,7 +265,7 @@ def _cmd_phase_sweep(args):
         powers += (ar_spectrum_1d(batch.model(b), args.nfreq).power for b in range(len(x)))
     phases = [2.0 * math.pi * j / args.steps for j in range(args.steps)]
     _write_spectra(args, "phase", phases, powers)
-    return 0, [args.out], {}
+    return 0, {}
 
 
 def _cmd_order_sweep(args):
@@ -251,7 +273,7 @@ def _cmd_order_sweep(args):
     history = _model(args.method, gen_noisy_sinusoid(cfg), args.max_order).history
     powers = [ar_spectrum_1d(st, args.nfreq).power for st in history]
     _write_spectra(args, "order", [st.order for st in history], powers)
-    return 0, [args.out], _early_stops(args.max_order, {args.method: len(history)})
+    return 0, _early_stops(args.max_order, {args.method: len(history)})
 
 
 def _cmd_mse_vs_order(args):
@@ -275,7 +297,7 @@ def _cmd_mse_vs_order(args):
     # A method that stopped early leaves its cells past its last order empty.
     rows = ([i, *row] for i, row in enumerate(zip_longest(*table.values()), 1))
     write_csv(args.out, ["order", *(f"mse_{m}" for m in table)], rows)
-    return 0, [args.out], _early_stops(args.max_order, {m: len(col) for m, col in table.items()})
+    return 0, _early_stops(args.max_order, {m: len(col) for m, col in table.items()})
 
 
 def _stage_deviation(ref, est) -> float:
@@ -355,7 +377,7 @@ def equivalence_report(trials_1d: int, trials_2d: int, seed: int) -> dict:
 def _cmd_equivalence(args):
     report = equivalence_report(args.trials, args.trials_2d, args.seed)
     write_json(args.out, report)
-    return (0 if report["pass"] else 1), [args.out], {}
+    return (0 if report["pass"] else 1), {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Each option that several subcommands share is declared once, here.
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--out", required=True, help="output path")
-    output.add_argument("--manifest", help="manifest path (default <out>.manifest.json)")
+    _path(output, "--out", "outputs", required=True, help="output path")
+    _path(output, "--manifest", "manifest", "{out}.manifest.json", help="manifest path")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, help="seed (default $ARSPEC_SEED, else 1)")
     synth = argparse.ArgumentParser(add_help=False)
@@ -390,19 +412,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("est1d", parents=[output], help="estimate a 1D AR model from a signal CSV")
     p.add_argument("--method", choices=_METHODS_1D, required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--in", dest="input", required=True, help="signal CSV path")
+    _path(p, "--in", "inputs", dest="input", required=True, help="signal CSV path")
     p.set_defaults(func=_cmd_est1d)
 
     p = sub.add_parser("est2d", parents=[output], help="estimate a 2D AR model from a grid CSV")
     p.add_argument("--method", choices=_METHODS_2D, required=True)
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--in", dest="input", required=True, help="2D signal CSV path")
-    p.add_argument("--filter-out", help="filter JSON path (default <out>.filter.json)")
+    _path(p, "--in", "inputs", dest="input", required=True, help="2D signal CSV path")
+    _path(p, "--filter-out", "outputs", "{out}.filter.json", help="filter JSON path")
     p.set_defaults(func=_cmd_est2d)
 
     p = sub.add_parser("spectrum", parents=[output], help="evaluate an AR spectrum from model JSON")
-    p.add_argument("--in", dest="input", required=True, help="model/filter JSON path")
+    _path(p, "--in", "inputs", dest="input", required=True, help="model/filter JSON path")
     p.add_argument("--nfreq", type=int, default=1024, help="1D frequency bins")
     p.add_argument("--nf1", type=int, default=128, help="2D bins, first axis")
     p.add_argument("--nf2", type=int, default=128, help="2D bins, second axis")
@@ -465,11 +487,11 @@ def main(argv=None) -> int:
         # ``--seed`` beats ARSPEC_SEED, which only commands with a seed read.
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
-        _resolve_paths(args)
+        paths = _resolve_paths(args)
         # No float warnings on stderr: a non-finite estimate raises instead.
         with np.errstate(all="ignore"):
-            code, outputs, fields = args.func(args)
-        _write_manifest(args, effective, outputs, start, **fields)
+            code, fields = args.func(args)
+        _write_manifest(args, effective, start, **paths, **fields)
         return code
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)

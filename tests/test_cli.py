@@ -413,15 +413,18 @@ class TestEst2d:
         rng = np.random.default_rng(71)
         grid = tmp_path / "grid.csv"
         write_signal_2d_csv(grid, crandn(rng, 8, 8))
-        outs = {}
+        outs, noise = {}, {}
         for method in ("wwra", "burg2d-mod"):
             out = tmp_path / f"{method}.json"
             rc = run("est2d", "--method", method, "--n1", "3", "--n2", "2",
                      "--in", str(grid), "--out", str(out))
             assert rc == 0
             outs[method] = np.array(read_json(out)["coefficient_matrices"])
+            noise[method] = read_json(f"{out}.filter.json")["noise_power"]
         dev = np.abs(outs["wwra"] - outs["burg2d-mod"]).max()
         assert dev <= 1e-9 * np.abs(outs["wwra"]).max()
+        # Both normalize by the N1 + n1 rows of the zero-padded support.
+        assert abs(noise["wwra"] - noise["burg2d-mod"]) <= 1e-9 * noise["wwra"]
 
     def test_model_json_round_trips_history(self, tmp_path):
         rng = np.random.default_rng(76)
@@ -691,6 +694,16 @@ class TestExperiments:
         expected = [ar_spectrum_1d(m, 64).power for m in models]
         assert np.array_equal(rows[:, 1:], expected)
 
+    def test_phase_sweep_batches_hold_at_most_2_15_stage_coefficients(self, tmp_path, monkeypatch):
+        # Order 15 holds 120 stage coefficients per record: 273 records a batch.
+        sizes = []
+        estimate = arspec.cli._METHODS_1D["levinson"]
+        monkeypatch.setitem(arspec.cli._METHODS_1D, "levinson",
+                            lambda x, p: sizes.append(len(x)) or estimate(x, p))
+        assert run("experiment", "phase-sweep", "--order", "15", "--steps", "300",
+                   "--nfreq", "8", "--out", str(tmp_path / "sweep.csv")) == 0
+        assert sizes == [273, 27]
+
     @pytest.mark.parametrize("methods", ["", "yule", "burg,burg"])
     def test_bad_methods_are_usage_errors(self, tmp_path, capsys, methods):
         out = tmp_path / "mse.csv"
@@ -764,6 +777,30 @@ class TestExperiments:
         assert err.startswith("error: usage:")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_one_trial_per_suite_is_enough(self, tmp_path):
+        out = tmp_path / "eq.json"
+        assert run("experiment", "equivalence", "--trials", "1", "--trials-2d", "1",
+                   "--out", str(out)) == 0
+        verdict = read_json(out)
+        assert verdict["equivalence_1d"]["trials"] == verdict["equivalence_2d"]["trials"] == 1
+
+    def test_a_deviation_at_the_tolerance_passes(self, monkeypatch):
+        monkeypatch.setattr(arspec.cli, "_stage_deviation", lambda ref, est: 1e-9)
+        monkeypatch.setattr(arspec.cli, "max_rel_diff", lambda a, b: 1e-8)
+        report = arspec.cli.equivalence_report(3, 2, 1)
+        for suite in ("equivalence_1d", "equivalence_2d"):
+            assert report[suite]["max_rel_deviation"] == report[suite]["tolerance"]
+            assert report[suite]["pass"] is True
+        assert report["pass"] is True
+
+    def test_stages_that_are_zero_on_both_routes_deviate_by_nothing(self):
+        # Impulses have no lag past 0, so every reflection and coefficient is 0.
+        x = np.zeros((2, 8), dtype=complex)
+        x[:, 0] = [1.0, 2.0]
+        lev, mod = (arspec.cli._METHODS_1D[m](x, 3) for m in ("levinson", "burg-mod"))
+        assert not np.any(lev.coeffs) and not np.any(mod.coeffs)
+        assert arspec.cli._stage_deviation(lev, mod) == 0.0
 
     @pytest.mark.parametrize("corrupt", ["nan", "truncate"])
     def test_equivalence_fails_loudly(self, tmp_path, monkeypatch, corrupt):
@@ -1006,6 +1043,89 @@ class TestPathCollisions:
         assert "name the same file" in err
         assert err.count("\n") == 1
         assert _tree(tmp_path) == before
+
+
+#: An argv of each subcommand that exits 0 in a directory prepared by
+#: ``_prepare``; ``@name`` is a path in that directory.
+RECIPES = {
+    "gen": ["gen", "--n", "8", "--out", "@o"],
+    "est1d": [*EST1D, "--in", "@sig.csv", "--out", "@o"],
+    "est2d": [*EST2D, "--in", "@g.csv", "--out", "@o"],
+    "spectrum": ["spectrum", "--in", "@model.json", "--nfreq", "8", "--out", "@o"],
+    "experiment phase-sweep": ["experiment", "phase-sweep", "--order", "2", "--steps", "2",
+                               "--nfreq", "8", "--out", "@o"],
+    "experiment order-sweep": ["experiment", "order-sweep", "--max-order", "2", "--nfreq", "8",
+                               "--out", "@o"],
+    "experiment mse-vs-order": ["experiment", "mse-vs-order", "--max-order", "2", "--out", "@o"],
+    "experiment equivalence": ["experiment", "equivalence", "--trials", "3", "--trials-2d", "2",
+                               "--out", "@o"],
+}
+
+#: Every output option of every subcommand.
+OUTPUT_OPTIONS = [
+    (command, option)
+    for command in RECIPES
+    for option in ["--out", "--manifest", *(["--filter-out"] if command == "est2d" else [])]
+]
+
+
+def _prepare(root: Path) -> None:
+    """The inputs of ``RECIPES`` under ``root``, and an empty directory ``sub``."""
+    sig = root / "sig.csv"
+    assert run("gen", "--n", "20", "--out", str(sig)) == 0
+    write_signal_2d_csv(root / "g.csv", crandn(np.random.default_rng(78), 5, 5))
+    assert run(*EST1D, "--in", str(sig), "--out", str(root / "model.json")) == 0
+    (root / "sub").mkdir()
+
+
+def _argv(root: Path, argv: list) -> list:
+    return [str(root / a[1:]) if a.startswith("@") else a for a in argv]
+
+
+class TestOutputChecks:
+    @pytest.mark.parametrize("bad", ["nodir/x.json", "sub", "sub/"])
+    @pytest.mark.parametrize("command, option", OUTPUT_OPTIONS)
+    def test_output_that_cannot_be_written_is_usage_error(
+        self, tmp_path, capsys, command, option, bad
+    ):
+        _prepare(tmp_path)
+        argv = _argv(tmp_path, RECIPES[command])
+        bad = str(tmp_path / bad) + ("/" if bad.endswith("/") else "")
+        if option == "--out":
+            argv[-1] = bad
+        else:
+            argv += [option, bad]
+        before = _tree(tmp_path)
+        capsys.readouterr()
+
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: {option} ")
+        assert "is not a file in an existing directory" in err
+        assert err.count("\n") == 1
+        assert _tree(tmp_path) == before
+
+
+class TestManifestPaths:
+    @pytest.mark.parametrize("command", RECIPES)
+    def test_manifest_lists_the_declared_inputs_and_outputs(self, tmp_path, command):
+        _prepare(tmp_path)
+        argv = _argv(tmp_path, RECIPES[command])
+        before = set(_tree(tmp_path))
+        start = time.perf_counter()
+        assert run(*argv) == 0
+        wall = time.perf_counter() - start
+
+        out = tmp_path / "o"
+        manifest = read_json(f"{out}.manifest.json")
+        inputs = [argv[argv.index("--in") + 1]] if "--in" in argv else []
+        outputs = [str(out), *([f"{out}.filter.json"] if command == "est2d" else [])]
+        assert manifest["inputs"] == inputs
+        assert manifest["outputs"] == outputs
+        written = {Path(p) for p in [*outputs, f"{out}.manifest.json"]}
+        assert set(_tree(tmp_path)) - before == written
+        # An elapsed time: a sum or a negated start would exceed the wall time.
+        assert 0.0 <= manifest["duration_seconds"] <= wall
 
 
 README = Path(__file__).parents[1] / "README.md"
