@@ -251,23 +251,54 @@ def _coefficient(pf: np.ndarray, pb: np.ndarray, pfb: np.ndarray) -> np.ndarray:
     return -solve_hermitian_dense(denom.T, numer.T).T
 
 
-def _advance(a_nn: np.ndarray, cur: np.ndarray, nxt: np.ndarray, blocks: slice, width: int) -> None:
-    """One lattice step on the column blocks ``[blocks.start, blocks.stop)``
-    of the real error buffer ``cur``, or of each buffer in a stack of them:
-    ``e_f(k) + A D(k)`` into block ``k`` of ``nxt`` and ``D(k) + J A^* J
-    e_f(k)`` into its block ``k + 1``."""
+def _chunk_blocks(width: int) -> int:
+    """Column blocks per chunk of a lattice step: as many whole blocks of
+    ``width`` columns as span at most 512 columns, and at least one."""
+    return max(1, 512 // width)
+
+
+def _advance(a_nn: np.ndarray, buf: np.ndarray, blocks: slice, width: int) -> None:
+    """One lattice step in place on the column blocks ``[blocks.start,
+    blocks.stop)`` of the real error buffer ``buf``, or of each buffer in a
+    stack of them: ``e_f(k) += A D(k)`` in block ``k``, and ``D(k) + J A^* J
+    e_f(k)`` into block ``k + 1``.
+
+    The step walks the window from its last chunk of whole blocks
+    (:func:`_chunk_blocks`) to its first. It takes both products of a chunk
+    into a scratch allocated once, adds ``A D(k)`` to ``e_f(k)`` and writes
+    the new ``D`` one block ahead, over the old ``D`` of the chunk above,
+    which has already been read. Each column of a product is a sum over the
+    same ``2p`` terms as in one product over the whole window; BLAS may
+    still round a chunk's last, partial tile of columns differently.
+
+    A chunk spans at most 512 columns. At ``p = 17`` in blocks of 144
+    columns, chunks of 3 to 6 blocks ran fastest (2-vCPU VM, 2 MiB L2):
+    one OpenBLAS product of 432 to 864 columns took 34-36 ns per column,
+    and of 1152 or more, 46-57 ns on one thread; below 3 blocks the calls
+    per chunk dominated. OpenBLAS keeps a product of at most 512 columns on
+    one thread up to ``p = 16``, so there the step's bits do not depend on
+    the thread count. The 1D lattice's 128 KiB slices would give a 48x40
+    grid at ``p = 6`` a scratch of 30 of its 55 blocks; 512 columns give 11.
+    """
     p = len(a_nn)
-    # Real forms of A on D (rows 2i, 2i+1: conj(A[i]), 1j conj(A[i])) and, reversed, of J A^* J.
+    # Real forms of J A^* J on e_f and of A on D (rows 2i, 2i+1: conj(A[i]), 1j conj(A[i])).
     upd = np.empty((2, 2 * p, 2 * p))
-    pairs = upd[0].view(complex).reshape(p, 2, p)
+    pairs = upd[1].view(complex).reshape(p, 2, p)
     np.multiply(np.conjugate(a_nn, out=pairs[:, 0]), 1j, out=pairs[:, 1])
-    upd[1] = upd[0, ::-1, ::-1]
+    upd[0] = upd[1, ::-1, ::-1]
     lo, hi = blocks.start, blocks.stop
-    win, ahead = slice(lo * width, hi * width), slice((lo + 1) * width, (hi + 1) * width)
-    np.matmul(upd[0], cur[..., 2 * p :, win], out=nxt[..., : 2 * p, win])
-    nxt[..., : 2 * p, win] += cur[..., : 2 * p, win]
-    np.matmul(upd[1], cur[..., : 2 * p, win], out=nxt[..., 2 * p :, ahead])
-    nxt[..., 2 * p :, ahead] += cur[..., 2 * p :, win]
+    step = _chunk_blocks(width)
+    stack = buf.shape[:-2]
+    ef, d = buf[..., : 2 * p, :], buf[..., 2 * p :, :]
+    scratch = np.empty((*stack, 2, 2 * p, min(step, hi - lo) * width))
+    for start in reversed(range(lo, hi, step)):
+        a, b = start * width, min(start + step, hi) * width
+        prods = scratch[..., : b - a]
+        np.matmul(upd, buf[..., a:b].reshape(*stack, 2, 2 * p, b - a), out=prods)
+        bwd = prods[..., 0, :, :]
+        ef[..., a:b] += prods[..., 1, :, :]
+        bwd += d[..., a:b]
+        d[..., a + width : b + width] = bwd
 
 
 def _record(history: list, coeffs: np.ndarray, full: np.ndarray, pfb: np.ndarray) -> None:
@@ -295,8 +326,9 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
     block ``k`` holds ``e_f(k)`` over ``D(k) = e_b(k-1)``, each channel as
     its real row over its imaginary row, so ``D(0) = e_b(-1) = 0``. Stage
     ``m`` updates them on its window, rows ``[m, N1-1]`` when shrinking and
-    ``[0, N1+m-1]`` when ``padded``, by two real ``(2p x 2p)`` matmuls into
-    a second buffer: ``e_f(k)`` into block ``k``, ``e_b(k)`` into ``k + 1``.
+    ``[0, N1+m-1]`` when ``padded``, by two real ``(2p x 2p)`` matmuls per
+    chunk of blocks, in place from the last chunk to the first
+    (:func:`_advance`): ``e_f(k)`` in block ``k``, ``e_b(k)`` into ``k + 1``.
     One Gram over the next window, a row shorter or longer, gives the next
     stage's ``Pf``, ``Pb`` and ``Pfb``, which under zero padding are also
     this stage's. On shrinking supports this stage's ``Pf`` and ``Pb`` add
@@ -310,24 +342,23 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
     if not np.vecdot(x.ravel(), x.ravel()).real:
         raise DegenerateSignalError("grid has zero energy")
 
-    cur, nxt = np.zeros((2, 4 * p, (n1_len + 1 + (order if padded else 0)) * width))
-    _put_real(cur[: 2 * p, : n1_len * width], data)
-    del data  # the stage loop's peak memory is its two buffers, no more
-    cur[2 * p :, width : (n1_len + 1) * width] = cur[: 2 * p, : n1_len * width]
+    buf = np.zeros((4 * p, (n1_len + 1 + (order if padded else 0)) * width))
+    _put_real(buf[: 2 * p, : n1_len * width], data)
+    del data  # the stage loop's peak memory is its buffer, no more
+    buf[2 * p :, width : (n1_len + 1) * width] = buf[: 2 * p, : n1_len * width]
     coeffs = np.zeros((order, p, p), dtype=complex)
     history: list[BlockStage] = []
     lo, hi = 0, n1_len
     for m in range(order + 1):
         if m:
             _extend_block(coeffs, m, _coefficient(pf, pb, pfb))
-            _advance(coeffs[m - 1], cur, nxt, slice(lo, hi), width)
-            cur, nxt = nxt, cur
+            _advance(coeffs[m - 1], buf, slice(lo, hi), width)
         lo, hi = (lo, hi + 1) if padded else (lo + 1, hi)
-        mom = full = _gram(cur[:, lo * width : hi * width])
+        mom = full = _gram(buf[:, lo * width : hi * width])
         pf, pb, pfb = mom[:p, :p], mom[p:, p:], mom[:p, p:]
         if not padded:
-            first = cur[: 2 * p, (lo - 1) * width : lo * width]
-            last = cur[2 * p :, hi * width : (hi + 1) * width]
+            first = buf[: 2 * p, (lo - 1) * width : lo * width]
+            last = buf[2 * p :, hi * width : (hi + 1) * width]
             full = mom + _gram(np.concatenate((first, last)))
         _record(history, coeffs, full, pfb)
     return _finish(coeffs, history, n1_len + order if padded else n1_len - order)
@@ -348,11 +379,12 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
     new edge blocks too, has inner dimension ``p``, so the route's bits do
     not depend on the BLAS thread count.
     The window moments subtract the Gram of the edge errors, kept in the
-    lattice's real layout: block ``k`` of the head holds ``e_f(k)`` over
-    ``D(k) = e_b(k-1)`` for ``k`` in ``[0, m]``, and block ``k`` of the tail
-    the same at row ``N1 + k``. A lattice step carries both edges to the
-    next order, which needs one new block per edge from the data:
-    ``e_f(m)`` at the head and ``e_b(N1-1)`` at the tail.
+    lattice's real layout in one stack of two buffers: block ``k`` of the
+    head holds ``e_f(k)`` over ``D(k) = e_b(k-1)`` for ``k`` in ``[0, m]``,
+    and block ``k`` of the tail the same at row ``N1 + k``. A lattice step
+    carries both edges to the next order in place, which needs one new
+    block per edge from the data: ``e_f(m)`` at the head and ``e_b(N1-1)``
+    at the tail.
     """
     # The denominator after the last stage is then zero.
     if order == len(x) - 1:
@@ -370,11 +402,11 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
     # g[order + 1 + i] holds G_i for i in [-(order + 1), order + 1]; A = [I] gives G_i = R_{-i}.
     g = np.concatenate((lags[::-1], lags[1:].conj().transpose(0, 2, 1)))
 
-    # edges[0] and edges[1] swap as the lattice's buffers do; edges[:, 0] is the head.
+    # edges[0] is the head, edges[1] the tail.
     span = (order + 1) * width
-    edges = np.zeros((2, 2, 4 * p, span))
-    _put_real(edges[0, 0, : 2 * p, :width], early[-1:])
-    _put_real(edges[0, 1, 2 * p :, :width], late[:1])
+    edges = np.zeros((2, 4 * p, span))
+    _put_real(edges[0, : 2 * p, :width], early[-1:])
+    _put_real(edges[1, 2 * p :, :width], late[:1])
     taps = np.zeros((order + 1, p, p), dtype=complex)  # I, A_1 .. A_order
     taps[0] = np.eye(p)
     coeffs = taps[1:]
@@ -382,12 +414,11 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
     for m in range(order + 1):
         ar, cr = taps[: m + 1], taps[m::-1, ::-1, ::-1].conj()
         if m:
-            edges = edges[::-1]  # the order-(m-1) edges move to edges[1]
-            _advance(coeffs[m - 1], edges[1], edges[0], slice(0, m), width)
-            _put_real(edges[0, 0, : 2 * p, m * width : (m + 1) * width],
+            _advance(coeffs[m - 1], edges, slice(0, m), width)
+            _put_real(edges[0, : 2 * p, m * width : (m + 1) * width],
                       (ar @ early[order - m :]).sum(0)[None])
-            _put_real(edges[0, 1, 2 * p :, :width], (cr @ late[: m + 1]).sum(0)[None])
-        head, tail = edges[0]
+            _put_real(edges[1, 2 * p :, :width], (cr @ late[: m + 1]).sum(0)[None])
+        head, tail = edges
         pf_pad = (ar @ g[order + 1 : order + m + 2]).sum(0)
         mom = np.empty((2 * p, 2 * p), dtype=complex)
         # (Pf + Pf^H) / 2 is exactly Hermitian: an entry rounds the

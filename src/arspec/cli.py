@@ -53,6 +53,7 @@ import argparse
 import math
 import os
 import platform
+import re
 import sys
 import time
 from itertools import islice, zip_longest
@@ -125,7 +126,22 @@ def _default_seed() -> int:
         raise ValueError(f"ARSPEC_SEED must be an integer, got {value!r}") from None
 
 
+#: Decimal digits as a Python float literal writes them, single underscores between.
+_DIGITS = r"\d(?:_?\d)*"
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value that float() reads with a leading minus, such as -1e-3,
+        # -.5e2 or -inf, is a value; argparse's own pattern takes only -1
+        # and -1.5, and reads the rest as options.
+        self._negative_number_matcher = re.compile(
+            rf"^-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[-+]?{_DIGITS})?"
+            r"|inf|infinity|nan)$",
+            re.IGNORECASE,
+        )
+
     def error(self, message):
         print(f"error: usage: {message}", file=sys.stderr)
         raise SystemExit(2)

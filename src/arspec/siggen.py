@@ -39,8 +39,11 @@ built once, at import, and shared read-only by every draw. The uniforms
 are exact doubles, and sqrt, products and quotients round correctly in
 numpy as in ``math``. But
 ``log``, ``cos`` and ``sin`` are not correctly rounded, and numpy's may
-differ from ``math``'s in the last bit, so they stay on ``math``: every
-sample has the bits of the scalar definition above.
+differ from ``math``'s in the last bit, so they stay on the C library's:
+``log`` by ``math``, and ``cos`` and ``sin`` together by one ``cmath.exp``
+of ``i 2 pi u2`` per sample, which CPython evaluates as ``exp(0) cos`` and
+``exp(0) sin``, the same bits as ``math``'s. Every sample has the bits of
+the scalar definition above.
 
 A uniform is at most
 ``1 - 2**-33``, so every complex sample has ``|z|**2 = -ln u1 >= 2**-33``
@@ -48,6 +51,7 @@ and every noise record has positive energy: the SNR rescaling never
 divides by zero.
 """
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -129,13 +133,13 @@ class Lcg32:
             states &= np.uint64(_LCG_MOD - 1)
             self._state = int(states[-1])
             u = (states + 0.5) / _LCG_MOD
-            # log, cos and sin on math, whose last bit numpy's need not match.
-            radius = np.sqrt(-2.0 * np.array(list(map(math.log, u[0::2].tolist())), dtype=float))
-            angle = (2.0 * math.pi * u[1::2]).tolist()
-            trig = np.array([list(map(math.cos, angle)), list(map(math.sin, angle))], dtype=float)
-            trig *= radius
+            # log on math, cos and sin on cmath, whose last bit numpy's need not match.
+            radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), float, hi - lo))
+            block = out[lo:hi]
+            block[:] = np.fromiter(map(cmath.exp, (2j * math.pi * u[1::2]).tolist()), complex, hi - lo)
+            trig = block.view(float).reshape(-1, 2)
+            trig *= radius[:, None]
             trig /= math.sqrt(2.0)
-            out.real[lo:hi], out.imag[lo:hi] = trig
         return out
 
 

@@ -7,7 +7,8 @@ correlations the library takes by FFT: the 1D lags, the 2D lag blocks and
 the quarter-plane residual, the writer of the 2D signal CSV that the CLI
 only reads, the spectrum CSV written one ``repr`` per cell, and the 1D
 Burg lattice as it was before its stages were fused into one chunked
-sweep, with its own copy of the stage record and unit-circle stop.
+sweep, with its own copy of the stage record and unit-circle stop, and
+the 2D lattice step as it was before it ran in place.
 :func:`exact_levinson` solves the normal equations with no rounding at
 all, so a route's distance from it is its own error.
 """
@@ -281,3 +282,31 @@ def exact_deviation(coeffs, exact: list[tuple]) -> float:
         for c, e in zip(np.asarray(coeffs).tolist(), exact, strict=True)
     )
     return math.sqrt(gap / max(e[0] ** 2 + e[1] ** 2 for e in exact))
+
+
+def _advance_into(a_nn: np.ndarray, cur: np.ndarray, nxt: np.ndarray, blocks: slice, width: int) -> None:
+    """The 2D lattice step over two buffers: on the column blocks
+    ``[blocks.start, blocks.stop)`` of ``cur`` (or of each buffer in a stack
+    of them), ``e_f(k) + A D(k)`` into block ``k`` of ``nxt`` and ``D(k) + J
+    A^* J e_f(k)`` into its block ``k + 1``, each product over the whole
+    window at once."""
+    p = len(a_nn)
+    upd = np.empty((2, 2 * p, 2 * p))
+    pairs = upd[0].view(complex).reshape(p, 2, p)
+    np.multiply(np.conjugate(a_nn, out=pairs[:, 0]), 1j, out=pairs[:, 1])
+    upd[1] = upd[0, ::-1, ::-1]
+    lo, hi = blocks.start, blocks.stop
+    win, ahead = slice(lo * width, hi * width), slice((lo + 1) * width, (hi + 1) * width)
+    np.matmul(upd[0], cur[..., 2 * p :, win], out=nxt[..., : 2 * p, win])
+    nxt[..., : 2 * p, win] += cur[..., : 2 * p, win]
+    np.matmul(upd[1], cur[..., : 2 * p, win], out=nxt[..., 2 * p :, ahead])
+    nxt[..., 2 * p :, ahead] += cur[..., 2 * p :, win]
+
+
+def advance_two_buffers(a_nn: np.ndarray, buf: np.ndarray, blocks: slice, width: int) -> None:
+    """:func:`arspec.ar2d._advance` by :func:`_advance_into`: the step into a
+    copy of ``buf``, copied back, so every block it does not write keeps
+    its value, as in place."""
+    nxt = buf.copy()
+    _advance_into(a_nn, buf, nxt, blocks, width)
+    buf[...] = nxt

@@ -734,8 +734,11 @@ class TestChunkedSweep:
         # samples, the lags take no dot at all, and the complex products of
         # the 2D lag route have inner dimension p. The tone leaves
         # burg_classic_batch's lag route for the shrinking lattice; the noise
-        # record and the grid stay on theirs. The second run places
-        # allocations between the calls, which must not move a bit either.
+        # record and the grid stay on theirs. The 48x40 grid's blocks of 50
+        # columns leave a partial tile in a whole-window product, which
+        # OpenBLAS splits across threads; the lattice's chunks stay on one.
+        # The second run places allocations between the calls, which must
+        # not move a bit either.
         script = (
             "import hashlib, sys, numpy as np\n"
             "from arspec import ar1d, ar2d, cli\n"
@@ -745,6 +748,7 @@ class TestChunkedSweep:
             "x = Lcg32(3).complex_normal(20000)\n"
             "tone = np.exp(2j * np.pi * 0.1 * np.arange(20000)) + 1e-3 * x\n"
             "grid = Lcg32(4).complex_normal(16384).reshape(128, 128)\n"
+            "odd = Lcg32(5).complex_normal(1920).reshape(48, 40)\n"
             "def sha(*parts):\n"
             "    return hashlib.sha256(b''.join(np.asarray(a).tobytes() for a in parts)).hexdigest()\n"
             "def digests():\n"
@@ -756,7 +760,8 @@ class TestChunkedSweep:
             "        yield sha(batch.coeffs, batch.powers, batch.stages)\n"
             "    for model in (ar2d.wwra(estimate_block_autocorr_2d(grid, 16, 16), 16),\n"
             "                  ar2d.burg2d_classic(grid, 16, 16),\n"
-            "                  ar2d.burg2d_modified(grid, 16, 16)):\n"
+            "                  ar2d.burg2d_modified(grid, 16, 16),\n"
+            "                  ar2d.burg2d_modified(odd, 16, 10)):\n"
             "        yield sha(model.coeffs, model.error_power)\n"
             "    for argv in (['est1d', '--method', 'levinson', '--order', '8', '--in', signal],\n"
             "                 ['est1d', '--method', 'burg', '--order', '8', '--in', signal],\n"
@@ -785,7 +790,7 @@ class TestChunkedSweep:
             )
             assert run.returncode == 0, run.stderr
             pairs = [line.split() for line in run.stdout.splitlines()]
-            assert len(pairs) == 12
+            assert len(pairs) == 13
             assert all(again == first for again, first in pairs)
             digests.append([first for _, first in pairs])
         _, classic, lattice, *_ = digests[0]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from contextlib import nullcontext
 
@@ -6,7 +7,7 @@ import pytest
 from conftest import crandn
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import block_toeplitz_matrix, quarter_plane_residual_direct
+from oracles import advance_two_buffers, block_toeplitz_matrix, quarter_plane_residual_direct
 
 from arspec import ar2d
 from arspec.ar1d import burg_classic, burg_modified, levinson
@@ -369,6 +370,64 @@ class TestFastClassic:
         assert len(model.history) == 9 and model.sample_terms == 40
 
 
+def _three_lattices(x, n2: int) -> list:
+    """The shrinking and the zero-padded lattice of ``x`` at order ``N1 - 1``
+    and the lag route at ``N1 - 2``; a raised error stands for its model."""
+    runs = []
+    for run in (lambda: ar2d._burg2d_lattice(x, len(x) - 1, n2, padded=False),
+                lambda: ar2d._burg2d_lattice(x, len(x) - 1, n2, padded=True),
+                lambda: ar2d._burg2d_from_lags(x, len(x) - 2, n2)):
+        try:
+            with np.errstate(all="ignore"):
+                runs.append(run())
+        except (NumericalError, np.linalg.LinAlgError) as exc:
+            runs.append(repr(exc))
+    return runs
+
+
+class TestInPlaceStep:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        chunk=st.integers(1, 3),
+        extra=st.integers(2, 4),
+        cols=st.integers(1, 12),
+        n2=st.integers(0, 5),
+        waves=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(chunk=2, extra=2, cols=5, n2=3, waves=False, seed=1)
+    @example(chunk=1, extra=3, cols=12, n2=4, waves=True, seed=2)
+    def test_matches_the_two_buffer_step(self, chunk, extra, cols, n2, waves, seed):
+        # A chunk spans `chunk` blocks. The shrinking lattice's windows run
+        # from N1 - 1 = 2 chunk + extra - 1 blocks down to one, so they span
+        # one block, exactly one and two chunks, and those plus a block; the
+        # lag route's run from one up to N1 - 2, the padded lattice's from
+        # N1 + 1 up.
+        rows, n2 = 2 * chunk + extra, min(n2, cols - 1)
+        width = cols + n2
+        rng = np.random.default_rng(seed)
+        x = _plane_waves(rng, rows, cols, 0.1) if waves else crandn(rng, rows, cols)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ar2d, "_chunk_blocks", lambda width: chunk)
+            got = _three_lattices(x, n2)
+            mp.setattr(ar2d, "_advance", advance_two_buffers)
+            want = _three_lattices(x, n2)
+        # With one column a one-block chunk is a matrix-vector product,
+        # which BLAS may round differently from that column inside a
+        # matrix product; there the step must agree to rounding.
+        same = np.array_equal if width > 1 else (lambda a, b: max_rel_diff(a, b) <= 1e-13)
+        for model, ref in zip(got, want, strict=True):
+            if isinstance(ref, str):
+                assert model == ref
+                continue
+            assert same(model.coeffs, ref.coeffs)
+            assert same(model.error_power, ref.error_power)
+            for stage, ref_stage in zip(model.history, ref.history, strict=True):
+                for field in ("coeffs", "forward_power", "error_power", "cross_power"):
+                    assert same(getattr(stage, field), getattr(ref_stage, field)), field
+                assert same(stage.criterion, ref_stage.criterion)
+
+
 class TestBurg2dModified:
     def test_single_column_reduces_to_burg_modified(self):
         rng = np.random.default_rng(48)
@@ -421,6 +480,24 @@ class TestBurg2dModified:
     def test_zero_grid_rejected(self):
         with pytest.raises(DegenerateSignalError):
             burg2d_modified(np.zeros((4, 4), dtype=complex), 1, 1)
+
+    def test_working_set_is_one_error_buffer(self):
+        # The data matrices and the error buffer are live together while the
+        # buffer is filled; the stage loop adds only chunk-sized scratch to
+        # the buffer. Two error buffers exceed the bound by half.
+        rows, cols, n1, n2 = 48, 40, 6, 5
+        x = crandn(np.random.default_rng(51), rows, cols)
+        p, width = n2 + 1, cols + n2
+        buffer = 4 * p * (rows + 1 + n1) * width * 8
+        data = rows * p * width * 16
+        burg2d_modified(x, n1, n2)
+        tracemalloc.start()
+        try:
+            burg2d_modified(x, n1, n2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (buffer + data)
 
     def test_empty_grid_rejected(self):
         message = r"^grid must be a nonempty 2D array, got shape \(0, 3\)$"

@@ -63,6 +63,24 @@ def sig_csv(tmp_path):
 
 
 class TestGen:
+    @pytest.mark.parametrize(("option", "values"), [
+        ("--freq", ["-1e-3", "-2.5E-1", "-.5e-1", "-0.25", "-1_0e-2", "-inf", "-nan"]),
+        ("--snr-db", ["-1e-3", "-1E+2", "-.5e2", "-3", "-Infinity"]),
+        ("--phase", ["-1e-3", "-1E+308", "-.5e2", "-1.", "-NaN"]),
+    ])
+    def test_negative_value_after_a_space_reads_as_attached(self, tmp_path, capsys, option, values):
+        # Every value is one that float() reads; the non-finite ones exit 2
+        # with the same message in both forms.
+        out = tmp_path / "sig.csv"
+        for value in values:
+            seen = []
+            for argv in ([f"{option}={value}"], [option, value]):
+                rc = run("gen", "--n", "8", *argv, "--out", str(out))
+                err = capsys.readouterr().err
+                seen.append((rc, read_json(f"{out}.manifest.json")["parameters"] if rc == 0 else err))
+            assert seen[0] == seen[1], value
+            assert seen[0][0] == (0 if math.isfinite(float(value)) else 2), value
+
     def test_writes_signal_and_manifest(self, tmp_path):
         out = tmp_path / "sig.csv"
         rc = run("gen", "--n", "20", "--freq", "0.25", "--seed", "1", "--out", str(out))

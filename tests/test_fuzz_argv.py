@@ -148,8 +148,8 @@ def argvs(draw) -> tuple[str, list]:
             argv.append(option)
             continue
         value = str(draw(values))
-        # A value such as "-inf" must be attached, or it reads as an option.
-        argv += [f"{option}={value}"] if value.startswith("-") else [option, value]
+        # Either form, for a negative value such as "-1e+308" or "-inf" too.
+        argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
     if command in INPUTS:
         argv += ["--in", "in/" + draw(INPUTS[command])]
     # An output is rarely under a missing directory, or a directory itself.
@@ -209,6 +209,7 @@ def test_any_argv_exits_cleanly(dirs, case):
 
     assert err == ""
     options = dict(zip(argv, argv[1:]))
+    options.update(arg.split("=", 1) for arg in argv if arg.startswith("--") and "=" in arg)
     out = options["--out"]
     outputs = [out]
     if command == "est2d":
