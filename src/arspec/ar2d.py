@@ -214,12 +214,15 @@ def wwra(blocks, order: int, sample_terms: int | None = None) -> ArModel2D:
     return _finish(coeffs, history, sample_terms)
 
 
-def grid_for_order(x, order: int) -> np.ndarray:
-    """``x``, a grid that :func:`as_grid_2d` accepts, checked for an
-    order-``order`` run: ``order`` in ``[1, N1-1]``."""
+def grid_for_order(x, order: int, channel_order: int) -> np.ndarray:
+    """``x``, a grid that :func:`as_grid_2d` accepts, checked for a run at
+    orders ``(order, channel_order)``: ``order`` in ``[1, N1-1]`` and
+    ``channel_order`` in ``[0, N2-1]``."""
     x = as_grid_2d(x)
     if not 1 <= order <= x.shape[0] - 1:
         raise ValueError(f"order must be in [1, {x.shape[0] - 1}], got {order}")
+    if not 0 <= channel_order <= x.shape[1] - 1:
+        raise ValueError(f"n2 must be in [0, {x.shape[1] - 1}], got {channel_order}")
     return x
 
 
@@ -231,6 +234,17 @@ def _gram(r: np.ndarray) -> np.ndarray:
     np.add(g[0::2, 0::2], g[1::2, 1::2], out=out.real)
     np.subtract(g[1::2, 0::2], g[0::2, 1::2], out=out.imag)
     return out
+
+
+def _fill(out: np.ndarray, x: np.ndarray, width: int) -> None:
+    """Write the data matrices ``X(k)`` of the grid rows ``x`` into the zeroed
+    ``(2p, len(x) * width)`` real rows ``out``, laid out as by
+    :func:`_put_real`: rows ``2i`` and ``2i+1`` of block ``k`` take ``Re
+    x(k)`` and ``Im x(k)`` at columns ``[i, i+N2)``."""
+    rows, cols = x.shape
+    for i, line in enumerate(out.reshape(len(out) // 2, 2, rows, width)):
+        line[0, :, i : i + cols] = x.real
+        line[1, :, i : i + cols] = x.imag
 
 
 def _put_real(out: np.ndarray, blocks: np.ndarray) -> None:
@@ -324,7 +338,9 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
 
     The errors live in one real ``(4p, blocks * width)`` buffer: column
     block ``k`` holds ``e_f(k)`` over ``D(k) = e_b(k-1)``, each channel as
-    its real row over its imaginary row, so ``D(0) = e_b(-1) = 0``. Stage
+    its real row over its imaginary row, so ``D(0) = e_b(-1) = 0``. The
+    order-0 errors, the data matrices ``X(k)``, are filled into it straight
+    from the grid (:func:`_fill`), and never built on their own. Stage
     ``m`` updates them on its window, rows ``[m, N1-1]`` when shrinking and
     ``[0, N1+m-1]`` when ``padded``, by two real ``(2p x 2p)`` matmuls per
     chunk of blocks, in place from the last chunk to the first
@@ -335,16 +351,14 @@ def _burg2d_lattice(x, order: int, channel_order: int, padded: bool) -> ArModel2
     the products of the dropped first ``e_f`` and last ``e_b`` blocks:
     positive semidefinite terms, so nothing cancels.
     """
-    x = grid_for_order(x, order)
-    data = build_data_matrices(x, channel_order)
-    n1_len, p, width = data.shape
+    x = grid_for_order(x, order, channel_order)
+    n1_len, p, width = len(x), channel_order + 1, x.shape[1] + channel_order
     # The 1D lattice's rule: an energy that rounds to zero is no energy.
     if not np.vecdot(x.ravel(), x.ravel()).real:
         raise DegenerateSignalError("grid has zero energy")
 
     buf = np.zeros((4 * p, (n1_len + 1 + (order if padded else 0)) * width))
-    _put_real(buf[: 2 * p, : n1_len * width], data)
-    del data  # the stage loop's peak memory is its buffer, no more
+    _fill(buf[: 2 * p, : n1_len * width], x, width)
     buf[2 * p :, width : (n1_len + 1) * width] = buf[: 2 * p, : n1_len * width]
     coeffs = np.zeros((order, p, p), dtype=complex)
     history: list[BlockStage] = []
@@ -405,8 +419,8 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
     # edges[0] is the head, edges[1] the tail.
     span = (order + 1) * width
     edges = np.zeros((2, 4 * p, span))
-    _put_real(edges[0, : 2 * p, :width], early[-1:])
-    _put_real(edges[1, 2 * p :, :width], late[:1])
+    _fill(edges[0, : 2 * p, :width], x[:1], width)
+    _fill(edges[1, 2 * p :, :width], x[-1:], width)
     taps = np.zeros((order + 1, p, p), dtype=complex)  # I, A_1 .. A_order
     taps[0] = np.eye(p)
     coeffs = taps[1:]
@@ -479,7 +493,7 @@ def burg2d_classic(x, order: int, channel_order: int) -> ArModel2D:
     relative, ``Pf`` and ``Pb`` within 1.4e-14 and ``Pfb`` within 7.6e-13, in
     about a third of its time.
     """
-    x = grid_for_order(x, order)
+    x = grid_for_order(x, order, channel_order)
     # Near the ends of the double range the forms may overflow or lose
     # their scale; the route then raises to hand the grid to the lattice,
     # so a warning would be noise.

@@ -253,7 +253,7 @@ def _cmd_est1d(args):
 
 
 def _cmd_est2d(args):
-    x = grid_for_order(read_signal_2d_csv(args.input), args.n1)
+    x = grid_for_order(read_signal_2d_csv(args.input), args.n1, args.n2)
     model = _METHODS_2D[args.method](x, args.n1, args.n2)
     filt = extract_quarter_plane_filter(model)
     write_json(args.out, model2d_to_dict(model, args.method))

@@ -7,8 +7,9 @@ correlations the library takes by FFT: the 1D lags, the 2D lag blocks and
 the quarter-plane residual, the writer of the 2D signal CSV that the CLI
 only reads, the spectrum CSV written one ``repr`` per cell, and the 1D
 Burg lattice as it was before its stages were fused into one chunked
-sweep, with its own copy of the stage record and unit-circle stop, and
-the 2D lattice step as it was before it ran in place.
+sweep, with its own copy of the stage record and unit-circle stop, the
+2D lattice step as it was before it ran in place, and the 2D lattice's
+fill as it was before it wrote the grid straight into its buffer.
 :func:`exact_levinson` solves the normal equations with no rounding at
 all, so a route's distance from it is its own error.
 """
@@ -19,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from arspec.ar1d import UNIT_CIRCLE_TOL, LatticeBatch, _finish
-from arspec.autocorr import as_grid_2d, as_signal_1d, as_signals_1d
+from arspec.ar2d import _put_real
+from arspec.autocorr import as_grid_2d, as_signal_1d, as_signals_1d, build_data_matrices
 from arspec.errors import DegenerateSignalError, NumericalError
 from arspec.io import write_csv
 from arspec.spectrum import SpectrumGrid, log10_power
@@ -310,3 +312,10 @@ def advance_two_buffers(a_nn: np.ndarray, buf: np.ndarray, blocks: slice, width:
     nxt = buf.copy()
     _advance_into(a_nn, buf, nxt, blocks, width)
     buf[...] = nxt
+
+
+def fill_from_data_matrices(out: np.ndarray, x: np.ndarray, width: int) -> None:
+    """:func:`arspec.ar2d._fill` by the data matrices: all of them built by
+    :func:`arspec.autocorr.build_data_matrices`, then copied into the real
+    rows ``out`` by :func:`arspec.ar2d._put_real`."""
+    _put_real(out, build_data_matrices(x, width - x.shape[1]))

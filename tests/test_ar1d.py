@@ -737,6 +737,11 @@ class TestChunkedSweep:
         # record and the grid stay on theirs. The 48x40 grid's blocks of 50
         # columns leave a partial tile in a whole-window product, which
         # OpenBLAS splits across threads; the lattice's chunks stay on one.
+        # The 6x90 grid at n2 = 20 (p = 21) is the largest channel count the
+        # README promises; on that grid OpenBLAS splits a lattice step's
+        # product across threads from p = 24, and the Gram from 4p = 100
+        # rows. At order 5 = N1 - 1 burg2d_classic hands the grid to the
+        # shrinking lattice.
         # The second run places allocations between the calls, which must
         # not move a bit either.
         script = (
@@ -749,6 +754,7 @@ class TestChunkedSweep:
             "tone = np.exp(2j * np.pi * 0.1 * np.arange(20000)) + 1e-3 * x\n"
             "grid = Lcg32(4).complex_normal(16384).reshape(128, 128)\n"
             "odd = Lcg32(5).complex_normal(1920).reshape(48, 40)\n"
+            "wide = Lcg32(6).complex_normal(540).reshape(6, 90)\n"
             "def sha(*parts):\n"
             "    return hashlib.sha256(b''.join(np.asarray(a).tobytes() for a in parts)).hexdigest()\n"
             "def digests():\n"
@@ -761,7 +767,9 @@ class TestChunkedSweep:
             "    for model in (ar2d.wwra(estimate_block_autocorr_2d(grid, 16, 16), 16),\n"
             "                  ar2d.burg2d_classic(grid, 16, 16),\n"
             "                  ar2d.burg2d_modified(grid, 16, 16),\n"
-            "                  ar2d.burg2d_modified(odd, 16, 10)):\n"
+            "                  ar2d.burg2d_modified(odd, 16, 10),\n"
+            "                  ar2d.burg2d_classic(wide, 5, 20),\n"
+            "                  ar2d.burg2d_modified(wide, 5, 20)):\n"
             "        yield sha(model.coeffs, model.error_power)\n"
             "    for argv in (['est1d', '--method', 'levinson', '--order', '8', '--in', signal],\n"
             "                 ['est1d', '--method', 'burg', '--order', '8', '--in', signal],\n"
@@ -790,7 +798,7 @@ class TestChunkedSweep:
             )
             assert run.returncode == 0, run.stderr
             pairs = [line.split() for line in run.stdout.splitlines()]
-            assert len(pairs) == 13
+            assert len(pairs) == 15
             assert all(again == first for again, first in pairs)
             digests.append([first for _, first in pairs])
         _, classic, lattice, *_ = digests[0]

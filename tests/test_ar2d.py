@@ -7,7 +7,12 @@ import pytest
 from conftest import crandn
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import advance_two_buffers, block_toeplitz_matrix, quarter_plane_residual_direct
+from oracles import (
+    advance_two_buffers,
+    block_toeplitz_matrix,
+    fill_from_data_matrices,
+    quarter_plane_residual_direct,
+)
 
 from arspec import ar2d
 from arspec.ar1d import burg_classic, burg_modified, levinson
@@ -428,6 +433,72 @@ class TestInPlaceStep:
                 assert same(stage.criterion, ref_stage.criterion)
 
 
+def _model_bytes(model) -> bytes:
+    """Every array and criterion of ``model`` and its stages, as bytes."""
+    parts = [model.coeffs, model.error_power]
+    for stage in model.history:
+        parts += [stage.coeffs, stage.forward_power, stage.error_power, stage.cross_power,
+                  np.float64(stage.criterion)]
+    return b"".join(np.asarray(a).tobytes() for a in parts)
+
+
+@st.composite
+def lattice_runs(draw) -> tuple:
+    """A grid of 2 to 7 rows and 1 to 6 columns, an order in ``[1, N1-1]``
+    and a channel order in ``[0, N2-1]``, each edge of a range drawn often;
+    one grid in five is zero or scaled to the edge of the double range."""
+    rows, cols = draw(st.integers(2, 7)), draw(st.integers(1, 6))
+    order = draw(st.sampled_from([1, rows - 1]) | st.integers(1, rows - 1))
+    n2 = draw(st.sampled_from([0, cols - 1]) | st.integers(0, cols - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = _plane_waves(rng, rows, cols, 0.1) if draw(st.booleans()) else crandn(rng, rows, cols)
+    if draw(st.integers(0, 4)) == 0:
+        x *= draw(st.sampled_from([0.0, 1e-160, 1e155]))
+    return x, order, n2
+
+
+class TestFill:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(run=lattice_runs())
+    @example(run=(np.ones((2, 1), dtype=complex), 1, 0))
+    @example(run=(crandn(np.random.default_rng(5), 4, 5), 3, 4))
+    def test_matches_the_fill_by_data_matrices(self, run):
+        # Both lattices, and the lag route where its order allows, with the
+        # grid written straight into the buffer and with the data matrices
+        # built and copied: the same bytes, or the same error.
+        x, order, n2 = run
+        routes = [lambda: ar2d._burg2d_lattice(x, order, n2, padded=False),
+                  lambda: ar2d._burg2d_lattice(x, order, n2, padded=True)]
+        if order < len(x) - 1:
+            routes.append(lambda: ar2d._burg2d_from_lags(x, order, n2))
+
+        def outcomes():
+            for route in routes:
+                try:
+                    with np.errstate(all="ignore"):
+                        yield _model_bytes(route())
+                except (NumericalError, np.linalg.LinAlgError) as exc:
+                    yield repr(exc)
+
+        got = list(outcomes())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ar2d, "_fill", fill_from_data_matrices)
+            want = list(outcomes())
+        assert got == want
+
+
+def _traced_peak(x, n1: int, n2: int) -> int:
+    """The ``tracemalloc`` peak of ``burg2d_modified(x, n1, n2)``, after a
+    first call has done the allocations that happen only once."""
+    burg2d_modified(x, n1, n2)
+    tracemalloc.start()
+    try:
+        burg2d_modified(x, n1, n2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBurg2dModified:
     def test_single_column_reduces_to_burg_modified(self):
         rng = np.random.default_rng(48)
@@ -482,22 +553,22 @@ class TestBurg2dModified:
             burg2d_modified(np.zeros((4, 4), dtype=complex), 1, 1)
 
     def test_working_set_is_one_error_buffer(self):
-        # The data matrices and the error buffer are live together while the
-        # buffer is filled; the stage loop adds only chunk-sized scratch to
-        # the buffer. Two error buffers exceed the bound by half.
+        # The stage loop adds only chunk-sized scratch to the buffer, which
+        # is filled from the grid. Two error buffers exceed the bound by half.
         rows, cols, n1, n2 = 48, 40, 6, 5
         x = crandn(np.random.default_rng(51), rows, cols)
         p, width = n2 + 1, cols + n2
         buffer = 4 * p * (rows + 1 + n1) * width * 8
         data = rows * p * width * 16
-        burg2d_modified(x, n1, n2)
-        tracemalloc.start()
-        try:
-            burg2d_modified(x, n1, n2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * (buffer + data)
+        assert _traced_peak(x, n1, n2) <= 1.1 * (buffer + data)
+
+    def test_fill_adds_nothing_to_the_buffer(self):
+        # At n2 = 3 a chunk spans 7 of the 131 blocks, so the fill sets the
+        # peak: data matrices built beside the buffer take it to 1.49 times.
+        rows, cols, n1, n2 = 128, 64, 2, 3
+        x = crandn(np.random.default_rng(52), rows, cols)
+        buffer = 4 * (n2 + 1) * (rows + 1 + n1) * (cols + n2) * 8
+        assert _traced_peak(x, n1, n2) <= 1.25 * buffer
 
     def test_empty_grid_rejected(self):
         message = r"^grid must be a nonempty 2D array, got shape \(0, 3\)$"
