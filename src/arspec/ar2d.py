@@ -1,8 +1,9 @@
 """Two-dimensional AR estimators via the multichannel embedding.
 
-The 2D signal is stacked into shifted, zero-filled data matrices (one per
-row index; see :func:`arspec.autocorr.build_data_matrices`), which turns 2D
-linear prediction into multichannel prediction with coefficient MATRICES
+The 2D signal is stacked into shifted, zero-filled data matrices, one per
+row index: row ``i``, column ``j`` of ``X(k)`` holds ``x(k, j-i)``, and zero
+where ``j-i`` is outside ``[0, N2-1]``. That turns 2D linear prediction
+into multichannel prediction with coefficient MATRICES
 ``A_1..A_n1`` of size ``(n2+1) x (n2+1)``. Three estimators are provided:
 
 * :func:`wwra` - the multichannel order recursion (Whittle, Wiggins,
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ar1d import FAST_BURG_BOUND
-from .autocorr import as_grid_2d, build_data_matrices, estimate_block_autocorr_2d
+from .autocorr import as_grid_2d, estimate_block_autocorr_2d
 from .errors import DegenerateSignalError, NumericalError
 from .linalg import exchange_conj, exchange_transpose, solve_hermitian_dense
 
@@ -238,20 +239,25 @@ def _gram(r: np.ndarray) -> np.ndarray:
 
 def _fill(out: np.ndarray, x: np.ndarray, width: int) -> None:
     """Write the data matrices ``X(k)`` of the grid rows ``x`` into the zeroed
-    ``(2p, len(x) * width)`` real rows ``out``, laid out as by
-    :func:`_put_real`: rows ``2i`` and ``2i+1`` of block ``k`` take ``Re
-    x(k)`` and ``Im x(k)`` at columns ``[i, i+N2)``."""
+    real rows ``out``, of shape ``(2p, len(x) * width)`` or ``(2p, len(x),
+    width)``: rows ``2i`` and ``2i+1`` of block ``k`` take ``Re x(k)`` and
+    ``Im x(k)`` at columns ``[i, i+N2)``."""
     rows, cols = x.shape
     for i, line in enumerate(out.reshape(len(out) // 2, 2, rows, width)):
         line[0, :, i : i + cols] = x.real
         line[1, :, i : i + cols] = x.imag
 
 
-def _put_real(out: np.ndarray, blocks: np.ndarray) -> None:
-    """Write the ``(n, p, width)`` complex blocks into the ``(2p, n * width)``
-    real rows ``out``, channel ``i``'s real part over its imaginary part."""
-    n, p, width = blocks.shape
-    out.reshape(p, 2, n, width)[:] = blocks.view(float).reshape(n, p, width, 2).transpose(1, 3, 0, 2)
+def _real_form(a: np.ndarray) -> np.ndarray:
+    """The real ``(2p, 2p)`` form of each ``(p, p)`` tap of the stack ``a``,
+    acting on blocks laid out as by :func:`_fill`: rows ``2i`` and ``2i+1``
+    take ``conj(A[i])`` and ``1j conj(A[i])`` as ``(re, im)`` pairs.
+    Reversed on both of its last axes it is the real form of ``J A^* J``."""
+    p = a.shape[-1]
+    out = np.empty((*a.shape[:-2], 2 * p, 2 * p))
+    pairs = out.view(complex).reshape(*a.shape[:-2], p, 2, p)
+    np.multiply(np.conjugate(a, out=pairs[..., 0, :]), 1j, out=pairs[..., 1, :])
+    return out
 
 
 def _coefficient(pf: np.ndarray, pb: np.ndarray, pfb: np.ndarray) -> np.ndarray:
@@ -295,11 +301,9 @@ def _advance(a_nn: np.ndarray, buf: np.ndarray, blocks: slice, width: int) -> No
     grid at ``p = 6`` a scratch of 30 of its 55 blocks; 512 columns give 11.
     """
     p = len(a_nn)
-    # Real forms of J A^* J on e_f and of A on D (rows 2i, 2i+1: conj(A[i]), 1j conj(A[i])).
-    upd = np.empty((2, 2 * p, 2 * p))
-    pairs = upd[1].view(complex).reshape(p, 2, p)
-    np.multiply(np.conjugate(a_nn, out=pairs[:, 0]), 1j, out=pairs[:, 1])
-    upd[0] = upd[1, ::-1, ::-1]
+    # Real forms of J A^* J on e_f and of A on D.
+    fwd = _real_form(a_nn)
+    upd = np.stack((fwd[::-1, ::-1], fwd))
     lo, hi = blocks.start, blocks.stop
     step = _chunk_blocks(width)
     stack = buf.shape[:-2]
@@ -389,9 +393,10 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
     n1+1]``: ``Pf = sum_i A_i G_i``, ``Pb = J Pf^* J`` and ``Pfb = sum_i A_i
     J G_{m+1-i}^* J``, as ``R_t J = J R_t^T``. Built as ``G_i = R_{-i}``, the
     table follows each order update by persymmetry, ``G'_i = G_i + J
-    G_{m+1-i}^* J A_nn^H``. Every complex product, the per-tap ones of the
-    new edge blocks too, has inner dimension ``p``, so the route's bits do
-    not depend on the BLAS thread count.
+    G_{m+1-i}^* J A_nn^H``. Every complex product has inner dimension
+    ``p``. The per-tap products of the new edge blocks are real, with inner
+    dimension ``2p``, like the lattice step's (:func:`_real_form`). So the
+    route's bits do not depend on the BLAS thread count.
     The window moments subtract the Gram of the edge errors, kept in the
     lattice's real layout in one stack of two buffers: block ``k`` of the
     head holds ``e_f(k)`` over ``D(k) = e_b(k-1)`` for ``k`` in ``[0, m]``,
@@ -405,9 +410,11 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
         raise NumericalError(f"the last window is empty at order {order}")
     n1_len, p, width = len(x), channel_order + 1, x.shape[1] + channel_order
     # The new edge blocks read only the first and the last order + 1 data
-    # matrices, stacked as X(order) .. X(0) and X(N1-1) .. X(N1-1-order).
-    early, late = (build_data_matrices(rows, channel_order)
-                   for rows in (x[order::-1], x[::-1][: order + 1]))
+    # matrices, stacked block by block as X(order) .. X(0) and X(N1-1) ..
+    # X(N1-1-order) in the real layout.
+    early, late = np.zeros((2, order + 1, 2 * p, width))
+    _fill(early.transpose(1, 0, 2), x[order::-1], width)
+    _fill(late.transpose(1, 0, 2), x[::-1][: order + 1], width)
     lags = estimate_block_autocorr_2d(x, order + 1, channel_order)
     r0 = lags[0, 0, 0].real
     floor = 2.0 * r0 / FAST_BURG_BOUND
@@ -426,12 +433,14 @@ def _burg2d_from_lags(x: np.ndarray, order: int, channel_order: int) -> ArModel2
     coeffs = taps[1:]
     history: list[BlockStage] = []
     for m in range(order + 1):
-        ar, cr = taps[: m + 1], taps[m::-1, ::-1, ::-1].conj()
+        ar = taps[: m + 1]
         if m:
             _advance(coeffs[m - 1], edges, slice(0, m), width)
-            _put_real(edges[0, : 2 * p, m * width : (m + 1) * width],
-                      (ar @ early[order - m :]).sum(0)[None])
-            _put_real(edges[1, 2 * p :, :width], (cr @ late[: m + 1]).sum(0)[None])
+            # Reversed on all three axes, the real forms of A_0 .. A_m are
+            # those of J A_m^* J .. J A_0^* J.
+            rf = _real_form(ar)
+            np.sum(rf @ early[order - m :], 0, out=edges[0, : 2 * p, m * width : (m + 1) * width])
+            np.sum(rf[::-1, ::-1, ::-1] @ late[: m + 1], 0, out=edges[1, 2 * p :, :width])
         head, tail = edges
         pf_pad = (ar @ g[order + 1 : order + m + 2]).sum(0)
         mom = np.empty((2 * p, 2 * p), dtype=complex)
@@ -481,16 +490,16 @@ def burg2d_classic(x, order: int, channel_order: int) -> ArModel2D:
     edges per stage, not from passes over the error blocks (Andersen 1974;
     Vos 2013, in block form; see :func:`_burg2d_from_lags`). Each window
     moment is a difference of sums of the size of ``R_0``, so a grid stays
-    on this route only while ``R_0[0,0]`` is a normal double at most half
-    the largest one, every moment is finite, and every stage denominator
-    ``Pb + J Pf^* J`` has its smallest Cholesky pivot at or above
-    ``2 R_0[0,0] / FAST_BURG_BOUND``. That includes the denominator after
-    the last stage, which bounds the moments the last stage records, and
-    which is zero at ``n1 = N1 - 1``. The route raises to hand any other
+    on this route only while ``R_0[0,0]`` is at most half the largest
+    double, every moment is finite, and every stage denominator ``Pb + J
+    Pf^* J`` has its smallest Cholesky pivot at or above the floor ``2
+    R_0[0,0] / FAST_BURG_BOUND``, itself a normal double. That includes the
+    denominator after the last stage, which bounds the moments the last
+    stage records, and which is zero at ``n1 = N1 - 1``. The route raises to hand any other
     grid to the error-block lattice, which recomputes it in full and gives
     it its bits and errors. On 128x128 grids of two plane waves in noise
     at ``n1 = n2 = 16`` the coefficients match the lattice's within 1.1e-13
-    relative, ``Pf`` and ``Pb`` within 1.4e-14 and ``Pfb`` within 7.6e-13, in
+    relative, ``Pf`` and ``Pb`` within 1.6e-14 and ``Pfb`` within 7.6e-13, in
     about a third of its time.
     """
     x = grid_for_order(x, order, channel_order)

@@ -14,14 +14,14 @@ length plus its largest lag, so no lag wraps. Its error is about
 ``eps * r_0`` in absolute terms, not relative to each lag, and it takes no
 BLAS dot, so its bits do not depend on the BLAS thread count. For 2D
 signals the channel embedding stacks each signal row into shifted,
-zero-filled copies (:func:`build_data_matrices`); its lag blocks are
-Hermitian Toeplitz-block-Toeplitz.
+zero-filled copies, the data matrix ``X(k)`` of row ``k``: its row ``i``,
+column ``j`` holds ``x(k, j-i)``, and zero where ``j-i`` is outside ``[0,
+N2-1]``. Its lag blocks are Hermitian Toeplitz-block-Toeplitz.
 """
 
 import numpy as np
 
 __all__ = [
-    "build_data_matrices",
     "estimate_autocorr_1d",
     "estimate_block_autocorr_2d",
 ]
@@ -104,24 +104,6 @@ def estimate_autocorr_1d(x, max_lag: int) -> np.ndarray:
     r = _correlation(stack, (n + max_lag,))[:, : max_lag + 1].copy()
     r[:, 0] = r[:, 0].real
     return r if x.ndim == 2 else r[0]
-
-
-def build_data_matrices(x, n2: int) -> np.ndarray:
-    """Shifted zero-filled embedding of a 2D signal, one matrix per row index.
-
-    Returns an array of shape ``(N1, n2+1, N2+n2)`` whose ``k``-th matrix
-    holds ``x(k, j - i)`` at row ``i``, column ``j`` when ``0 <= j-i <= N2-1``
-    and zero elsewhere: each signal row is repeated and shifted one column to
-    the right on every following line.
-    """
-    x = as_grid_2d(x)
-    n_rows, n_cols = x.shape
-    if not 0 <= n2 <= n_cols - 1:
-        raise ValueError(f"n2 must be in [0, {n_cols - 1}], got {n2}")
-    out = np.zeros((n_rows, n2 + 1, n_cols + n2), dtype=complex)
-    for i in range(n2 + 1):
-        out[:, i, i : i + n_cols] = x
-    return out
 
 
 def estimate_block_autocorr_2d(x, n1: int, n2: int) -> np.ndarray:

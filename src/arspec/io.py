@@ -25,6 +25,7 @@ reuses that text on every row it labels.
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -160,13 +161,16 @@ def _complex(value, shape: tuple) -> np.ndarray:
 
 
 def _power(value, name: str) -> float:
-    """A power read from JSON: finite (json reads 1e999 as inf) and nonnegative."""
-    power = float(value)
-    if not math.isfinite(power):
-        raise ValueError(f"{name} must be finite, got {power}")
-    if power < 0.0:
-        raise ValueError(f"{name} must be nonnegative, got {power}")
-    return power
+    """A power read from JSON: a number, not ``"1.5"`` or ``true``; finite
+    (json reads 1e999 as inf, and an integer may pass the largest double);
+    and nonnegative."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return float(value)
 
 
 def _count(obj: dict, key: str) -> int:
@@ -185,7 +189,7 @@ def _sample_terms(value) -> int | None:
 
 def _criterion(value) -> float | None:
     """A stage criterion read from JSON: ``None`` or a finite number."""
-    if value is None or (type(value) in (int, float) and math.isfinite(value)):
+    if value is None or (type(value) in (int, float) and abs(value) <= sys.float_info.max):
         return value
     raise ValueError(f"criterion must be null or a finite number, got {value!r}")
 
@@ -329,7 +333,7 @@ def read_json(path) -> dict:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a decode error, or an integer of over 4300 digits
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 

@@ -9,7 +9,9 @@ only reads, the spectrum CSV written one ``repr`` per cell, and the 1D
 Burg lattice as it was before its stages were fused into one chunked
 sweep, with its own copy of the stage record and unit-circle stop, the
 2D lattice step as it was before it ran in place, and the 2D lattice's
-fill as it was before it wrote the grid straight into its buffer.
+fill as it was before it wrote the grid straight into its buffer: from
+the complex data matrices, copied into the real layout, neither of which
+the library builds.
 :func:`exact_levinson` solves the normal equations with no rounding at
 all, so a route's distance from it is its own error.
 """
@@ -20,8 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from arspec.ar1d import UNIT_CIRCLE_TOL, LatticeBatch, _finish
-from arspec.ar2d import _put_real
-from arspec.autocorr import as_grid_2d, as_signal_1d, as_signals_1d, build_data_matrices
+from arspec.autocorr import as_grid_2d, as_signal_1d, as_signals_1d
 from arspec.errors import DegenerateSignalError, NumericalError
 from arspec.io import write_csv
 from arspec.spectrum import SpectrumGrid, log10_power
@@ -314,8 +315,34 @@ def advance_two_buffers(a_nn: np.ndarray, buf: np.ndarray, blocks: slice, width:
     buf[...] = nxt
 
 
+def build_data_matrices(x, n2: int) -> np.ndarray:
+    """Shifted zero-filled embedding of a 2D signal, one matrix per row index.
+
+    Returns an array of shape ``(N1, n2+1, N2+n2)`` whose ``k``-th matrix
+    holds ``x(k, j - i)`` at row ``i``, column ``j`` when ``0 <= j-i <= N2-1``
+    and zero elsewhere: each signal row is repeated and shifted one column to
+    the right on every following line.
+    """
+    x = as_grid_2d(x)
+    n_rows, n_cols = x.shape
+    if not 0 <= n2 <= n_cols - 1:
+        raise ValueError(f"n2 must be in [0, {n_cols - 1}], got {n2}")
+    out = np.zeros((n_rows, n2 + 1, n_cols + n2), dtype=complex)
+    for i in range(n2 + 1):
+        out[:, i, i : i + n_cols] = x
+    return out
+
+
+def _put_real(out: np.ndarray, blocks: np.ndarray) -> None:
+    """Write the ``(n, p, width)`` complex blocks into the ``(2p, n * width)``
+    real rows ``out``, channel ``i``'s real part over its imaginary part: the
+    layout of :func:`arspec.ar2d._fill`."""
+    n, p, width = blocks.shape
+    out.reshape(p, 2, n, width)[:] = blocks.view(float).reshape(n, p, width, 2).transpose(1, 3, 0, 2)
+
+
 def fill_from_data_matrices(out: np.ndarray, x: np.ndarray, width: int) -> None:
     """:func:`arspec.ar2d._fill` by the data matrices: all of them built by
-    :func:`arspec.autocorr.build_data_matrices`, then copied into the real
-    rows ``out`` by :func:`arspec.ar2d._put_real`."""
+    :func:`build_data_matrices`, then copied into the real rows ``out`` by
+    :func:`_put_real`."""
     _put_real(out, build_data_matrices(x, width - x.shape[1]))

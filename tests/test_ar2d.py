@@ -4,12 +4,14 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from conftest import crandn
+from conftest import crandn, hermitian_pd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    _put_real,
     advance_two_buffers,
     block_toeplitz_matrix,
+    build_data_matrices,
     fill_from_data_matrices,
     quarter_plane_residual_direct,
 )
@@ -26,7 +28,6 @@ from arspec.ar2d import (
     wwra,
 )
 from arspec.autocorr import (
-    build_data_matrices,
     estimate_autocorr_1d,
     estimate_block_autocorr_2d,
 )
@@ -433,6 +434,38 @@ class TestInPlaceStep:
                 assert same(stage.criterion, ref_stage.criterion)
 
 
+class TestRealForm:
+    # The lattice step and the lag route's edge blocks both apply taps to
+    # blocks in the real layout through their real forms.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(1, 6),
+        taps=st.integers(1, 3),
+        width=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(p=1, taps=1, width=1, seed=0)
+    def test_acts_as_the_taps_do_on_the_real_layout(self, p, taps, width, seed):
+        rng = np.random.default_rng(seed)
+        a, blocks = crandn(rng, taps, p, p), crandn(rng, taps, p, width)
+        form = ar2d._real_form(a)
+        assert form.shape == (taps, 2 * p, 2 * p)
+        for tap, block, product in zip(form, blocks, a @ blocks, strict=True):
+            x, want = np.empty((2 * p, width)), np.empty((2 * p, width))
+            _put_real(x, block[None])
+            _put_real(want, product[None])
+            # Each entry is a sum of 2p real products, which both sides round.
+            bound = 8 * p * np.finfo(float).eps * (np.abs(tap) @ np.abs(x))
+            assert (np.abs(tap @ x - want) <= bound).all()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=st.integers(1, 6), taps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_reversed_is_the_form_of_the_exchange_conjugate(self, p, taps, seed):
+        a = crandn(np.random.default_rng(seed), taps, p, p)
+        flipped = np.stack([exchange_conj(tap) for tap in a])
+        assert np.array_equal(ar2d._real_form(a)[..., ::-1, ::-1], ar2d._real_form(flipped))
+
+
 def _model_bytes(model) -> bytes:
     """Every array and criterion of ``model`` and its stages, as bytes."""
     parts = [model.coeffs, model.error_power]
@@ -801,3 +834,57 @@ def test_subnormal_final_error_power_raises():
         burg2d_modified(1e-155 * _RANGE_GRID, 3, 2)
     small, unit = (burg2d_modified(s * _RANGE_GRID, 3, 2) for s in (3e-155, 1.0))
     assert max_rel_diff(small.coeffs, unit.coeffs) <= 1e-13
+
+
+def test_final_error_power_of_the_smallest_normal_double_is_returned():
+    # With R_1 = 0 the coefficient is 0 and P stays R_0 exactly: the
+    # smallest normal double passes, and the next double down raises.
+    tiny = np.finfo(float).tiny
+    model = wwra(np.array([[[tiny]], [[0.0]]]), 1)
+    assert model.error_power[0, 0] == tiny
+    with pytest.raises(NumericalError, match="below the normal double range at order 1"):
+        wwra(np.array([[[np.nextafter(tiny, 0.0)]], [[0.0]]]), 1)
+
+
+@pytest.mark.parametrize("p, zero", [(1, True), (3, False)])
+def test_first_wwra_stage_is_one_solve_of_the_first_lag(p, zero):
+    # At order 1 the recursion adds nothing to R_1: A_1 = -R_1 R_0^{-1} bit
+    # for bit, the signs of a zero lag's parts included.
+    rng = np.random.default_rng(11)
+    r0 = hermitian_pd(rng, p)
+    r1 = np.full((p, p), complex(-0.0, -0.0)) if zero else crandn(rng, p, p)
+    want = -solve_hermitian_dense(r0.T, r1.T).T
+    assert wwra(np.array([r0, r1]), 1).coeffs[0].tobytes() == want.tobytes()
+
+
+class TestLagRouteGuards:
+    """The lag route's guards at their boundaries, on lag blocks set exactly
+    (a grid's FFT lags are not exact): a one-channel grid whose only
+    nonzero samples are ``x0`` in its first row and ``last`` in its last,
+    with the lags ``R_0 = r0`` and ``R_1 = R_2 = 0``."""
+
+    @staticmethod
+    def _route(monkeypatch, x0, r0, last=0.0):
+        x = np.zeros((4, 1), dtype=complex)
+        x[0, 0], x[-1, 0] = x0, last
+        lags = np.zeros((3, 1, 1), dtype=complex)
+        lags[0] = r0
+        monkeypatch.setattr(ar2d, "estimate_block_autocorr_2d", lambda *args: lags)
+        with np.errstate(all="ignore"):
+            return ar2d._burg2d_from_lags(x, 1, 0)
+
+    @pytest.mark.parametrize("r0, toward", [(15 * np.finfo(float).tiny, 0.0),
+                                            (0.5 * np.finfo(float).max, np.inf)])
+    def test_range_includes_both_ends(self, monkeypatch, r0, toward):
+        # At 15 tiny the pivot floor 2 R_0 / 30 is the smallest normal double.
+        self._route(monkeypatch, np.sqrt(r0), r0)
+        with pytest.raises(NumericalError, match="out of the lag route's range"):
+            self._route(monkeypatch, np.sqrt(r0), np.nextafter(r0, toward))
+
+    def test_pivot_on_the_floor_stays(self, monkeypatch):
+        # The floor is 2 * 15 / 30 = 1. With |x0|^2 = 29 every window has
+        # Pf = 15 - 29 and Pb = 15, so every denominator is exactly 1; a
+        # last sample of 2^-20 takes 2^-40 off it.
+        self._route(monkeypatch, 5 + 2j, 15.0)
+        with pytest.raises(NumericalError, match="under floor 1.000e[+]00 at order 0"):
+            self._route(monkeypatch, 5 + 2j, 15.0, last=2.0**-20)

@@ -7,13 +7,13 @@ from oracles import (
     autocorr_direct,
     block_autocorr_direct,
     block_toeplitz_matrix,
+    build_data_matrices,
     is_hermitian,
     is_toeplitz,
     toeplitz_matrix,
 )
 
 from arspec.autocorr import (
-    build_data_matrices,
     estimate_autocorr_1d,
     estimate_block_autocorr_2d,
 )

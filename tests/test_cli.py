@@ -29,7 +29,7 @@ from arspec.io import (
     write_signal_csv,
 )
 from arspec.linalg import max_rel_diff
-from arspec.siggen import Lcg32, SynthConfig, phase_sweep
+from arspec.siggen import Lcg32, SynthConfig, gen_noisy_sinusoid, phase_sweep
 from arspec.spectrum import ar_spectrum_1d
 
 
@@ -134,6 +134,20 @@ class TestGen:
         err = capsys.readouterr().err
         assert err == (f"error: usage: snr_db={float(snr_db)} puts the noise scale "
                        "outside the double range\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_first_frequency_of_the_grid_is_accepted(self, tmp_path):
+        out = tmp_path / "sig.csv"
+        assert run("gen", "--n", "8", "--freq", "-0.5", "--noiseless", "--out", str(out)) == 0
+        want = gen_noisy_sinusoid(SynthConfig(8, -0.5, snr_db=None))
+        assert np.array_equal(read_signal_csv(out), want)
+
+    def test_snr_that_overflows_the_noise_scale_is_usage_error(self, tmp_path, capsys):
+        # 10^-310 is subnormal, not zero: the noise scale overflows to inf.
+        rc = run("gen", "--n", "8", "--snr-db=-3100", "--out", str(tmp_path / "o.csv"))
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: usage: snr_db=-3100.0 puts the noise scale "
+                                           "outside the double range\n")
         assert not list(tmp_path.iterdir())
 
 

@@ -204,6 +204,17 @@ class TestSolveHermitianDense:
         with pytest.raises(SingularityError, match=f"at column {col} below floor"):
             solve_hermitian_dense(2.0**e * a, 2.0**e * crandn(rng, n))
 
+    def test_pivot_on_the_floor_raises(self):
+        # The floor, 1e-12 times the largest diagonal entry, is exactly 1.0
+        # here, and the pivot sqrt(1.0)^2 squares back to it exactly.
+        rhs = np.ones(2, dtype=complex)
+        with pytest.raises(SingularityError, match="pivot 1.000e[+]00 at column 1 below floor"):
+            solve_hermitian_dense(np.diag([1e12, 1.0]).astype(complex), rhs)
+        # A floor one step under the pivot lets it pass.
+        below = np.nextafter(1e12, 0.0)
+        x = solve_hermitian_dense(np.diag([below, 1.0]).astype(complex), rhs)
+        assert np.allclose(x, [1.0 / below, 1.0], rtol=1e-15, atol=0.0)
+
 
 class TestDenseOperatorIdentities:
     # products/sums/adjoints are numpy's native operators; the contracts the

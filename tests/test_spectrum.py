@@ -253,3 +253,21 @@ class TestSpectrumCsv:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * grid.power.nbytes
+
+
+class TestPoleThreshold:
+    # A bin is a pole where |C| <= POLE_RTOL log2(size) sum|taps|, which is
+    # 16 eps on 4 bins of two taps whose magnitudes sum to 2.
+    EPS = np.finfo(float).eps
+
+    def test_bin_under_the_threshold_is_a_pole(self):
+        # |C(0)| = 1 - (1 - 8 eps) = 8 eps: half the threshold, and twice
+        # what it would be divided by log2(size) or by sum|taps|.
+        model = ArModel1D(1, np.array([-(1 - 8 * self.EPS) + 0j]), 1.0, [])
+        assert ar_spectrum_1d(model, 4).pole_mask.tolist() == [False, False, True, False]
+
+    def test_bin_on_the_threshold_is_a_pole(self):
+        # C = (1 + 8 eps) - (1 - 8 eps) = 16 eps at f2 = -0.5, exactly.
+        taps = np.array([[1 + 8 * self.EPS, 1 - 8 * self.EPS]], dtype=complex)
+        grid = ar_spectrum_2d(QuarterPlaneFilter(taps, 1.0), 2, 2)
+        assert grid.pole_mask.tolist() == [[True, False], [True, False]]
