@@ -235,7 +235,7 @@ def _finish(batch: LatticeBatch, live: np.ndarray) -> LatticeBatch:
         raise NumericalError(
             f"non-finite prediction-error power {final[b]} at order {batch.stages[b]}"
         )
-    subnormal = live & (0.0 < final) & (final < np.finfo(float).tiny)
+    subnormal = live & (final < np.finfo(float).tiny)
     if np.count_nonzero(subnormal):
         b = int(np.argmax(subnormal))
         raise NumericalError(

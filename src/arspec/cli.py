@@ -44,6 +44,21 @@ be a directory, its parent must be one, and no two paths may name one file
 written. The manifest lists the inputs and the outputs, in declaration
 order.
 
+A failed run changes no file: :func:`main` runs each recipe and writes its
+manifest inside :class:`arspec.io.staged_writes`, which renames the files
+into place only once the manifest is written, the data files first and
+the manifest last, and on any error puts back what it renamed and removes
+the rest. A killed run leaves at most stray ``.arspec-*`` files, and,
+killed between the renames, data files newer than their manifest, which
+is always the last file to change, or an old output renamed aside. An
+output that is a device or a named pipe is written in place, as
+:mod:`arspec.io` says.
+
+``--seed`` and ``ARSPEC_SEED`` take ASCII decimal digits of a value in
+``[0, 2**32)``, the initial states of the LCG, so that each stream has one
+seed; anything else, a sign, a space or a larger value included, is a
+usage error.
+
 Exit codes: 0 success, 1 failed equivalence verdict, 2 usage error,
 3 numerical error. Errors are single machine-parsable lines on stderr:
 ``error: usage: ...`` or ``error: numerical: ...``.
@@ -86,6 +101,7 @@ from .io import (
     read_model,
     read_signal_2d_csv,
     read_signal_csv,
+    staged_writes,
     write_csv,
     write_json,
     write_signal_csv,
@@ -118,12 +134,22 @@ _BATCH_COEFFS = 2**15
 _NOT_PARAMETERS = ("func", "paths", "command", "experiment", "manifest")
 
 
+def _seed(text: str) -> int:
+    """A seed from ``--seed`` or ``ARSPEC_SEED``: ASCII decimal digits of a
+    value in ``[0, 2**32)``."""
+    digits = text.lstrip("0") or "0"
+    if not (text.isascii() and text.isdigit() and len(digits) <= 10 and int(digits) < 2**32):
+        raise argparse.ArgumentTypeError(
+            f"a seed is decimal digits of a value in [0, 2**32), got {text!r}"
+        )
+    return int(digits)
+
+
 def _default_seed() -> int:
-    value = os.environ.get("ARSPEC_SEED", "1")
     try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"ARSPEC_SEED must be an integer, got {value!r}") from None
+        return _seed(os.environ.get("ARSPEC_SEED", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"ARSPEC_SEED: {exc}") from None
 
 
 #: Decimal digits as a Python float literal writes them, single underscores between.
@@ -406,7 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     _path(output, "--out", "outputs", required=True, help="output path")
     _path(output, "--manifest", "manifest", "{out}.manifest.json", help="manifest path")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, help="seed (default $ARSPEC_SEED, else 1)")
+    seed.add_argument(
+        "--seed", type=_seed, help="seed in [0, 2**32) (default $ARSPEC_SEED, else 1)"
+    )
     synth = argparse.ArgumentParser(add_help=False)
     synth.add_argument("--n", type=int, default=20, help="record length")
     synth.add_argument("--freq", type=float, default=0.25, help="normalized frequency")
@@ -500,14 +528,15 @@ def main(argv=None) -> int:
         args.snr_db = None
     start = time.perf_counter()
     try:
-        # ``--seed`` beats ARSPEC_SEED, which only commands with a seed read.
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _default_seed()
-        paths = _resolve_paths(args)
-        # No float warnings on stderr: a non-finite estimate raises instead.
-        with np.errstate(all="ignore"):
-            code, fields = args.func(args)
-        _write_manifest(args, effective, start, **paths, **fields)
+        with staged_writes():
+            # ``--seed`` beats ARSPEC_SEED, which only commands with a seed read.
+            if hasattr(args, "seed") and args.seed is None:
+                args.seed = _default_seed()
+            paths = _resolve_paths(args)
+            # No float warnings on stderr: a non-finite estimate raises instead.
+            with np.errstate(all="ignore"):
+                code, fields = args.func(args)
+            _write_manifest(args, effective, start, **paths, **fields)
         return code
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)

@@ -20,11 +20,26 @@ Every CSV is opened and written in one place, and every number in it is
 written with ``repr``, i.e. the shortest round-tripping decimal, so reruns
 are byte-identical. A spectrum CSV formats each grid frequency once and
 reuses that text on every row it labels.
+
+Every writer writes a new temporary file beside its target, in the
+directory of the target's real path: an output reached through a symlink
+replaces the file the link names, and the link stays. When the file is
+complete, it replaces the target with ``os.replace``, so a reader never sees
+half a file; a replaced target is a new file with the default permissions,
+so another hard link to the old one keeps the old bytes. Inside
+:class:`staged_writes` the files of a whole block change together, or none.
+A target that exists and is not a regular file (a device such as
+``/dev/null`` or ``/dev/stdout``, or a named pipe) cannot be replaced, only
+written: it is opened and written in place, at once, even inside the block.
 """
 
+import contextlib
 import csv
+import itertools
 import json
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -44,6 +59,7 @@ __all__ = [
     "read_model",
     "read_signal_csv",
     "read_signal_2d_csv",
+    "staged_writes",
     "write_csv",
     "write_json",
     "write_signal_csv",
@@ -51,11 +67,103 @@ __all__ = [
 ]
 
 
+#: The ``(temporary file, target)`` pairs written inside :class:`staged_writes`.
+_staged: list | None = None
+
+
+class staged_writes:
+    """Make the files written inside the ``with`` block change together, or
+    none.
+
+    Each writer leaves its complete file under a temporary name. When the
+    block ends, the files are renamed onto their targets in the order they
+    were written. If a rename fails, each target renamed before it gets its
+    old file back, or is removed if it is new. On any exception every
+    temporary file is removed, and no target has changed.
+    """
+
+    def __enter__(self) -> None:
+        global _staged
+        _staged = self.files = []
+
+    def __exit__(self, kind, value, traceback) -> None:
+        global _staged
+        _staged = None
+        renamed = False
+        try:
+            if kind is None:
+                _rename_all(self.files)
+                renamed = True
+        finally:
+            if not renamed:
+                for temp, _ in self.files:
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(temp)
+
+
+def _rename_all(staged: list) -> None:
+    """Rename each ``(temporary file, target)`` onto its target, in order,
+    or, if one rename fails, undo the renames before it and raise.
+
+    An existing target is first renamed aside, beside its temporary file,
+    and renamed back by the undo, so no file system needs hard links.
+    """
+    done = []  # (target, its old file, or None when the target is new)
+    try:
+        for temp, target in staged:
+            if os.path.exists(target):
+                old = f"{temp}.old"
+                os.replace(target, old)
+                done.append((target, old))
+                os.replace(temp, target)
+            else:
+                os.replace(temp, target)
+                done.append((target, None))
+    except BaseException:
+        for target, old in reversed(done):
+            if old:
+                os.replace(old, target)
+            else:
+                os.remove(target)
+        raise
+    # Every target is in place: an old file that cannot be removed stays
+    # as a stray, rather than fail a run that changed its files.
+    for _, old in done:
+        if old:
+            with contextlib.suppress(OSError):
+                os.remove(old)
+
+
+def _write_texts(path, texts, newline=None) -> None:
+    """Write each text of ``texts`` as it comes into a new file that becomes
+    ``path``, or write them in place into a device or pipe, as the module
+    docstring says; on an exception no file is left."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # no file yet; any other fault surfaces in the staged write
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.writelines(texts)
+        return
+    target = os.path.realpath(path)
+    temp = os.path.join(os.path.dirname(target), f".arspec-{os.urandom(6).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+            fh.writelines(texts)
+        if _staged is None:
+            os.replace(temp, target)
+        else:
+            _staged.append((temp, target))
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
 def _write_lines(path, header, lines) -> None:
     """Write ``header``, then each text of ``lines`` as it comes."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(map(str, header)) + "\n")
-        fh.writelines(lines)
+    _write_texts(path, itertools.chain([",".join(map(str, header)) + "\n"], lines), newline="")
 
 
 def write_csv(path, header, rows) -> None:
@@ -322,9 +430,8 @@ def read_model(path) -> ArModel1D | ArModel2D | QuarterPlaneFilter:
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    _write_texts(path, itertools.chain(chunks, ["\n"]))
 
 
 def read_json(path) -> dict:

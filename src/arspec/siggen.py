@@ -37,13 +37,17 @@ from tables of ``a^i`` and ``c (a^(i-1) + ... + 1)`` in ``uint64``, whose
 wrapping mod 2**64 is exact mod 2**32. The tables for one full block are
 built once, at import, and shared read-only by every draw. The uniforms
 are exact doubles, and sqrt, products and quotients round correctly in
-numpy as in ``math``. But
-``log``, ``cos`` and ``sin`` are not correctly rounded, and numpy's may
-differ from ``math``'s in the last bit, so they stay on the C library's:
-``log`` by ``math``, and ``cos`` and ``sin`` together by one ``cmath.exp``
-of ``i 2 pi u2`` per sample, which CPython evaluates as ``exp(0) cos`` and
-``exp(0) sin``, the same bits as ``math``'s. Every sample has the bits of
-the scalar definition above.
+numpy as in ``math``. But ``log``, ``cos`` and ``sin`` are not correctly
+rounded, so each must come from the C library, as ``math``'s do. numpy's
+real ``log``, ``cos`` and ``sin`` are its own vectorized loops, which may
+differ in the last bit (its ``log`` differs from ``math.log`` on a few
+uniforms in a thousand), so ``log`` stays on ``math``, one call per
+sample. numpy's complex ``exp`` has no vectorized loop: it calls the C
+library's ``cexp`` (glibc's on Linux), which for a zero real part returns
+``exp(0) = 1`` times the C library's ``cos`` and ``sin``. So one
+``np.exp(2j pi u2)`` per block gives the bits of ``math.cos`` and
+``math.sin``, and every sample has the bits of the scalar definition
+above; the tests pin them.
 
 A uniform is at most
 ``1 - 2**-33``, so every complex sample has ``|z|**2 = -ln u1 >= 2**-33``
@@ -51,7 +55,6 @@ and every noise record has positive energy: the SNR rescaling never
 divides by zero.
 """
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -133,10 +136,11 @@ class Lcg32:
             states &= np.uint64(_LCG_MOD - 1)
             self._state = int(states[-1])
             u = (states + 0.5) / _LCG_MOD
-            # log on math, cos and sin on cmath, whose last bit numpy's need not match.
+            # log on math, whose last bit numpy's real log need not match; numpy's
+            # complex exp of a zero real part is the C library's cos and sin.
             radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), float, hi - lo))
             block = out[lo:hi]
-            block[:] = np.fromiter(map(cmath.exp, (2j * math.pi * u[1::2]).tolist()), complex, hi - lo)
+            np.exp(2j * math.pi * u[1::2], out=block)
             trig = block.view(float).reshape(-1, 2)
             trig *= radius[:, None]
             trig /= math.sqrt(2.0)

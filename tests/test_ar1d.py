@@ -186,6 +186,35 @@ class TestLevinson:
         assert model.order == 1
         assert model.coeffs[0] == -1.0
 
+    def test_a_reflection_on_the_unit_circle_bound_stops(self):
+        r = np.array([1.0, -(1.0 - ar1d.UNIT_CIRCLE_TOL), 0.0])
+        model = levinson(r, 2)
+        assert model.early_stop and model.order == 1
+
+    def test_power_on_the_floor_vanishes(self):
+        # Lags whose order-2 power is exactly the floor 1e-14 r_0: the
+        # reflections' 1 - |k|^2 are 2856677408965024 and 284 units of
+        # 2^-53, whose product is 1e-14 to the last bit.
+        r = np.array([1.0, -0.8263444177000568 - 5.913715014751086e-08j,
+                      0.3656901933281098 + 7.837145140668629e-09j, 0.0])
+        assert levinson(r, 2).error_power == 1e-14
+        with pytest.raises(SingularityError):
+            levinson(r, 3)
+
+    def test_final_power_at_the_smallest_normal_is_kept(self):
+        tiny = np.finfo(float).tiny
+        assert levinson(np.array([tiny, 0.0]), 1).error_power == tiny
+
+    def test_final_power_underflowed_to_zero_raises_unless_stopped(self):
+        # No recursion reaches this with finite sums: a live stage divides
+        # by a power whose reciprocal is finite and multiplies it by
+        # 1 - |k|^2 of at least about 2e-14. So the batch is built by hand.
+        batch = ar1d.LatticeBatch.start(np.array([1.0, 1.0]), 1)
+        batch.powers[:, 1] = 0.0
+        with pytest.raises(NumericalError, match="0.000e\\+00 below the normal double range"):
+            ar1d._finish(batch, np.array([False, True]))
+        assert ar1d._finish(batch, np.array([False, False])) is batch
+
     def test_vanishing_power_raises(self):
         # four reflections close to (but measurably off) the unit circle
         # drive the power through the 1e-14 r_0 floor without ever
@@ -269,6 +298,13 @@ class TestBurgClassic:
             "error energy 2.221e-308 below the normal double range at order 11"
         )
 
+    def test_window_energy_at_the_smallest_normal_is_kept(self):
+        # The stage-1 windows hold |x_0|^2 = 2^-1021 and 0, so the half-sum
+        # is exactly the smallest normal double; r_0 / 30 is subnormal, so
+        # the record goes to the lattice.
+        model = burg_classic(np.array([2.0**-511 * (1 + 1j), 0, 0, 0]), 1)
+        assert model.coeffs[0] == 0 and model.error_power == 2.0**-1021
+
     def test_error_energy_that_runs_out_is_degenerate(self):
         # The shrinking window at order 3 holds only the zero samples.
         with pytest.raises(DegenerateSignalError, match="zero error energy at order 3"):
@@ -329,6 +365,17 @@ class TestBurgModified:
     def test_zero_signal_rejected(self):
         with pytest.raises(DegenerateSignalError):
             burg_modified(np.zeros(5, dtype=complex), 2)
+
+    def test_energy_at_the_overflow_bound_is_kept(self):
+        # |x_i|^2 = 2^(1022-i), i = 0..52, sum exactly to half the largest
+        # double; each part is a power of two, so every sum is exact.
+        x = np.array([2.0 ** (e // 2) * (1 if e % 2 == 0 else 1 + 1j)
+                      for e in range(1022, 969, -1)])
+        assert np.vdot(x, x).real == 0.5 * np.finfo(float).max
+        assert burg_modified_batch(x[None], 1).powers[0, 0] == 0.5 * np.finfo(float).max
+        x[-1] *= 2
+        with pytest.raises(NumericalError, match="overflows the lattice sums"):
+            burg_modified(x, 1)
 
 
 SUBNORMAL_FITS = {
@@ -627,6 +674,32 @@ class TestFastClassic:
             model = burg_classic(x, 63)
             ref = _burg_lattice(x[None], 63, padded=False).model(0)
         assert_bitwise_model(model, ref)
+
+    @staticmethod
+    def _route(monkeypatch, x0, r0):
+        """``burg_classic_batch`` at order 1 on the record ``[x0, 0, 0, 0]``
+        with the exact lags ``[r0, 0]``; on the lag route its powers are
+        ``[r0, r0]``, and the lattice gives ``|x0|^2``."""
+        x = np.array([[x0, 0, 0, 0]], dtype=complex)
+        lags = np.array([[r0, 0.0]], dtype=complex)
+        monkeypatch.setattr(ar1d, "estimate_autocorr_1d", lambda *args: lags)
+        return burg_classic_batch(x, 1).powers[0].tolist()
+
+    @pytest.mark.parametrize("r0, toward", [(30 * np.finfo(float).tiny, 0.0),
+                                            (0.5 * np.finfo(float).max, np.inf)])
+    def test_range_includes_both_ends(self, monkeypatch, r0, toward):
+        # At 30 tiny the floor r_0 / 30 is the smallest normal double. The
+        # denominator is r_0 itself, its upper bound. Off the range, the
+        # zero record goes to the lattice, which rejects it.
+        assert self._route(monkeypatch, 0.0, r0) == [r0, r0]
+        with pytest.raises(DegenerateSignalError):
+            self._route(monkeypatch, 0.0, np.nextafter(r0, toward))
+
+    def test_denominator_on_the_floor_stays(self, monkeypatch):
+        # The floor is 30 / 30 = 1, and the denominator 30 - |7 + 3j|^2 / 2
+        # is exactly 1, as is the bound on the next one, since k = 0.
+        assert self._route(monkeypatch, 7 + 3j, 30.0) == [30.0, 30.0]
+        assert self._route(monkeypatch, 7 + 3.5j, 30.0) == [61.25, 61.25]
 
     def test_fast_route_is_taken(self, monkeypatch):
         # A reduced lattice_1d record: two unit tones in noise of variance 0.1.

@@ -1,9 +1,15 @@
 import argparse
+import errno
+import itertools
 import json
 import math
+import os
 import platform
 import shlex
+import shutil
+import stat
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -1160,6 +1166,122 @@ class TestManifestPaths:
         assert 0.0 <= manifest["duration_seconds"] <= wall
 
 
+#: The staged steps of a run, and the ``os`` function each goes through:
+#: creating a temporary file, writing it, renaming (an old target aside, or
+#: a temporary file onto its target).
+STEPS = {"create": "open", "write": "open", "replace": "replace"}
+
+
+def _inject(mp, root: Path, fault: tuple | None = None) -> Counter:
+    """Count the calls of ``os.open`` and ``os.replace`` on paths
+    under ``root``. With ``fault = (step, k)`` the ``k``-th call of the step's
+    function fails: ``write`` opens the file read-only, so that writing it
+    fails, and the other steps raise ``OSError``."""
+    calls = Counter()
+
+    def wrap(name, real):
+        def call(path, *args, **kwargs):
+            if not str(path).startswith(str(root)):
+                return real(path, *args, **kwargs)
+            calls[name] += 1
+            if fault and STEPS[fault[0]] == name and calls[name] == fault[1]:
+                if fault[0] != "write":
+                    raise OSError(errno.EIO, f"injected {fault[0]} fault", path)
+                args = (os.O_RDONLY | os.O_CREAT | os.O_EXCL, *args[1:])
+            return real(path, *args, **kwargs)
+
+        return call
+
+    for name in set(STEPS.values()):
+        mp.setattr(os, name, wrap(name, getattr(os, name)))
+    return calls
+
+
+class TestFailedRunChangesNoFile:
+    @pytest.mark.parametrize("existing", [False, True], ids=["new outputs", "old outputs"])
+    @pytest.mark.parametrize("command", RECIPES)
+    def test_a_fault_in_any_staged_step_changes_no_file(
+        self, tmp_path, capsys, monkeypatch, command, existing
+    ):
+        base = tmp_path / "base"
+        base.mkdir()
+        _prepare(base)
+        if existing:
+            assert run(*_argv(base, RECIPES[command])) == 0
+        cases = itertools.count()
+
+        def copy() -> Path:
+            root = tmp_path / f"case{next(cases)}"
+            shutil.copytree(base, root, symlinks=True)
+            return root
+
+        root = copy()
+        with monkeypatch.context() as mp:
+            calls = _inject(mp, root)
+            assert run(*_argv(root, RECIPES[command])) == 0
+        # The outputs and the manifest, each created once and renamed once,
+        # and an old output renamed aside before its new file takes its name.
+        files = 3 if command == "est2d" else 2
+        assert calls == Counter(open=files, replace=2 * files if existing else files)
+
+        for step, function in STEPS.items():
+            for k in range(1, calls[function] + 1):
+                root = copy()
+                before = _tree(root)
+                capsys.readouterr()
+                with monkeypatch.context() as mp:
+                    _inject(mp, root, (step, k))
+                    assert run(*_argv(root, RECIPES[command])) == 2, (step, k)
+                err = capsys.readouterr().err
+                assert err.startswith("error: usage:") and err.count("\n") == 1, (step, k)
+                assert _tree(root) == before, (step, k)
+
+    def test_a_rerun_needs_no_hard_links(self, tmp_path, monkeypatch):
+        # As on a file system without hard links (vfat, exFAT, some network
+        # mounts): replacing the old outputs must not take a link of them.
+        argv = _argv(tmp_path, RECIPES["est2d"])
+        _prepare(tmp_path)
+        assert run(*argv) == 0
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+        def no_link(*args, **kwargs):
+            raise OSError(errno.EPERM, "no hard links here")
+
+        monkeypatch.setattr(os, "link", no_link)
+        assert run(*argv) == 0
+        again = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert again.keys() == first.keys()
+        assert all(again[n] == first[n] for n in first if not n.endswith("manifest.json"))
+
+    def test_a_pipe_output_is_written_in_place(self, tmp_path):
+        # A named pipe (like /dev/null or /dev/stdout) cannot be replaced by
+        # a renamed file, only written; it must stay a pipe.
+        fifo = tmp_path / "manifest.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            out = tmp_path / "sig.csv"
+            assert run("gen", "--n", "8", "--out", str(out), "--manifest", str(fifo)) == 0
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert json.loads(data)["outputs"] == [str(out)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.fifo", "sig.csv"]
+
+    def test_a_symlinked_output_replaces_the_file_it_names(self, tmp_path):
+        plain, target, link = (tmp_path / name for name in ("plain.csv", "target.csv", "link.csv"))
+        assert run("gen", "--n", "8", "--out", str(plain), "--manifest", str(tmp_path / "m")) == 0
+        target.write_text("old\n", encoding="utf-8")
+        link.symlink_to(target.name)
+        assert run("gen", "--n", "8", "--out", str(link)) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.csv", "link.csv.manifest.json", "m", "plain.csv", "target.csv"
+        ]
+
+
 README = Path(__file__).parents[1] / "README.md"
 
 
@@ -1216,7 +1338,7 @@ def _option_table(parser) -> dict:
 HELP = ("help", argparse.SUPPRESS, None, None, False, 0)
 OUT = ("out", None, None, None, True, None)
 MANIFEST = ("manifest", None, None, None, False, None)
-SEED = ("seed", None, "int", None, False, None)
+SEED = ("seed", None, "_seed", None, False, None)
 IN = ("input", None, None, None, True, None)
 SYNTH = {
     "--n": ("n", 20, "int", None, False, None),

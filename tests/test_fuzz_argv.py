@@ -1,6 +1,7 @@
 """Property: any argv of any subcommand, with integers at and past each
 bound, non-finite floats, unknown method names and outputs under a missing
-directory, never gives a traceback.
+directory or past the file system's name limit, and any ``ARSPEC_SEED``,
+never gives a traceback.
 
 Each case exits 0, 2 or 3, or 1 (a failed verdict) from ``experiment
 equivalence`` only. Exit 2 or 3 writes one ``error: usage:`` or
@@ -152,8 +153,9 @@ def argvs(draw) -> tuple[str, list]:
         argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
     if command in INPUTS:
         argv += ["--in", "in/" + draw(INPUTS[command])]
-    # An output is rarely under a missing directory, or a directory itself.
-    where = edgy(["work/{}"], ["work/nodir/{}", "work/x/../{}", "work"])
+    # An output is rarely under a missing directory, a directory itself, or
+    # a name past NAME_MAX (255 bytes), which fails only when it is renamed.
+    where = edgy(["work/{}"], ["work/nodir/{}", "work/x/../{}", "work", "work/{}" + "n" * 300])
     argv += ["--out", draw(where).format("out")]
     for option in ["--manifest", *(["--filter-out"] if command == "est2d" else [])]:
         if draw(st.booleans()):
@@ -181,6 +183,8 @@ def _cells_read_back(path: str) -> bool:
 @given(case=argvs())
 @example(case=("est1d", ["est1d", "--method", "burg", "--order", "3", "--in", "in/signal.csv",
                          "--out", "work/out", "--manifest", "work/nodir/manifest"]))
+@example(case=("est1d", ["est1d", "--method", "burg-mod", "--order", "4", "--in", "in/signal.csv",
+                         "--out", "work/out", "--manifest", "work/" + "m" * 300 + ".json"]))
 @example(case=("est2d", ["est2d", "--method", "wwra", "--n1", "1", "--n2", "1",
                          "--in", "in/grid.csv", "--out", "work/out",
                          "--filter-out", "work/nodir/filter-out"]))
@@ -188,7 +192,43 @@ def _cells_read_back(path: str) -> bool:
                                           "--trials-2d", "2", "--out", "work/out",
                                           "--manifest", "work/nodir/manifest"]))
 def test_any_argv_exits_cleanly(dirs, case):
-    command, argv = case
+    _assert_exits_cleanly(dirs, *case)
+
+
+#: Seeds as ``ARSPEC_SEED`` may spell them: digits near the bounds, signs,
+#: spaces, underscores, exponents and non-ASCII digits.
+SEED_TEXT = st.one_of(
+    st.integers(-(2**33), 2**33).map(str),
+    st.text(st.sampled_from("0123456789 _+-.e\t٣"), max_size=12),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(value=SEED_TEXT)
+@example(value="-5")
+@example(value="1_000")
+@example(value=" 7 ")
+@example(value="٣")
+@example(value="12345678901234567890123456")
+@example(value="4294967295")
+@example(value="004294967295")
+@example(value="4294967296")
+@example(value="1e3")
+@example(value="")
+def test_any_environment_seed_exits_cleanly(dirs, value):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ARSPEC_SEED", value)
+        code = _assert_exits_cleanly(dirs, "gen", ["gen", "--n", "8", "--out", "work/out"])
+    # One seed per stream: decimal digits of an initial state of the LCG.
+    valid = value.isascii() and value.isdigit() and int(value) < 2**32
+    assert code == (0 if valid else 2)
+    if valid:
+        assert _json("work/out.manifest.json")["seed"] == int(value)
+
+
+def _assert_exits_cleanly(dirs, command: str, argv: list) -> int:
+    """Run ``argv`` in a new work directory, assert the module docstring's
+    property and return the exit code."""
     inputs, work = dirs
     root = inputs.parent
     shutil.rmtree(work, ignore_errors=True)
@@ -205,7 +245,7 @@ def test_any_argv_exits_cleanly(dirs, case):
         assert err.startswith(("error: usage:", "error: numerical:"))
         assert err.count("\n") == 1 and err.endswith("\n")
         assert _tree(root) == before
-        return
+        return code
 
     assert err == ""
     options = dict(zip(argv, argv[1:]))
@@ -227,3 +267,4 @@ def test_any_argv_exits_cleanly(dirs, case):
         assert _json(out)["pass"] is (code == 0)
     else:
         assert _cells_read_back(out)
+    return code

@@ -21,6 +21,14 @@ def realized_snr_db(cfg: SynthConfig, x: np.ndarray) -> float:
     )
 
 
+def _seed_reaching(state: int, steps: int) -> int:
+    """The seed whose stream, at substream 0, reaches ``state`` on its
+    ``steps``-th draw: the recurrence run backwards."""
+    for _ in range(steps):
+        state = (state - 1013904223) * pow(1664525, -1, 2**32) % 2**32
+    return state
+
+
 class TestLcg32:
     def test_stream_matches_documented_recurrence(self):
         # independent integer-arithmetic oracle for the documented LCG
@@ -49,10 +57,27 @@ class TestLcg32:
         b = Lcg32(5, substream=1).complex_normal(8)
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1])
-    @pytest.mark.parametrize("substream", [0, 3, 2**20])
-    def test_complex_normal_is_the_scalar_stream(self, seed, substream):
+    @pytest.mark.parametrize(
+        "seed, substream, phase_state",
+        [
+            pytest.param(seed, substream, None, id=f"{substream}-{seed}")
+            for substream in (0, 3, 2**20)
+            for seed in (0, 1, 7, 2**32 - 1)
+        ]
+        # Seeds whose first block puts a phase 2 pi u2 next to 0, pi and 2 pi,
+        # at its first, middle and last sample.
+        + [
+            pytest.param(_seed_reaching(0, 2), 0, 0, id="phase-0"),
+            pytest.param(_seed_reaching(2**31, 4096), 0, 2**31, id="phase-pi"),
+            pytest.param(_seed_reaching(2**32 - 1, 8192), 0, 2**32 - 1, id="phase-2pi"),
+        ],
+    )
+    def test_complex_normal_is_the_scalar_stream(self, seed, substream, phase_state):
         # Counts on both sides of the 4096-sample block boundaries.
+        if phase_state is not None:
+            rng = Lcg32(seed, substream)
+            states = [int(rng.uniform() * 2**32) for _ in range(2 * 4096)]
+            assert phase_state in states[1::2]
         oracle = Lcg32(seed, substream)
         want = np.array([complex(*oracle.normal_pair()) / math.sqrt(2.0) for _ in range(8195)])
         for n in (0, 1, 2, 4095, 4096, 4097, 8195):
